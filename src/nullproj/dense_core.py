@@ -1,13 +1,18 @@
 """Small dense kernels: pivoted Householder QR, triangular solves, inversion.
 
-These run on matrices whose side is the short dimension m of the operator,
-so none of them chase LAPACK-grade blocking.  The greedy column pivoting
-recomputes the remaining column norms at every step instead of downdating
-them; that costs an extra O(l m^2) but cannot drift, which matters because
-the factorization doubles as a rank detector.
+These run on matrices whose side is the short dimension m of the operator.
+The triangular solves recurse by halving, so the bulk of a matrix
+right-hand side's work is one matrix product per level and only a small
+base case runs row by row in the interpreter.  The QR keeps its
+Householder reflectors and forms the orthonormal factor only when a
+caller asks for it.  The greedy column pivoting recomputes the remaining
+column norms at every step instead of downdating them; that costs an
+extra O(l m^2) but cannot drift, which matters because the factorization
+doubles as a rank detector.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +22,13 @@ ORACLE_CAP = 1_000_000  # max p*q entries the dense SVD oracle accepts
 
 _PIVOT_TIE_RTOL = 1e-15  # column norms this close count as tied; lowest index wins
 
+# A triangular solve halves its factor until a block has at most this many
+# rows, then substitutes row by row.  With a single right-hand side every row
+# costs one interpreter step however the solve is split, so halving only adds
+# calls; it pays once each row carries many columns of work.
+_BASE_ROWS_VECTOR = 128
+_BASE_ROWS_MATRIX = 16
+
 
 @dataclass
 class PivotedQR:
@@ -24,12 +36,26 @@ class PivotedQR:
 
     Equivalently M = Q R Pi for the permutation Pi acting as z -> z[perm].
     R's diagonal is nonnegative and nonincreasing in magnitude, so trailing
-    near-zero entries expose rank deficiency of M.
+    near-zero entries expose rank deficiency of M.  The l-by-m factor Q is
+    formed from the stored Householder reflectors on first access and
+    cached; callers that need only R and perm never pay for it.
     """
 
-    Q: np.ndarray
     R: np.ndarray
     perm: np.ndarray
+    rows: int = field(repr=False)  # l, the row count of Q
+    reflectors: list = field(repr=False)  # (step, v, 2/v'v) in application order
+    flip: np.ndarray = field(repr=False)  # rows of R negated to make its diagonal nonnegative
+
+    @cached_property
+    def Q(self):
+        m = self.R.shape[0]
+        Q = np.zeros((self.rows, m))
+        Q[:m, :m] = np.eye(m)
+        for k, v, coef in reversed(self.reflectors):
+            Q[k:, :] -= coef * np.outer(v, v @ Q[k:, :])
+        Q[:, self.flip] *= -1.0
+        return Q
 
 
 def qr_pivoted(M):
@@ -37,8 +63,9 @@ def qr_pivoted(M):
 
     At each step the remaining column of largest Euclidean norm is chosen
     (ties within 1e-15 relative resolved toward the lower index).  The
-    returned R has a nonnegative diagonal; Q is l-by-m with orthonormal
-    columns.
+    returned R has a nonnegative diagonal.  The l-by-m orthonormal factor
+    Q is not formed here: `PivotedQR.Q` builds it from the reflectors the
+    first time it is read.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -73,19 +100,10 @@ def qr_pivoted(M):
         A[k + 1 :, k] = 0.0
 
     R = np.triu(A[:m, :])
-
-    Q = np.zeros((l, m))
-    Q[:m, :m] = np.eye(m)
-    for k, v, coef in reversed(reflectors):
-        Q[k:, :] -= coef * np.outer(v, v @ Q[k:, :])
-
     # sign convention: flip rows of R (and matching Q columns) so diag(R) >= 0
     flip = np.diag(R) < 0.0
-    if flip.any():
-        R[flip, :] *= -1.0
-        Q[:, flip] *= -1.0
-
-    return PivotedQR(Q=Q, R=R, perm=perm)
+    R[flip, :] *= -1.0
+    return PivotedQR(R=R, perm=perm, rows=l, reflectors=reflectors, flip=flip)
 
 
 def _check_factor(R):
@@ -97,39 +115,61 @@ def _check_factor(R):
         raise SingularFactorError(f"triangular factor has zero diagonal at index {zero[0]}")
 
 
-def solve_upper(R, y):
-    """Solve R g = y by back substitution; accepts vector or matrix right-hand sides."""
+def _prepare_solve(R, rhs):
+    """Checked float factor and a 2-D float copy of the right-hand side to solve in place."""
     R = np.asarray(R, dtype=float)
     _check_factor(R)
-    m = R.shape[0]
-    x = np.array(y, dtype=float)
+    x = np.array(rhs, dtype=float)
     vec = x.ndim == 1
     if vec:
         x = x[:, None]
-    if x.shape[0] != m:
-        raise DimensionError(f"right-hand side length {x.shape[0]} does not match factor size {m}")
-    for k in range(m - 1, -1, -1):
+    if x.shape[0] != R.shape[0]:
+        raise DimensionError(
+            f"right-hand side length {x.shape[0]} does not match factor size {R.shape[0]}"
+        )
+    base = _BASE_ROWS_VECTOR if x.shape[1] == 1 else _BASE_ROWS_MATRIX
+    return R, x, vec, base
+
+
+def _back_substitute(R, x, lo, hi, base):
+    """Overwrite x[lo:hi] with the solution of R[lo:hi, lo:hi] g = x[lo:hi]."""
+    if hi - lo > base:
+        mid = (lo + hi) // 2
+        _back_substitute(R, x, mid, hi, base)
+        x[lo:mid] -= R[lo:mid, mid:hi] @ x[mid:hi]
+        _back_substitute(R, x, lo, mid, base)
+        return
+    for k in range(hi - 1, lo - 1, -1):
         x[k] /= R[k, k]
-        if k:
-            x[:k] -= R[:k, k, None] * x[k]
+        if k > lo:
+            x[lo:k] -= R[lo:k, k, None] * x[k]
+
+
+def _forward_substitute(R, x, lo, hi, base):
+    """Overwrite x[lo:hi] with the solution of R[lo:hi, lo:hi]* e = x[lo:hi]."""
+    if hi - lo > base:
+        mid = (lo + hi) // 2
+        _forward_substitute(R, x, lo, mid, base)
+        x[mid:hi] -= R[lo:mid, mid:hi].T @ x[lo:mid]
+        _forward_substitute(R, x, mid, hi, base)
+        return
+    for k in range(lo, hi):
+        x[k] /= R[k, k]
+        if k + 1 < hi:
+            x[k + 1 : hi] -= R[k, k + 1 : hi, None] * x[k]
+
+
+def solve_upper(R, y):
+    """Solve R g = y by blocked back substitution; accepts vector or matrix right-hand sides."""
+    R, x, vec, base = _prepare_solve(R, y)
+    _back_substitute(R, x, 0, R.shape[0], base)
     return x[:, 0] if vec else x
 
 
 def solve_upper_adjoint(R, d):
-    """Solve R* e = d by forward substitution (R upper-triangular)."""
-    R = np.asarray(R, dtype=float)
-    _check_factor(R)
-    m = R.shape[0]
-    x = np.array(d, dtype=float)
-    vec = x.ndim == 1
-    if vec:
-        x = x[:, None]
-    if x.shape[0] != m:
-        raise DimensionError(f"right-hand side length {x.shape[0]} does not match factor size {m}")
-    for k in range(m):
-        x[k] /= R[k, k]
-        if k + 1 < m:
-            x[k + 1 :] -= R[k, k + 1 :, None] * x[k]
+    """Solve R* e = d by blocked forward substitution (R upper-triangular)."""
+    R, x, vec, base = _prepare_solve(R, d)
+    _forward_substitute(R, x, 0, R.shape[0], base)
     return x[:, 0] if vec else x
 
 

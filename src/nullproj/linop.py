@@ -78,14 +78,6 @@ class LinearOperator:
         raise NotImplementedError
 
 
-def apply(op, x):
-    return op.apply(x)
-
-
-def apply_adjoint(op, y):
-    return op.apply_adjoint(y)
-
-
 def densify(op, max_entries=DENSIFY_CAP):
     """Dense m-by-n snapshot of `op`, column by column, without touching counters."""
     m, n = op.shape

@@ -69,25 +69,20 @@ def build_sketch(A, l, g):
 def build_gram(A, R, perm):
     """Preconditioned Gram matrix X = P^-1 A A* (P*)^-1 with P = Pi* R*.
 
-    Built one column at a time: take a column of (P*)^-1 = Pi* R^-1, push
-    it through A* then A, permute, and solve against R*.  Costs m applies
-    of A and m of A*, with one length-n temporary.
+    Push each column of (P*)^-1 = Pi* R^-1 through A* then A and permute
+    it, overwriting that column in place; then one matrix solve against R*
+    turns the m-by-m result into X.  Costs m applies of A and m of A*, with
+    one length-n temporary.
     """
     m, n = A.shape
     R = np.asarray(R, dtype=float)
     if R.shape != (m, m):
         raise ConfigurationError(f"R must be {m}x{m} for a {m}x{n} operator, got {R.shape}")
-    Rinv = solve_upper(R, np.eye(m))
-    Pminus = np.empty((m, m))
-    Pminus[perm, :] = Rinv
-    X = np.empty((m, m))
+    W = np.empty((m, m))
+    W[perm, :] = solve_upper(R, np.eye(m))
     for k in range(m):
-        c = Pminus[:, k]
-        d = A.apply_adjoint(c)
-        e = A.apply(d)
-        f = e[perm]
-        X[:, k] = solve_upper_adjoint(R, f)
-    return X
+        W[:, k] = A.apply(A.apply_adjoint(W[:, k]))[perm]
+    return solve_upper_adjoint(R, W)
 
 
 def build_preconditioner(A, l, g, attempts=3):

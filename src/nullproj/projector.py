@@ -124,13 +124,14 @@ class ClassicalProjector:
         if (np.diag(qr.R) == 0.0).any():
             raise FactorizationError("A A* is exactly singular; cannot build the classical projector")
         self.A = A
-        self._qr = qr
+        self._R = qr.R
+        self._Q = qr.Q  # formed now, so setup rather than the first projection pays for it
+        self._perm = qr.perm
 
     def _solve_gram(self, c):
-        qr = self._qr
-        w = solve_upper(qr.R, qr.Q.T @ c)
+        w = solve_upper(self._R, self._Q.T @ c)
         x = np.empty_like(w)
-        x[qr.perm] = w
+        x[self._perm] = w
         return x
 
     def project(self, b):

@@ -12,6 +12,7 @@ from nullproj import (
     solve_upper_adjoint,
     svd_dense,
 )
+from nullproj.dense_core import _BASE_ROWS_MATRIX, _BASE_ROWS_VECTOR
 
 
 def reconstruction_error(M, qr):
@@ -51,6 +52,17 @@ def test_qr_zero_matrix():
     qr = qr_pivoted(np.zeros((6, 3)))
     assert np.array_equal(qr.R, np.zeros((3, 3)))
     assert np.abs(qr.Q.T @ qr.Q - np.eye(3)).max() <= 1e-15
+
+
+def test_qr_forms_q_once_on_demand():
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((12, 7))
+    qr = qr_pivoted(M)
+    assert "Q" not in vars(qr)  # not formed by the factorization itself
+    Q = qr.Q
+    assert qr.Q is Q
+    assert reconstruction_error(M, qr) <= 1e-13
+    assert np.abs(Q.T @ Q - np.eye(7)).max() <= 1e-13
 
 
 def test_qr_rejects_wide_input():
@@ -93,6 +105,43 @@ def test_solve_upper_matrix_rhs():
     Y = rng.standard_normal((5, 3))
     G = solve_upper(R, Y)
     assert np.linalg.norm(R @ G - Y) <= 1e-13 * np.linalg.norm(Y)
+
+
+def substitute_by_rows(R, y, adjoint=False):
+    """Reference solve of R x = y (or R* x = y), one row at a time, no blocking."""
+    T = R.T if adjoint else R
+    m = R.shape[0]
+    x = np.zeros(m)
+    order = range(m) if adjoint else range(m - 1, -1, -1)
+    for k in order:
+        x[k] = (y[k] - T[k] @ x) / T[k, k]
+    return x
+
+
+SOLVE_SIZES = sorted(
+    {1, 200}
+    | {b for base in (_BASE_ROWS_VECTOR, _BASE_ROWS_MATRIX) for b in (base, base + 1, 3 * base + 1)}
+)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("m", SOLVE_SIZES)
+def test_blocked_solves_match_row_substitution(m, adjoint):
+    rng = np.random.default_rng(1000 + m)
+    R = np.linalg.qr(rng.standard_normal((m, m)))[1]  # well-conditioned, mixed-sign diagonal
+    Y = rng.standard_normal((m, 3))
+    T = R.T if adjoint else R
+    solve = solve_upper_adjoint if adjoint else solve_upper
+    eps = np.finfo(float).eps
+
+    X = solve(R, Y)
+    cols = np.column_stack([solve(R, Y[:, j]) for j in range(Y.shape[1])])
+    ref = np.column_stack([substitute_by_rows(R, Y[:, j], adjoint) for j in range(Y.shape[1])])
+    for got in (X, cols):
+        assert got.shape == Y.shape
+        # componentwise backward error of substitution, |T x - y| <= c m eps |T| |x|
+        assert (np.abs(T @ got - Y) <= 4 * m * eps * (np.abs(T) @ np.abs(got))).all()
+        assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
 def test_solve_upper_zero_diagonal_names_index():

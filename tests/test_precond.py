@@ -62,16 +62,18 @@ def test_build_gram_scalar_case():
 
 
 def test_build_gram_matches_dense_oracle():
-    # operator-generic op; a 3x8 shape cannot come from the sparse family
+    # operator-generic op; a 3x8 shape cannot come from the sparse family.
+    # m=40 is above the triangular solves' base case, so their recursion runs.
     rng = np.random.default_rng(3)
-    A = MatrixOperator(rng.standard_normal((3, 8)))
-    S = build_sketch(A, 5, UniformLaggedFibonacci(4))
-    qr = qr_pivoted(S.T)
-    X = build_gram(A, qr.R, qr.perm)
-    P = perm_matrix(qr.perm).T @ qr.R.T  # P = Pi* R*
-    Ad = A.mat
-    X_oracle = np.linalg.inv(P) @ Ad @ Ad.T @ np.linalg.inv(P).T
-    assert np.abs(X - X_oracle).max() <= 1e-10
+    for m, n, l in ((3, 8, 5), (40, 100, 44)):
+        A = MatrixOperator(rng.standard_normal((m, n)))
+        S = build_sketch(A, l, UniformLaggedFibonacci(4))
+        qr = qr_pivoted(S.T)
+        X = build_gram(A, qr.R, qr.perm)
+        P = perm_matrix(qr.perm).T @ qr.R.T  # P = Pi* R*
+        Ad = A.mat
+        X_oracle = np.linalg.inv(P) @ Ad @ Ad.T @ np.linalg.inv(P).T
+        assert np.abs(X - X_oracle).max() <= 1e-10
 
 
 def test_build_gram_cost_and_spd():
