@@ -1,9 +1,11 @@
 """The two sketch-entry streams: lagged Fibonacci and Gaussian.
 
 The uniform stream costs a floating-point subtraction and a fold per
-value; the Gaussian stream rides on it through the polar method.  Both
-are exact functions of their seed, which is what lets tests replay the
-full random matrix G column by column without ever storing it.
+value; the Gaussian stream rides on it through the polar method, taking
+uniforms a bounded chunk at a time and transforming each chunk with array
+operations.  Both are exact functions of their seed, however a stream is
+split into columns, which is what lets tests replay the full random
+matrix G column by column without ever storing it.
 """
 
 import time

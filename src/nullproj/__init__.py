@@ -31,7 +31,7 @@ from .linop import (
     make_dense_test,
     make_sparse_test,
 )
-from .rng import GaussianStream, UniformLaggedFibonacci, fill_column
+from .rng import GaussianStream, UniformLaggedFibonacci
 from .dense_core import (
     PivotedQR,
     invert_small,
@@ -103,7 +103,6 @@ __all__ = [
     "densify",
     "emit_report",
     "error_metrics",
-    "fill_column",
     "invert_small",
     "load_triplet_operator",
     "make_dense_test",

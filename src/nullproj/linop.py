@@ -161,7 +161,8 @@ class SparseTestMatrix(LinearOperator):
         self.col_perm = col_perm
         self.block_count = n // m
         self._row_perm_inv = np.argsort(row_perm)
-        self._col_perm_inv = np.argsort(col_perm)
+        # V* tile(w) gathers entry i from w[argsort(col_perm)[i] % m]
+        self._adjoint_gather = np.argsort(col_perm) % m
 
     @property
     def kappa(self):
@@ -169,19 +170,14 @@ class SparseTestMatrix(LinearOperator):
 
     def _apply_impl(self, x):
         m = self.shape[0]
-        z = x[self.col_perm]
-        # accumulate the n/m blocks left to right before applying B
-        w = np.zeros(m)
-        for b in range(self.block_count):
-            w += z[b * m : (b + 1) * m]
+        # sum the n/m blocks of V x (left to right, down axis 0) before applying B
+        w = x[self.col_perm].reshape(self.block_count, m).sum(axis=0)
         return self.stencil.apply(w)[self._row_perm_inv]
 
     def _apply_adjoint_impl(self, y):
-        m = self.shape[0]
         t = y[self.row_perm]  # U* y
         w = self.stencil.apply(t)  # B is symmetric
-        z = np.tile(w, self.block_count)
-        return z[self._col_perm_inv]  # V* z
+        return w[self._adjoint_gather]  # V* [w w ... w]
 
 
 class DenseTestMatrix(LinearOperator):

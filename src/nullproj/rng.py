@@ -3,8 +3,12 @@
 Two generators are provided: a subtractive lagged Fibonacci stream that is
 uniform on [-1, 1] and runs on floating-point adds/subtracts alone, and a
 Gaussian stream layered on top of it via the polar (Marsaglia) method.
-Both are pure functions of their integer seed, so a stream can be replayed
-column by column without ever holding a full n-by-l random matrix in memory.
+The Gaussian stream draws its uniforms in chunks of bounded size and
+transforms each chunk with array operations; its values are the same as
+those of the one-pair-at-a-time polar method, whatever column sizes are
+requested.  Both are pure functions of their integer seed, so a stream can
+be replayed column by column without ever holding a full n-by-l random
+matrix in memory.
 """
 
 import numpy as np
@@ -15,6 +19,10 @@ _MASK64 = (1 << 64) - 1
 _LAG_LONG = 55
 _LAG_SHORT = 24
 _WARMUP = 10 * _LAG_LONG
+
+# most uniform pairs the Gaussian stream draws from its base stream at once;
+# bounds the stream's working memory whatever the column length
+_CHUNK_PAIRS = 2048
 
 
 def _splitmix64(state):
@@ -100,7 +108,15 @@ class GaussianStream:
 
     Uses the polar method: pairs (u, v) from the base stream are rejected
     until u^2 + v^2 lands in (0, 1), then both transformed variates are
-    used, one cached as the spare.
+    used, in that order, the second one cached as the spare if the request
+    ends between them.  Pairs are drawn and transformed as arrays, at most
+    `_CHUNK_PAIRS` at a time, and never more pairs than the variates still
+    owed: each pair yields at most two, so every pair drawn is used.  The
+    base stream therefore advances exactly as under the one-pair-at-a-time
+    method, and the output does not depend on how it is split into columns.
+
+    A `base` stream (any object with a uniform `fill_column`; by default
+    `UniformLaggedFibonacci(seed)`) belongs to this stream from then on.
     """
 
     def __init__(self, seed, base=None):
@@ -110,30 +126,34 @@ class GaussianStream:
 
     def next_gaussian(self):
         """Next standard-normal variate; advances the state."""
-        if self._spare is not None:
-            v = self._spare
-            self._spare = None
-            return v
-        base = self._base
-        while True:
-            u = base.next_uniform()
-            v = base.next_uniform()
-            s = u * u + v * v
-            if 0.0 < s < 1.0:
-                break
-        factor = np.sqrt(-2.0 * np.log(s) / s)
-        self._spare = v * factor
-        return u * factor
+        return self.fill_column(1)[0]
 
     def fill_column(self, n):
         """Return the next `n` variates as a float array (empty for n = 0)."""
         n = int(n)
         out = np.empty(n)
-        for k in range(n):
-            out[k] = self.next_gaussian()
+        k = 0
+        if n > 0 and self._spare is not None:
+            out[0] = self._spare
+            self._spare = None
+            k = 1
+        while k < n:
+            pairs = min((n - k + 1) // 2, _CHUNK_PAIRS)
+            uv = self._base.fill_column(2 * pairs)
+            u = uv[0::2]
+            v = uv[1::2]
+            s = u * u + v * v
+            accepted = np.flatnonzero((0.0 < s) & (s < 1.0))
+            s = s[accepted]
+            factor = np.sqrt(-2.0 * np.log(s) / s)
+            x = u[accepted] * factor
+            y = v[accepted] * factor
+            # x and y interleave into the output; an odd count leaves y[-1] over
+            take = min(2 * accepted.size, n - k)
+            dst = out[k : k + take]
+            dst[0::2] = x[: (take + 1) // 2]
+            dst[1::2] = y[: take // 2]
+            if take < 2 * accepted.size:
+                self._spare = y[-1]
+            k += take
         return out
-
-
-def fill_column(g, n):
-    """Draw `n` consecutive values from generator `g` as one array."""
-    return g.fill_column(n)

@@ -73,6 +73,24 @@ def test_sparse_identity_perms_is_block_sum():
     assert np.allclose(Ad @ x, A.apply(x), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("block_count", [1, 2, 1000])
+def test_sparse_apply_matches_block_loop_reference(block_count):
+    # reference: accumulate the blocks one by one, and tile then gather for V*
+    m = 8
+    A = make_sparse_test(m, m * block_count, 1e6, seed=block_count)
+    rng = np.random.default_rng(block_count)
+    x = rng.standard_normal(m * block_count)
+    y = rng.standard_normal(m)
+    z = x[A.col_perm]
+    w = np.zeros(m)
+    for b in range(block_count):
+        w += z[b * m : (b + 1) * m]
+    ref_apply = A.stencil.apply(w)[np.argsort(A.row_perm)]
+    ref_adjoint = np.tile(A.stencil.apply(y[A.row_perm]), block_count)[np.argsort(A.col_perm)]
+    assert np.array_equal(A.apply(x), ref_apply)
+    assert np.array_equal(A.apply_adjoint(y), ref_adjoint)
+
+
 def test_densify_of_identity_perm_single_block_is_stencil():
     st = CirculantStencil(6, 2.0)
     A = SparseTestMatrix(st, np.arange(6), np.arange(6))

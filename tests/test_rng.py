@@ -3,9 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from nullproj import GaussianStream, UniformLaggedFibonacci, fill_column
+from nullproj import GaussianStream, UniformLaggedFibonacci
 
 N_BIG = 100_000
+
+
+class ScalarPolarReference:
+    """The one-pair-at-a-time polar method the vectorised stream must match bitwise."""
+
+    def __init__(self, seed):
+        self._base = UniformLaggedFibonacci(seed)
+        self._spare = None
+
+    def next_gaussian(self):
+        if self._spare is not None:
+            v = self._spare
+            self._spare = None
+            return v
+        base = self._base
+        while True:
+            u = base.next_uniform()
+            v = base.next_uniform()
+            s = u * u + v * v
+            if 0.0 < s < 1.0:
+                break
+        factor = np.sqrt(-2.0 * np.log(s) / s)
+        self._spare = v * factor
+        return u * factor
 
 
 def ks_statistic(samples, cdf):
@@ -47,8 +71,8 @@ def test_distinct_seeds_differ():
 def test_fill_column_matches_flat_stream():
     flat = UniformLaggedFibonacci(7).fill_column(2 * 321)
     g = UniformLaggedFibonacci(7)
-    first = fill_column(g, 321)
-    second = fill_column(g, 321)
+    first = g.fill_column(321)
+    second = g.fill_column(321)
     assert np.array_equal(np.concatenate([first, second]), flat)
 
 
@@ -88,6 +112,28 @@ def test_gaussian_determinism_bitwise():
     a = GaussianStream(777)
     b = GaussianStream(777)
     assert [a.next_gaussian() for _ in range(1000)] == [b.next_gaussian() for _ in range(1000)]
+
+
+@pytest.mark.parametrize("seed", [0, 777, 2**63 - 1])
+def test_gaussian_matches_scalar_polar_reference_bitwise(seed):
+    # sizes cross the spare (odd counts) and the 4096-uniform chunk boundary
+    ref = ScalarPolarReference(seed)
+    base = UniformLaggedFibonacci(seed)
+    g = GaussianStream(seed, base=base)
+    for n in (1, 2, 3, 4095, 4096, 4097, 8193, 20001):
+        expected = np.array([ref.next_gaussian() for _ in range(n)])
+        assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64))
+        # the base stream is never drawn ahead of the reference's
+        assert base.next_uniform() == ref._base.next_uniform()
+
+
+def test_gaussian_fill_column_matches_flat_stream():
+    # the single draws land once on a held spare and once on a fresh pair
+    flat = GaussianStream(7).fill_column(321 + 1 + 320 + 1 + 321)
+    g = GaussianStream(7)
+    parts = [g.fill_column(321), [g.next_gaussian()], g.fill_column(320), [g.next_gaussian()]]
+    parts.append(g.fill_column(321))
+    assert np.array_equal(np.concatenate(parts), flat)
 
 
 def test_gaussian_ks():
