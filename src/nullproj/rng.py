@@ -3,15 +3,24 @@
 Two generators are provided: a subtractive lagged Fibonacci stream that is
 uniform on [-1, 1] and runs on floating-point adds/subtracts alone, and a
 Gaussian stream layered on top of it via the polar (Marsaglia) method.
-The Gaussian stream draws its uniforms in chunks of bounded size and
-transforms each chunk with array operations; its values are the same as
-those of the one-pair-at-a-time polar method, whatever column sizes are
-requested.  Both are pure functions of their integer seed, so a stream can
-be replayed column by column without ever holding a full n-by-l random
-matrix in memory.
+The lagged Fibonacci stream keeps its state as a sliding window, a list of
+its last 55 values, oldest first: each new value is appended behind the
+window and the oldest are trimmed after every chunk of bounded size, so a
+column costs one short interpreter step per value and bounded memory.
+Its fold makes the recurrence nonlinear, so it cannot be jumped ahead or
+run on arrays wider than its short lag.  The Gaussian stream draws its
+uniforms in chunks of bounded size and transforms each chunk with array
+operations; its values are the same as those of the one-pair-at-a-time
+polar method, whatever column sizes are requested.  Both are pure
+functions of their integer seed, so a stream can be replayed column by
+column without ever holding a full n-by-l random matrix in memory.
 """
 
+from itertools import islice
+
 import numpy as np
+
+from .errors import ConfigurationError
 
 _MASK64 = (1 << 64) - 1
 
@@ -19,6 +28,10 @@ _MASK64 = (1 << 64) - 1
 _LAG_LONG = 55
 _LAG_SHORT = 24
 _WARMUP = 10 * _LAG_LONG
+
+# most values the uniform stream appends to its window before trimming it;
+# bounds the stream's working memory whatever the column length
+_CHUNK = 1024
 
 # most uniform pairs the Gaussian stream draws from its base stream at once;
 # bounds the stream's working memory whatever the column length
@@ -38,68 +51,58 @@ def _splitmix64(state):
 class UniformLaggedFibonacci:
     """Lagged Fibonacci stream, uniform on [-1, 1], lags (55, 24).
 
-    The ring buffer is seeded by expanding a 64-bit integer through a
-    splitmix64 mixer and then discarding 550 draws so the recurrence has
-    fully churned the initial state.  After seeding, each draw is one
-    floating-point subtraction plus a fold back into [-1, 1].
+    The state is a sliding window: a list of the last 55 values, oldest
+    first.  It is seeded by expanding a 64-bit integer through a splitmix64
+    mixer and then discarding 550 draws so the recurrence has fully churned
+    the initial state.  After seeding, each draw is one floating-point
+    subtraction plus a fold back into [-1, 1], appended to the window;
+    `fill_column` drops the oldest values after every chunk of at most
+    `_CHUNK` draws, so the window never holds more than `55 + _CHUNK`
+    values whatever the column length.
     """
 
     def __init__(self, seed):
         state = int(seed) & _MASK64
-        buf = []
+        window = []
         for _ in range(_LAG_LONG):
             z, state = _splitmix64(state)
             # top 53 bits -> [0, 1) -> [-1, 1)
-            buf.append(2.0 * ((z >> 11) / 9007199254740992.0) - 1.0)
+            window.append(2.0 * ((z >> 11) / 9007199254740992.0) - 1.0)
         self.seed = int(seed)
-        self._buf = buf
-        self._i = 0
-        self._j = _LAG_LONG - _LAG_SHORT  # slot written 24 steps before slot _i
-        for _ in range(_WARMUP):
-            self.next_uniform()
+        self._window = window
+        self.fill_column(_WARMUP)
 
     def next_uniform(self):
         """Next value in [-1, 1]; advances the state by one step."""
-        buf = self._buf
-        i = self._i
-        v = buf[i] - buf[self._j]
-        if v < -1.0:
-            v += 2.0
-        elif v > 1.0:
-            v -= 2.0
-        buf[i] = v
-        self._i = i + 1 if i + 1 < _LAG_LONG else 0
-        j = self._j + 1
-        self._j = j if j < _LAG_LONG else 0
-        return v
+        return self.fill_column(1)[0]
 
     def fill_column(self, n):
         """Return the next `n` stream values as a float array.
 
         `n = 0` is accepted and returns an empty array; the state is
-        untouched in that case.
+        untouched in that case.  A negative `n` raises `ConfigurationError`
+        and leaves the state untouched.
         """
         n = int(n)
+        if n < 0:
+            raise ConfigurationError(f"column length must be nonnegative, got {n}")
         out = np.empty(n)
-        buf = self._buf
-        i = self._i
-        j = self._j
-        for k in range(n):
-            v = buf[i] - buf[j]
-            if v < -1.0:
-                v += 2.0
-            elif v > 1.0:
-                v -= 2.0
-            buf[i] = v
-            out[k] = v
-            i += 1
-            if i == _LAG_LONG:
-                i = 0
-            j += 1
-            if j == _LAG_LONG:
-                j = 0
-        self._i = i
-        self._j = j
+        x = self._window
+        append = x.append
+        for start in range(0, n, _CHUNK):
+            c = min(_CHUNK, n - start)
+            # x[k] = x[k-55] - x[k-24] reads window slots t and t+31 at step t.
+            # List iterators index the live list and check its length on every
+            # step, so the second one walks on into the values appended here.
+            for a, b in zip(islice(x, c), islice(x, _LAG_LONG - _LAG_SHORT, None)):
+                v = a - b
+                if v < -1.0:
+                    v += 2.0
+                elif v > 1.0:
+                    v -= 2.0
+                append(v)
+            out[start : start + c] = x[_LAG_LONG:]
+            del x[:c]
         return out
 
 
@@ -129,8 +132,14 @@ class GaussianStream:
         return self.fill_column(1)[0]
 
     def fill_column(self, n):
-        """Return the next `n` variates as a float array (empty for n = 0)."""
+        """Return the next `n` variates as a float array (empty for n = 0).
+
+        A negative `n` raises `ConfigurationError` and leaves the state
+        untouched.
+        """
         n = int(n)
+        if n < 0:
+            raise ConfigurationError(f"column length must be nonnegative, got {n}")
         out = np.empty(n)
         k = 0
         if n > 0 and self._spare is not None:

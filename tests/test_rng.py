@@ -1,18 +1,56 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nullproj import GaussianStream, UniformLaggedFibonacci
+from nullproj import ConfigurationError, GaussianStream, UniformLaggedFibonacci
+from nullproj.rng import _CHUNK
 
 N_BIG = 100_000
+
+
+class ScalarLaggedFibonacciReference:
+    """The ring-buffer loop, one value per call, the windowed stream must match bitwise."""
+
+    def __init__(self, seed):
+        mask = (1 << 64) - 1
+        state = int(seed) & mask
+        buf = []
+        for _ in range(55):
+            # splitmix64, top 53 bits -> [0, 1) -> [-1, 1)
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z = z ^ (z >> 31)
+            buf.append(2.0 * ((z >> 11) / 9007199254740992.0) - 1.0)
+        self._buf = buf
+        self._i = 0
+        self._j = 55 - 24  # slot written 24 steps before slot _i
+        for _ in range(550):
+            self.next_uniform()
+
+    def next_uniform(self):
+        buf = self._buf
+        i = self._i
+        v = buf[i] - buf[self._j]
+        if v < -1.0:
+            v += 2.0
+        elif v > 1.0:
+            v -= 2.0
+        buf[i] = v
+        self._i = i + 1 if i + 1 < 55 else 0
+        j = self._j + 1
+        self._j = j if j < 55 else 0
+        return v
 
 
 class ScalarPolarReference:
     """The one-pair-at-a-time polar method the vectorised stream must match bitwise."""
 
     def __init__(self, seed):
-        self._base = UniformLaggedFibonacci(seed)
+        self._base = ScalarLaggedFibonacciReference(seed)
         self._spare = None
 
     def next_gaussian(self):
@@ -89,6 +127,50 @@ def test_fill_column_55_equals_singles():
     g = UniformLaggedFibonacci(99)
     singles = np.array([g.next_uniform() for _ in range(55)])
     assert np.array_equal(col, singles)
+
+
+@pytest.mark.parametrize("seed", [0, 777, 2**63 - 1])
+def test_uniform_matches_scalar_reference_bitwise(seed):
+    # sizes cross the 55-value window and the chunk boundary
+    ref = ScalarLaggedFibonacciReference(seed)
+    g = UniformLaggedFibonacci(seed)
+    for n in (1, 2, 54, 55, 56, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 100_000):
+        expected = np.array([ref.next_uniform() for _ in range(n)])
+        assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64))
+        assert g.next_uniform() == ref.next_uniform()
+
+
+def test_uniform_golden_values():
+    # recorded from the ring-buffer implementation; guards against a rewrite
+    # of both the stream and its test reference drifting together
+    xs = UniformLaggedFibonacci(2024).fill_column(100_001)
+    expected = ["0x1.4433cdf1f530cp-1", "0x1.b640733bbeeb8p-1", "-0x1.e82e489efac88p-1"]
+    assert xs[:3].tolist() == [float.fromhex(h) for h in expected]
+    assert xs[100_000] == float.fromhex("-0x1.e7c202cc0cc18p-2")
+
+
+def test_uniform_fill_column_memory_is_bounded():
+    # the window is trimmed every chunk; a list of the whole column would
+    # hold about 32 bytes per value on top of the output array
+    n = 100_000
+    g = UniformLaggedFibonacci(8)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    g.fill_column(n)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < n * 8 + 64 * 1024
+
+
+@pytest.mark.parametrize("stream_cls", [UniformLaggedFibonacci, GaussianStream])
+def test_fill_column_negative_raises_and_keeps_state(stream_cls):
+    # one draw first, so the Gaussian stream holds a spare across the call
+    g = stream_cls(1)
+    first = g.fill_column(1)
+    with pytest.raises(ConfigurationError):
+        g.fill_column(-3)
+    flat = stream_cls(1).fill_column(11)
+    assert np.array_equal(np.concatenate([first, g.fill_column(10)]), flat)
 
 
 def test_uniform_ks():
