@@ -6,6 +6,7 @@ families, checks the adjoint identity, and shows the call counters that
 every cost claim in this library leans on.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -61,5 +62,6 @@ with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
     fh.write("2 4 3\n1 1 1.0\n1 3 2.5\n2 2 -3.0\n")
     path = fh.name
 user_op = load_triplet_operator(path)
+os.remove(path)
 print(f"\ntriplet file -> {user_op.shape[0]}x{user_op.shape[1]} operator:")
 print(densify(user_op))

@@ -15,7 +15,6 @@ from nullproj import (
     make_sparse_test,
     project,
     refine_lstsq,
-    reproject,
     solve_lstsq,
 )
 
@@ -40,7 +39,7 @@ print(f"||A z|| / kappa for the null part: {np.linalg.norm(A.apply(res.null_proj
 # goes through (A A*)^-1 and falls apart at this kappa.
 # ----------------------------------------------------------------------
 z = res.null_projection
-z_again = reproject(pre, A, z)
+z_again = project(pre, A, z).null_projection
 print(f"randomized idempotence ||z - Pz|| / kappa: {np.linalg.norm(z - z_again) / kappa:.2e}")
 
 classical = ClassicalProjector(A)

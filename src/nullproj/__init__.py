@@ -53,7 +53,6 @@ from .projector import (
     classical_project,
     project,
     refine_lstsq,
-    reproject,
     solve_lstsq,
 )
 from .diagnostics import (
@@ -116,7 +115,6 @@ __all__ = [
     "project",
     "qr_pivoted",
     "refine_lstsq",
-    "reproject",
     "run_sweep",
     "run_trial",
     "solve_lstsq",

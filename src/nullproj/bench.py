@@ -18,9 +18,9 @@ import numpy as np
 
 from .diagnostics import error_metrics
 from .errors import ConfigurationError, NullProjError
-from .linop import make_dense_test, make_sparse_test
-from .precond import build_preconditioner
-from .projector import ClassicalProjector, project, refine_lstsq
+from .linop import _check_sparse_family, make_dense_test, make_sparse_test
+from .precond import build_preconditioner, default_sketch_width
+from .projector import ClassicalProjector, project, refine_lstsq, solve_lstsq
 from .rng import GaussianStream, UniformLaggedFibonacci
 
 MATRIX_KINDS = ("sparse", "dense")
@@ -45,16 +45,11 @@ class TrialConfig:
     refine_iters: int = 0
 
     def __post_init__(self):
+        _check_sparse_family(self.m, self.n, self.kappa)
         if self.l is None:
-            self.l = min(self.m + 4, self.n)
-        if self.m < 4 or self.m % 2 != 0 or self.n < self.m:
-            raise ConfigurationError(f"need even m with 4 <= m <= n, got m={self.m}, n={self.n}")
-        if self.n % self.m != 0:
-            raise ConfigurationError(f"n={self.n} must be a multiple of m={self.m}")
+            self.l = default_sketch_width(self.m, self.n)
         if not self.m <= self.l <= self.n:
             raise ConfigurationError(f"need m <= l <= n, got l={self.l}")
-        if self.kappa <= 1:
-            raise ConfigurationError(f"kappa must exceed 1, got {self.kappa}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
         if self.refine_iters < 0:
@@ -155,17 +150,9 @@ def run_trial(config):
     def classical_null(v):
         return classical.project(v).null_projection
 
-    if cfg.refine_iters > 0:
-
-        def randomized_null(v):
-            res = project(pre, A, v)
-            h = refine_lstsq(pre, A, v, res.lstsq_solution, cfg.refine_iters)
-            return v - A.apply_adjoint(h)
-
-    else:
-
-        def randomized_null(v):
-            return project(pre, A, v).null_projection
+    def randomized_null(v):
+        h = refine_lstsq(pre, A, v, solve_lstsq(pre, A, v), cfg.refine_iters)
+        return v - A.apply_adjoint(h)
 
     dn = en = dr = er = 0.0
     for _ in range(cfg.trials):
@@ -224,8 +211,8 @@ def parse_csv(text):
     """Inverse of emit_csv; round-trips exactly (floats via repr)."""
     lines = [line for line in text.strip().splitlines() if line]
     names = [f.name for f in fields(TrialRow)]
-    if lines[0].split(",") != names:
-        raise ConfigurationError("CSV header does not match the TrialRow fields")
+    if not lines or lines[0].split(",") != names:
+        raise ConfigurationError("CSV header is missing or does not match the TrialRow fields")
     types = {f.name: f.type for f in fields(TrialRow)}
     rows = []
     for line in lines[1:]:

@@ -176,9 +176,11 @@ def solve_upper_adjoint(R, d):
 def invert_small(X):
     """Invert a small symmetric positive definite matrix.
 
-    Cholesky first (the intended path), partially pivoted LU as a fallback
-    for inputs that are only numerically SPD.  The result is symmetrized,
-    so Y == Y.T holds exactly.
+    One path: the Cholesky factor X = L L*, W = L^-1 from one triangular
+    solve, and Y = W* W.  The preconditioned Gram matrix this is built for
+    is well conditioned by construction, so an X that is not numerically
+    SPD means a broken build and raises FactorizationError.  The result is
+    symmetrized, so Y == Y.T holds exactly.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
@@ -186,14 +188,12 @@ def invert_small(X):
     m = X.shape[0]
     try:
         L = np.linalg.cholesky(X)
-        Rc = L.T
-        W = solve_upper_adjoint(Rc, np.eye(m))  # L W = I
-        Y = solve_upper(Rc, W)  # L* Y = W
-    except np.linalg.LinAlgError:
-        try:
-            Y = np.linalg.inv(X)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(f"matrix of size {m} is singular: {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"matrix of size {m} is not positive definite: {exc}") from exc
+    W = solve_upper_adjoint(L.T, np.eye(m))  # L W = I
+    Y = W.T @ W
+    # numpy happens to compute W.T @ W with a symmetric kernel (syrk), which
+    # makes it exactly symmetric, but nothing documents that
     return (Y + Y.T) / 2.0
 
 

@@ -129,17 +129,17 @@ class ErrorMetrics:
     method_tag: str
 
 
-def error_metrics(A, project_fn, b, kappa, method_tag, reproject_fn=None):
+def error_metrics(A, project_fn, b, kappa, method_tag):
     """Annihilation and idempotence errors of one projection method on one b.
 
-    `project_fn` maps a vector to its computed null-space projection;
-    `reproject_fn` defaults to the same function.  Callers aggregating
+    `project_fn` maps a vector to its computed null-space projection and
+    is applied to b and then to that projection.  Callers aggregating
     over many b take the max of each field.
     """
     if kappa <= 0.0:
         raise DomainError(f"kappa must be positive, got {kappa}")
     z = project_fn(b)
-    z2 = (reproject_fn or project_fn)(z)
+    z2 = project_fn(z)
     delta = float(np.linalg.norm(A.apply(z))) / kappa
     epsilon = float(np.linalg.norm(z - z2)) / kappa
     return ErrorMetrics(delta_over_kappa=delta, epsilon_over_kappa=epsilon, method_tag=method_tag)

@@ -26,7 +26,7 @@ class SingularFactorError(NullProjError):
 
 
 class FactorizationError(NullProjError):
-    """A dense factorization (Cholesky/LU) failed; the matrix is numerically singular."""
+    """A dense factorization failed: the matrix is singular or, for Cholesky, not SPD."""
 
 
 class RankDeficientSketchError(NullProjError):

@@ -259,6 +259,16 @@ class TripletMatrix(LinearOperator):
         return np.bincount(self.cols, weights=self.vals * y[self.rows], minlength=self.shape[1])
 
 
+def _check_sparse_family(m, n, kappa):
+    """Raise ConfigurationError unless (m, n, kappa) names a sparse test operator."""
+    if m < 4 or m % 2 != 0:
+        raise ConfigurationError(f"sparse test matrix needs even m >= 4, got m={m}")
+    if n % m != 0:
+        raise ConfigurationError(f"n={n} must be a multiple of m={m}")
+    if not kappa > 1:  # also rejects NaN
+        raise ConfigurationError(f"kappa must exceed 1, got {kappa}")
+
+
 def make_sparse_test(m, n, kappa, seed):
     """Seeded sparse test operator with condition number exactly `kappa`.
 
@@ -269,12 +279,7 @@ def make_sparse_test(m, n, kappa, seed):
     """
     m = int(m)
     n = int(n)
-    if m < 4 or m % 2 != 0:
-        raise ConfigurationError(f"sparse test matrix needs even m >= 4, got m={m}")
-    if n % m != 0:
-        raise ConfigurationError(f"n={n} must be a multiple of m={m}")
-    if kappa <= 1:
-        raise ConfigurationError(f"kappa must exceed 1, got {kappa}")
+    _check_sparse_family(m, n, kappa)
     d = 16.0 / (kappa - 1.0)
     rng = np.random.default_rng(seed)
     return SparseTestMatrix(CirculantStencil(m, d), rng.permutation(m), rng.permutation(n))
@@ -299,17 +304,25 @@ def load_triplet_operator(path):
     """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 3:
-            raise ConfigurationError(f"{path}: header must be 'm n nnz'")
-        m, n, nnz = (int(tok) for tok in header)
+        try:
+            m, n, nnz = (int(tok) for tok in header)
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}: header must be three integers 'm n nnz', got {header}"
+            ) from None
+        if nnz < 0:
+            raise ConfigurationError(f"{path}: header nnz must be nonnegative, got {nnz}")
         rows = np.empty(nnz, dtype=np.intp)
         cols = np.empty(nnz, dtype=np.intp)
         vals = np.empty(nnz)
         for k in range(nnz):
             parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ConfigurationError(f"{path}: entry {k + 1} must be 'row col value'")
-            rows[k] = int(parts[0]) - 1
-            cols[k] = int(parts[1]) - 1
-            vals[k] = float(parts[2])
+            try:
+                row, col, val = parts
+                rows[k], cols[k], vals[k] = int(row) - 1, int(col) - 1, float(val)
+            except (ValueError, OverflowError):
+                raise ConfigurationError(
+                    f"{path}: entry {k + 1} (line {k + 2}) must be 'row col value' "
+                    f"with integer indices, got {parts}"
+                ) from None
     return TripletMatrix(m, n, rows, cols, vals)

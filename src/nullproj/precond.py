@@ -104,32 +104,32 @@ def build_preconditioner(A, l, g, attempts=3):
 
     Returns a `Preconditioner` whose `build_apply_counts` records the
     (A, A*) applies spent, (l+m, m) on the standard single-attempt path.
-    The orthonormal factor of the QR is discarded: projections only ever
-    use R and the permutation.
+    Only R and the permutation outlive the attempt that produced them:
+    the sketch and the QR's Householder reflectors are freed before the
+    Gram build, so neither adds to the memory the Gram matrix and its
+    inverse need.
     """
     m, n = A.shape
     if attempts < 1:
         raise ConfigurationError(f"attempts must be at least 1, got {attempts}")
     before = A.counts()
     eps = np.finfo(float).eps
-    qr = None
     for _ in range(attempts):
-        S = build_sketch(A, l, g)
-        cand = qr_pivoted(S.T)
-        diag = np.abs(np.diag(cand.R))
+        qr = qr_pivoted(build_sketch(A, l, g).T)
+        R, perm = qr.R, qr.perm
+        del qr
+        diag = np.abs(np.diag(R))
         if diag[0] > 0.0 and diag.min() >= m * eps * diag[0]:
-            qr = cand
             break
-    if qr is None:
+    else:
         raise RankDeficientSketchError(
             f"sketch was rank deficient in {attempts} attempt(s); is the operator full rank?"
         )
-    X = build_gram(A, qr.R, qr.perm)
-    Y = invert_small(X)
+    Y = invert_small(build_gram(A, R, perm))
     after = A.counts()
     return Preconditioner(
-        R=qr.R,
-        perm=qr.perm,
+        R=R,
+        perm=perm,
         Y=Y,
         l=l,
         m=m,

@@ -94,15 +94,6 @@ def refine_lstsq(pre, A, b, h, iterations=1):
     return h
 
 
-def reproject(pre, A, z):
-    """Project an already-computed null-space vector again.
-
-    Often sharpens how well A annihilates it; the idempotence error
-    metrics are defined through this.
-    """
-    return project(pre, A, z).null_projection
-
-
 class ClassicalProjector:
     """Normal-equations baseline: cache A A* and its pivoted QR, then project.
 

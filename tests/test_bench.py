@@ -20,6 +20,8 @@ def test_config_defaults_and_validation():
     with pytest.raises(ConfigurationError):
         TrialConfig(m=8, n=64, kappa=0.5)
     with pytest.raises(ConfigurationError):
+        TrialConfig(m=8, n=64, kappa=float("nan"))
+    with pytest.raises(ConfigurationError):
         TrialConfig(m=8, n=64, kappa=10.0, trials=0)
     with pytest.raises(ConfigurationError):
         TrialConfig(m=8, n=64, kappa=10.0, l=7)
@@ -87,6 +89,12 @@ def test_csv_round_trip():
     assert parse_csv(text) == rows
     single = emit_csv(rows[:1])
     assert len(single.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("text", ["", "\n"], ids=["empty", "newline"])
+def test_parse_csv_empty_raises(text):
+    with pytest.raises(ConfigurationError):
+        parse_csv(text)
 
 
 def test_markdown_column_order():

@@ -197,10 +197,9 @@ def test_invert_small_singular_raises():
         invert_small(np.zeros((3, 3)))
 
 
-def test_invert_small_indefinite_falls_back_to_lu():
-    X = np.diag([2.0, -3.0])  # not SPD, still invertible
-    Y = invert_small(X)
-    assert np.allclose(Y, np.diag([0.5, -1.0 / 3.0]), rtol=1e-14, atol=0)
+def test_invert_small_indefinite_raises():
+    with pytest.raises(FactorizationError):
+        invert_small(np.diag([2.0, -3.0]))  # invertible, but not SPD
 
 
 def test_svd_dense_diag():

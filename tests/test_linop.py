@@ -255,8 +255,19 @@ def test_triplet_file_round_trip(tmp_path):
     assert np.array_equal(op.apply_adjoint(y), dense.T @ y)
 
 
-def test_triplet_file_bad_header(tmp_path):
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("2 4\n", "header"),
+        ("2 3 -1\n", "header"),
+        ("2 3 x\n", "header"),
+        ("2 3 1\n1 1 abc\n", "entry 1 \\(line 2\\)"),
+        ("2 3 2\n1 1 1.0\n1 99999999999999999999 1.0\n", "entry 2 \\(line 3\\)"),
+    ],
+    ids=["short", "negative-nnz", "non-integer", "non-numeric-entry", "index-overflow"],
+)
+def test_triplet_file_bad_header(tmp_path, text, where):
     path = tmp_path / "bad.txt"
-    path.write_text("2 4\n")
-    with pytest.raises(ConfigurationError):
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=where):
         load_triplet_operator(path)

@@ -14,6 +14,7 @@ from nullproj import (
     build_sketch,
     default_sketch_width,
     densify,
+    invert_small,
     make_sparse_test,
     measured_condition,
     project,
@@ -156,6 +157,15 @@ def test_default_sketch_width():
         default_sketch_width(0)
 
 
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    fn(*args)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak
+
+
 def test_build_memory_stays_far_below_full_g():
     # one column of G at a time: peak extra allocation must be nowhere near
     # the n*l doubles a materialized G would take (3.84 MB here)
@@ -164,17 +174,29 @@ def test_build_memory_stays_far_below_full_g():
     full_g_bytes = n * l * 8
     peaks = []
     for g in (UniformLaggedFibonacci(22), GaussianStream(22)):
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        build_preconditioner(A, l, g)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        peak = traced_peak(build_preconditioner, A, l, g)
         assert peak < 0.5 * full_g_bytes
         peaks.append(peak)
     # the Gaussian stream draws its uniforms a bounded chunk at a time, so it
     # adds less than one column over the uniform stream; drawing a column's
     # uniforms at once would add several
     assert peaks[1] - peaks[0] < n * 8
+
+
+def test_build_holds_no_sketch_through_inverse():
+    # the build's peak is its last phase: the inverse, with X and R alive;
+    # a sketch still referenced by then would add one more m-by-l array
+    m, n, l = 100, 1000, 104
+    A = make_sparse_test(m, n, 1e8, seed=24)
+    # the first builds in a process also fill interpreter caches, which
+    # tracemalloc counts; the least of three peaks is the build's own
+    build_peak = min(
+        traced_peak(build_preconditioner, A, l, UniformLaggedFibonacci(25)) for _ in range(3)
+    )
+    pre = build_preconditioner(A, l, UniformLaggedFibonacci(25))
+    X = build_gram(A, pre.R, pre.perm)
+    inv_peak = traced_peak(invert_small, X)
+    assert build_peak - inv_peak - X.nbytes - pre.R.nbytes < m * l * 8
 
 
 def test_build_gram_rejects_wrong_factor_shape():
