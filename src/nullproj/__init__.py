@@ -50,7 +50,6 @@ from .precond import (
 from .projector import (
     ClassicalProjector,
     ProjectionResult,
-    classical_project,
     project,
     refine_lstsq,
     solve_lstsq,
@@ -96,7 +95,6 @@ __all__ = [
     "build_gram",
     "build_preconditioner",
     "build_sketch",
-    "classical_project",
     "cond_bound",
     "default_sketch_width",
     "densify",

@@ -1,5 +1,8 @@
 """Small dense kernels: pivoted Householder QR, triangular solves, inversion.
 
+The permuted solve pair owns the pivot convention M = R Pi of `qr_pivoted`,
+so no caller indexes with the permutation itself.
+
 These run on matrices whose side is the short dimension m of the operator.
 The triangular solves recurse by halving, so the bulk of a matrix
 right-hand side's work is one matrix product per level and only a small
@@ -171,6 +174,23 @@ def solve_upper_adjoint(R, d):
     R, x, vec, base = _prepare_solve(R, d)
     _forward_substitute(R, x, 0, R.shape[0], base)
     return x[:, 0] if vec else x
+
+
+def solve_upper_permuted(R, perm, y):
+    """Solve R x[perm] = y, that is M x = y for M = R Pi as in `qr_pivoted`.
+
+    Back substitution, then a scatter through the permutation; accepts
+    vector or matrix right-hand sides.
+    """
+    g = solve_upper(R, y)
+    x = np.empty_like(g)
+    x[perm] = g
+    return x
+
+
+def solve_upper_permuted_adjoint(R, perm, d):
+    """Return R^-* d[perm], that is solve M* e = d for M = R Pi as in `qr_pivoted`."""
+    return solve_upper_adjoint(R, np.asarray(d, dtype=float)[perm])
 
 
 def invert_small(X):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_core import solve_upper_adjoint, svd_dense, ORACLE_CAP
+from .dense_core import solve_upper_permuted_adjoint, svd_dense, ORACLE_CAP
 from .errors import DimensionError, DomainError
 from .linop import densify
 
@@ -103,15 +103,15 @@ def cond_bound(l, alpha, beta):
 def measured_condition(pre, A, max_entries=ORACLE_CAP):
     """Actual condition number of the preconditioned operator, via the SVD oracle.
 
-    Densifies A (desk scale only), forms P^-1 A by permuting rows and
-    solving against R*, and returns sigma_max / sigma_min.
+    Densifies A (desk scale only), forms P^-1 A with the adjoint permuted
+    solve, and returns sigma_max / sigma_min.
     """
     if (pre.m, pre.n) != A.shape:
         raise DimensionError(
             f"preconditioner was built for a {pre.m}x{pre.n} operator, got {A.shape[0]}x{A.shape[1]}"
         )
     Ad = densify(A, max_entries=max_entries)
-    preconditioned = solve_upper_adjoint(pre.R, Ad[pre.perm, :])
+    preconditioned = solve_upper_permuted_adjoint(pre.R, pre.perm, Ad)
     return svd_dense(preconditioned, max_entries=max_entries)[1]
 
 

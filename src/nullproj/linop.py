@@ -36,14 +36,6 @@ class LinearOperator:
         self._adjoint_apply_count = 0
         self._count_lock = threading.Lock()
 
-    @property
-    def apply_count(self):
-        return self._apply_count
-
-    @property
-    def adjoint_apply_count(self):
-        return self._adjoint_apply_count
-
     def counts(self):
         """Current (apply, adjoint-apply) counter pair."""
         with self._count_lock:
@@ -76,6 +68,16 @@ class LinearOperator:
 
     def _apply_adjoint_impl(self, y):
         raise NotImplementedError
+
+
+def apply_gram(A, W):
+    """Overwrite each column w of the m-by-k float array W with A A* w; returns W.
+
+    Costs exactly k applies of A and k of A*, with one length-n temporary.
+    """
+    for k in range(W.shape[1]):
+        W[:, k] = A.apply(A.apply_adjoint(W[:, k]))
+    return W
 
 
 def densify(op, max_entries=DENSIFY_CAP):
@@ -133,10 +135,6 @@ class CirculantStencil:
         theta = 2.0 * np.pi * np.arange(self.m) / self.m
         return self.d + 4.0 * (np.cos(theta) - 1.0) ** 2
 
-    def condition_number(self):
-        """(16+d)/d; exact for even m, an upper bound for odd m."""
-        return (16.0 + self.d) / self.d
-
 
 class SparseTestMatrix(LinearOperator):
     """A = U [B B ... B] V with permutations U, V and circulant block B.
@@ -163,10 +161,6 @@ class SparseTestMatrix(LinearOperator):
         self._row_perm_inv = np.argsort(row_perm)
         # V* tile(w) gathers entry i from w[argsort(col_perm)[i] % m]
         self._adjoint_gather = np.argsort(col_perm) % m
-
-    @property
-    def kappa(self):
-        return self.stencil.condition_number()
 
     def _apply_impl(self, x):
         m = self.shape[0]
@@ -204,11 +198,6 @@ class DenseTestMatrix(LinearOperator):
         self.E = E
         self.F = F
         self.scale = 1.0 / np.sqrt(m * n)
-
-    @property
-    def kappa(self):
-        """Condition number of the sparse part; a rough estimate for the sum."""
-        return self.base.kappa
 
     def _apply_impl(self, x):
         return self.base._apply_impl(x) + self.scale * (self.E @ (self.F @ x))
@@ -300,7 +289,8 @@ def load_triplet_operator(path):
     """Load a sparse operator from a triplet text file.
 
     Format: a header line `m n nnz` followed by nnz lines `row col value`
-    with 1-indexed coordinates.
+    with 1-indexed coordinates.  Storage grows with the lines actually
+    read, so a header that overstates nnz fails on the first missing line.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -312,14 +302,14 @@ def load_triplet_operator(path):
             ) from None
         if nnz < 0:
             raise ConfigurationError(f"{path}: header nnz must be nonnegative, got {nnz}")
-        rows = np.empty(nnz, dtype=np.intp)
-        cols = np.empty(nnz, dtype=np.intp)
-        vals = np.empty(nnz)
+        rows, cols, vals = [], [], []
         for k in range(nnz):
             parts = fh.readline().split()
             try:
                 row, col, val = parts
-                rows[k], cols[k], vals[k] = int(row) - 1, int(col) - 1, float(val)
+                rows.append(np.intp(int(row) - 1))  # OverflowError past the index range
+                cols.append(np.intp(int(col) - 1))
+                vals.append(float(val))
             except (ValueError, OverflowError):
                 raise ConfigurationError(
                     f"{path}: entry {k + 1} (line {k + 2}) must be 'row col value' "

@@ -4,17 +4,19 @@ Given a counted operator A (m-by-n, m <= n) and a random stream, this
 module forms the sketch S = A G column by column, takes a pivoted QR of
 S*, and precomputes everything a projection needs afterwards: the
 triangular factor R, the pivot permutation, and the inverse Y of the
-preconditioned Gram matrix.  The whole build costs exactly l+m applies
-of A and m applies of A*, and never allocates more than one length-n
-column of G at a time.
+preconditioned Gram matrix.  The Gram build is the permuted solve pair of
+`dense_core` wrapped around `linop.apply_gram`.  The whole build costs
+exactly l+m applies of A and m applies of A*, and never allocates more
+than one length-n column of G at a time.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_core import invert_small, qr_pivoted, solve_upper, solve_upper_adjoint
+from .dense_core import invert_small, qr_pivoted, solve_upper_permuted, solve_upper_permuted_adjoint
 from .errors import ConfigurationError, RankDeficientSketchError
+from .linop import apply_gram
 
 
 @dataclass
@@ -69,20 +71,17 @@ def build_sketch(A, l, g):
 def build_gram(A, R, perm):
     """Preconditioned Gram matrix X = P^-1 A A* (P*)^-1 with P = Pi* R*.
 
-    Push each column of (P*)^-1 = Pi* R^-1 through A* then A and permute
-    it, overwriting that column in place; then one matrix solve against R*
-    turns the m-by-m result into X.  Costs m applies of A and m of A*, with
-    one length-n temporary.
+    P* = R Pi, so (P*)^-1 is the permuted solve against the identity;
+    `apply_gram` overwrites its columns with A A* (P*)^-1, and the adjoint
+    permuted solve applies P^-1 from the left.  Costs m applies of A and m
+    of A*, with one length-n temporary.
     """
     m, n = A.shape
     R = np.asarray(R, dtype=float)
     if R.shape != (m, m):
         raise ConfigurationError(f"R must be {m}x{m} for a {m}x{n} operator, got {R.shape}")
-    W = np.empty((m, m))
-    W[perm, :] = solve_upper(R, np.eye(m))
-    for k in range(m):
-        W[:, k] = A.apply(A.apply_adjoint(W[:, k]))[perm]
-    return solve_upper_adjoint(R, W)
+    W = apply_gram(A, solve_upper_permuted(R, perm, np.eye(m)))
+    return solve_upper_permuted_adjoint(R, perm, W)
 
 
 def build_preconditioner(A, l, g, attempts=3):

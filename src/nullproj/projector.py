@@ -1,18 +1,20 @@
 """Row-space / null-space projections and the associated least squares solve.
 
-The randomized path applies seven cheap steps per vector (one apply of A,
-two permutations, two triangular solves, one small matvec, one apply of
-A*).  The classical normal-equations path is kept as a baseline: it squares
-the condition number and loses accuracy exactly the way the benchmark
-tables show.
+The randomized path applies seven cheap steps per vector: one apply of A,
+the adjoint permuted solve P^-1 (a permutation and a triangular solve), one
+small matvec with Y, the permuted solve (P*)^-1 (a triangular solve and a
+permutation), and one apply of A*.  The classical normal-equations path is
+kept as a baseline: it squares the condition number and loses accuracy
+exactly the way the benchmark tables show.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_core import qr_pivoted, solve_upper, solve_upper_adjoint
+from .dense_core import qr_pivoted, solve_upper_permuted, solve_upper_permuted_adjoint
 from .errors import ConfigurationError, DimensionError, FactorizationError
+from .linop import apply_gram
 
 
 @dataclass
@@ -44,14 +46,8 @@ def _check_vector(b, n, name="b"):
 
 
 def _solve_chain(pre, c):
-    """Steps 2-6: h = (P*)^-1 Y P^-1 c for c = A b."""
-    d = c[pre.perm]
-    e = solve_upper_adjoint(pre.R, d)
-    f = pre.Y @ e
-    g = solve_upper(pre.R, f)
-    h = np.empty_like(g)
-    h[pre.perm] = g
-    return h
+    """Steps 2-6: h = (P*)^-1 Y P^-1 c for c = A b, each factor applied on its own."""
+    return solve_upper_permuted(pre.R, pre.perm, pre.Y @ solve_upper_permuted_adjoint(pre.R, pre.perm, c))
 
 
 def project(pre, A, b):
@@ -99,19 +95,13 @@ class ClassicalProjector:
 
     Setup applies A* to each unit vector and A to the result (m applies
     of each); afterwards every projection costs one apply of A, one of
-    A*, and two triangular solves.  Deliberately reproduces the unstable
-    classical scheme, so expect garbage when kappa(A)^2 passes 1/eps.
+    A*, a matvec with Q* and one triangular solve.  Deliberately
+    reproduces the unstable classical scheme, so expect garbage when
+    kappa(A)^2 passes 1/eps.
     """
 
     def __init__(self, A):
-        m = A.shape[0]
-        gram = np.empty((m, m))
-        e = np.zeros(m)
-        for k in range(m):
-            e[k] = 1.0
-            gram[:, k] = A.apply(A.apply_adjoint(e))
-            e[k] = 0.0
-        qr = qr_pivoted(gram)
+        qr = qr_pivoted(apply_gram(A, np.eye(A.shape[0])))
         if (np.diag(qr.R) == 0.0).any():
             raise FactorizationError("A A* is exactly singular; cannot build the classical projector")
         self.A = A
@@ -119,24 +109,9 @@ class ClassicalProjector:
         self._Q = qr.Q  # formed now, so setup rather than the first projection pays for it
         self._perm = qr.perm
 
-    def _solve_gram(self, c):
-        w = solve_upper(self._R, self._Q.T @ c)
-        x = np.empty_like(w)
-        x[self._perm] = w
-        return x
-
     def project(self, b):
         A = self.A
         b = _check_vector(b, A.shape[1])
-        x = self._solve_gram(A.apply(b))
+        x = solve_upper_permuted(self._R, self._perm, self._Q.T @ A.apply(b))  # A A* = Q R Pi
         row = A.apply_adjoint(x)
         return ProjectionResult(row_projection=row, null_projection=b - row, lstsq_solution=x)
-
-
-def classical_project(A, b):
-    """One-shot normal-equations projection.
-
-    Rebuilds the A A* factorization every call; hold a ClassicalProjector
-    when projecting many vectors against the same operator.
-    """
-    return ClassicalProjector(A).project(b)

@@ -206,13 +206,20 @@ def test_cli_odd_m_is_a_usage_error(capsys):
 
 
 def test_module_entry_point_runs():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import nullproj
+
+    # the child must import the same package as this test, installed or not
+    paths = [str(Path(nullproj.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "nullproj", "--m", "8", "--n", "32", "--kappa", "100", "--trials", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("m,n,l,kappa")

@@ -12,7 +12,12 @@ from nullproj import (
     solve_upper_adjoint,
     svd_dense,
 )
-from nullproj.dense_core import _BASE_ROWS_MATRIX, _BASE_ROWS_VECTOR
+from nullproj.dense_core import (
+    _BASE_ROWS_MATRIX,
+    _BASE_ROWS_VECTOR,
+    solve_upper_permuted,
+    solve_upper_permuted_adjoint,
+)
 
 
 def reconstruction_error(M, qr):
@@ -141,6 +146,22 @@ def test_blocked_solves_match_row_substitution(m, adjoint):
         assert got.shape == Y.shape
         # componentwise backward error of substitution, |T x - y| <= c m eps |T| |x|
         assert (np.abs(T @ got - Y) <= 4 * m * eps * (np.abs(T) @ np.abs(got))).all()
+        assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])
+@pytest.mark.parametrize("m", [1, 17, 129])
+def test_permuted_solves_match_dense_oracle(m, cols):
+    rng = np.random.default_rng(2000 + m)
+    R = np.linalg.qr(rng.standard_normal((m, m)))[1]
+    perm = rng.permutation(m)
+    M = R[:, np.argsort(perm)]  # M x = R x[perm]
+    y = rng.standard_normal(m if cols is None else (m, cols))
+    for got, ref in (
+        (solve_upper_permuted(R, perm, y), np.linalg.solve(M, y)),
+        (solve_upper_permuted_adjoint(R, perm, y), np.linalg.solve(M.T, y)),
+    ):
+        assert got.shape == y.shape
         assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
 
 

@@ -16,6 +16,7 @@ from nullproj import (
     make_sparse_test,
     svd_dense,
 )
+from nullproj.linop import apply_gram
 
 
 def test_stencil_first_column_m5():
@@ -142,6 +143,16 @@ def test_dense_test_counts_once_per_apply():
     assert A.counts() == (1, 1)
 
 
+def test_apply_gram_costs_one_pair_per_column():
+    A = make_dense_test(6, 24, 100.0, seed=21)
+    W = np.random.default_rng(22).standard_normal((6, 4))
+    Ad = densify(A)
+    expected = Ad @ (Ad.T @ W)
+    assert apply_gram(A, W) is W
+    assert A.counts() == (4, 4)
+    assert np.allclose(W, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
 def test_counters_are_thread_safe():
     A = make_sparse_test(4, 8, 10.0, seed=9)
     x = np.zeros(8)
@@ -263,8 +274,9 @@ def test_triplet_file_round_trip(tmp_path):
         ("2 3 x\n", "header"),
         ("2 3 1\n1 1 abc\n", "entry 1 \\(line 2\\)"),
         ("2 3 2\n1 1 1.0\n1 99999999999999999999 1.0\n", "entry 2 \\(line 3\\)"),
+        ("2 3 99999999999999999999\n1 1 1.0\n", "entry 2 \\(line 3\\)"),
     ],
-    ids=["short", "negative-nnz", "non-integer", "non-numeric-entry", "index-overflow"],
+    ids=["short", "negative-nnz", "non-integer", "non-numeric-entry", "index-overflow", "huge-nnz"],
 )
 def test_triplet_file_bad_header(tmp_path, text, where):
     path = tmp_path / "bad.txt"

@@ -142,6 +142,20 @@ def test_rank_deficient_sketch_raises_after_retries():
         build_preconditioner(A, 3, g, attempts=3)
 
 
+def test_rank_detection_on_graded_rank_deficient_operators():
+    # rank m-1 operators whose row scales span up to 8 decades: the pivoted
+    # QR's diagonal must flag every one (an unpivoted R lets some through)
+    rng = np.random.default_rng(1)
+    for case in range(400):
+        m = int(rng.choice([4, 10, 30]))
+        M = rng.standard_normal((m, 5 * m))
+        i, j, k = rng.choice(m, 3, replace=False)
+        M[i] = rng.standard_normal() * M[j] + rng.standard_normal() * M[k]
+        M *= rng.permutation(np.logspace(0, rng.uniform(0, 8), m))[:, None]
+        with pytest.raises(RankDeficientSketchError):
+            build_preconditioner(MatrixOperator(M), m + 4, UniformLaggedFibonacci(case))
+
+
 def test_preconditioner_arrays_are_read_only():
     A = make_sparse_test(4, 8, 10.0, seed=19)
     pre = build_preconditioner(A, 6, UniformLaggedFibonacci(20))

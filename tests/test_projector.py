@@ -8,7 +8,6 @@ from nullproj import (
     MatrixOperator,
     UniformLaggedFibonacci,
     build_preconditioner,
-    classical_project,
     make_sparse_test,
     project,
     refine_lstsq,
@@ -103,12 +102,12 @@ def test_dimension_checks():
 
 def test_classical_zero_and_agreement_when_well_conditioned():
     A = make_sparse_test(8, 32, 10.0, seed=12)
-    res0 = classical_project(A, np.zeros(32))
+    res0 = ClassicalProjector(A).project(np.zeros(32))
     assert np.array_equal(res0.null_projection, np.zeros(32))
     pre = build_preconditioner(A, 12, UniformLaggedFibonacci(13))
     rng = np.random.default_rng(14)
     b = rng.standard_normal(32)
-    rc = classical_project(A, b)
+    rc = ClassicalProjector(A).project(b)
     rr = project(pre, A, b)
     assert np.linalg.norm(rc.null_projection - rr.null_projection) <= 1e-10 * np.linalg.norm(b)
 
