@@ -4,9 +4,11 @@ The permuted solve pair owns the pivot convention M = R Pi of `qr_pivoted`,
 so no caller indexes with the permutation itself.
 
 These run on matrices whose side is the short dimension m of the operator.
-The triangular solves recurse by halving, so the bulk of a matrix
-right-hand side's work is one matrix product per level and only a small
-base case runs row by row in the interpreter.  The QR keeps its
+Both triangular solves are one back-substitution kernel: it halves the
+factor, so most of the work is one matrix product per level, and hands
+each block of at most `_BASE_ROWS` rows to LAPACK whole; no loop over
+rows runs in the interpreter.  The adjoint solve is the same kernel on
+reversed views.  The QR keeps its
 Householder reflectors and forms the orthonormal factor only when a
 caller asks for it.  The greedy column pivoting recomputes the remaining
 column norms at every step instead of downdating them; that costs an
@@ -26,11 +28,9 @@ ORACLE_CAP = 1_000_000  # max p*q entries the dense SVD oracle accepts
 _PIVOT_TIE_RTOL = 1e-15  # column norms this close count as tied; lowest index wins
 
 # A triangular solve halves its factor until a block has at most this many
-# rows, then substitutes row by row.  With a single right-hand side every row
-# costs one interpreter step however the solve is split, so halving only adds
-# calls; it pays once each row carries many columns of work.
-_BASE_ROWS_VECTOR = 128
-_BASE_ROWS_MATRIX = 16
+# rows, then solves the block in one LAPACK call.  Vector and matrix
+# right-hand sides share it.
+_BASE_ROWS = 32
 
 
 @dataclass
@@ -119,61 +119,53 @@ def _check_factor(R):
 
 
 def _prepare_solve(R, rhs):
-    """Checked float factor and a 2-D float copy of the right-hand side to solve in place."""
+    """Checked float factor and a float copy of the right-hand side to solve in place."""
     R = np.asarray(R, dtype=float)
     _check_factor(R)
     x = np.array(rhs, dtype=float)
-    vec = x.ndim == 1
-    if vec:
-        x = x[:, None]
     if x.shape[0] != R.shape[0]:
         raise DimensionError(
             f"right-hand side length {x.shape[0]} does not match factor size {R.shape[0]}"
         )
-    base = _BASE_ROWS_VECTOR if x.shape[1] == 1 else _BASE_ROWS_MATRIX
-    return R, x, vec, base
+    return R, x
 
 
-def _back_substitute(R, x, lo, hi, base):
-    """Overwrite x[lo:hi] with the solution of R[lo:hi, lo:hi] g = x[lo:hi]."""
-    if hi - lo > base:
+def _back_substitute(U, x, lo, hi):
+    """Overwrite x[lo:hi] with the solution of U[lo:hi, lo:hi] g = x[lo:hi], U upper-triangular."""
+    if hi - lo > _BASE_ROWS:
         mid = (lo + hi) // 2
-        _back_substitute(R, x, mid, hi, base)
-        x[lo:mid] -= R[lo:mid, mid:hi] @ x[mid:hi]
-        _back_substitute(R, x, lo, mid, base)
+        _back_substitute(U, x, mid, hi)
+        x[lo:mid] -= U[lo:mid, mid:hi] @ x[mid:hi]
+        _back_substitute(U, x, lo, mid)
         return
-    for k in range(hi - 1, lo - 1, -1):
-        x[k] /= R[k, k]
-        if k > lo:
-            x[lo:k] -= R[lo:k, k, None] * x[k]
-
-
-def _forward_substitute(R, x, lo, hi, base):
-    """Overwrite x[lo:hi] with the solution of R[lo:hi, lo:hi]* e = x[lo:hi]."""
-    if hi - lo > base:
-        mid = (lo + hi) // 2
-        _forward_substitute(R, x, lo, mid, base)
-        x[mid:hi] -= R[lo:mid, mid:hi].T @ x[lo:mid]
-        _forward_substitute(R, x, mid, hi, base)
-        return
-    for k in range(lo, hi):
-        x[k] /= R[k, k]
-        if k + 1 < hi:
-            x[k + 1 : hi] -= R[k, k + 1 : hi, None] * x[k]
+    # Exact substitution, not a general solve: below an upper-triangular
+    # block's diagonal every entry is an exact zero, so partial pivoting never
+    # swaps rows, the LU factors are L = I and U itself, and LAPACK's solve
+    # reduces to back substitution.  The diagonal is nonzero by _check_factor.
+    x[lo:hi] = np.linalg.solve(U[lo:hi, lo:hi], x[lo:hi])
 
 
 def solve_upper(R, y):
-    """Solve R g = y by blocked back substitution; accepts vector or matrix right-hand sides."""
-    R, x, vec, base = _prepare_solve(R, y)
-    _back_substitute(R, x, 0, R.shape[0], base)
-    return x[:, 0] if vec else x
+    """Solve R g = y by blocked back substitution; accepts vector or matrix right-hand sides.
+
+    R must be upper-triangular with exact zeros below its diagonal: the
+    base blocks are read whole.
+    """
+    R, x = _prepare_solve(R, y)
+    _back_substitute(R, x, 0, R.shape[0])
+    return x
 
 
 def solve_upper_adjoint(R, d):
-    """Solve R* e = d by blocked forward substitution (R upper-triangular)."""
-    R, x, vec, base = _prepare_solve(R, d)
-    _forward_substitute(R, x, 0, R.shape[0], base)
-    return x[:, 0] if vec else x
+    """Solve R* e = d (R upper-triangular); accepts vector or matrix right-hand sides.
+
+    R* is lower-triangular, and reversing both its row and column order
+    makes it upper-triangular, so this is the back substitution of
+    `solve_upper` run on reversed views of R* and of the right-hand side.
+    """
+    R, x = _prepare_solve(R, d)
+    _back_substitute(R.T[::-1, ::-1], x[::-1], 0, R.shape[0])
+    return x
 
 
 def solve_upper_permuted(R, perm, y):

@@ -13,6 +13,9 @@ checks the actual conditioning of the preconditioned operator on a
 densifiable instance, the latter computes the delta (annihilation) and
 epsilon (idempotence) error numbers that the benchmark tables report,
 both divided by the constructed condition number.
+
+Each domain check is written `not x > bound`, so a NaN argument fails it
+and raises DomainError instead of returning NaN.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from .linop import densify
 
 
 def _check_dims(l, m):
-    if m < 1 or l < m:
+    if not 1 <= m <= l:
         raise DomainError(f"need l >= m >= 1, got l={l}, m={m}")
 
 
@@ -49,9 +52,9 @@ def _term_minus(l, m, beta):
 
 def pi_plus(l, alpha):
     """Probability floor for the top singular value bound sqrt(2l)*alpha."""
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if l < 1:
+    if not l >= 1:
         raise DomainError(f"l must be positive, got {l}")
     return 1.0 - _term_plus(l, alpha)
 
@@ -59,16 +62,16 @@ def pi_plus(l, alpha):
 def pi_minus(l, m, beta):
     """Probability floor for the bottom singular value bound 1/(sqrt(l)*beta)."""
     _check_dims(l, m)
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     return 1.0 - _term_minus(l, m, beta)
 
 
 def pi_zero(l, m, alpha, beta):
     """Probability floor for the condition bound; equals pi_plus + pi_minus - 1."""
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     _check_dims(l, m)
     return 1.0 - (_term_plus(l, alpha) + _term_minus(l, m, beta))
@@ -83,9 +86,9 @@ def pi_zero_floor(l, m, alpha, beta):
     """
     if m < 2:
         raise DomainError(f"the simplified bound needs m >= 2, got m={m}")
-    if alpha < 2.0:
+    if not alpha >= 2.0:
         raise DomainError(f"the simplified bound needs alpha >= 2, got {alpha}")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     _check_dims(l, m)
     return 1.0 - (_term_plus(l - m + 2, alpha) + _term_minus(l, m, beta))
@@ -93,9 +96,9 @@ def pi_zero_floor(l, m, alpha, beta):
 
 def cond_bound(l, alpha, beta):
     """The condition-number bound sqrt(2) * l * alpha * beta."""
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     return np.sqrt(2.0) * l * alpha * beta
 
@@ -136,7 +139,7 @@ def error_metrics(A, project_fn, b, kappa, method_tag):
     is applied to b and then to that projection.  Callers aggregating
     over many b take the max of each field.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise DomainError(f"kappa must be positive, got {kappa}")
     z = project_fn(b)
     z2 = project_fn(z)

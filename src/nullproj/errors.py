@@ -14,7 +14,8 @@ class ConfigurationError(NullProjError):
 
 
 class DomainError(NullProjError):
-    """A probability/bound formula was evaluated outside its domain."""
+    """A value lies outside its domain: a probability/bound formula's
+    parameters, or a vector to project that holds a NaN or infinite entry."""
 
 
 class SizeCapError(NullProjError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense_core import qr_pivoted, solve_upper_permuted, solve_upper_permuted_adjoint
-from .errors import ConfigurationError, DimensionError, FactorizationError
+from .errors import ConfigurationError, DimensionError, DomainError, FactorizationError
 from .linop import apply_gram
 
 
@@ -42,6 +42,8 @@ def _check_vector(b, n, name="b"):
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise DimensionError(f"{name} must have length {n}, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise DomainError(f"{name} must be finite, got a NaN or infinite entry")
     return b
 
 

@@ -12,12 +12,7 @@ from nullproj import (
     solve_upper_adjoint,
     svd_dense,
 )
-from nullproj.dense_core import (
-    _BASE_ROWS_MATRIX,
-    _BASE_ROWS_VECTOR,
-    solve_upper_permuted,
-    solve_upper_permuted_adjoint,
-)
+from nullproj.dense_core import _BASE_ROWS, solve_upper_permuted, solve_upper_permuted_adjoint
 
 
 def reconstruction_error(M, qr):
@@ -124,8 +119,7 @@ def substitute_by_rows(R, y, adjoint=False):
 
 
 SOLVE_SIZES = sorted(
-    {1, 200}
-    | {b for base in (_BASE_ROWS_VECTOR, _BASE_ROWS_MATRIX) for b in (base, base + 1, 3 * base + 1)}
+    {1, 16, 17, 49, 128, 129, 200, 385} | {_BASE_ROWS, _BASE_ROWS + 1, 3 * _BASE_ROWS + 1}
 )
 
 
@@ -133,20 +127,47 @@ SOLVE_SIZES = sorted(
 @pytest.mark.parametrize("m", SOLVE_SIZES)
 def test_blocked_solves_match_row_substitution(m, adjoint):
     rng = np.random.default_rng(1000 + m)
-    R = np.linalg.qr(rng.standard_normal((m, m)))[1]  # well-conditioned, mixed-sign diagonal
+    qr = np.linalg.qr(rng.standard_normal((m, m)))[1]  # well-conditioned, mixed-sign diagonal
     Y = rng.standard_normal((m, 3))
-    T = R.T if adjoint else R
+    # graded: rows scaled over 14 decades, columns over +-6; a base case that
+    # pivots (LU of a lower-triangular block) breaks the componentwise bound here
+    graded = qr * 10.0 ** rng.uniform(-7.0, 7.0, (m, 1)) * 10.0 ** rng.uniform(-6.0, 6.0, m)
     solve = solve_upper_adjoint if adjoint else solve_upper
     eps = np.finfo(float).eps
 
-    X = solve(R, Y)
-    cols = np.column_stack([solve(R, Y[:, j]) for j in range(Y.shape[1])])
-    ref = np.column_stack([substitute_by_rows(R, Y[:, j], adjoint) for j in range(Y.shape[1])])
-    for got in (X, cols):
-        assert got.shape == Y.shape
-        # componentwise backward error of substitution, |T x - y| <= c m eps |T| |x|
-        assert (np.abs(T @ got - Y) <= 4 * m * eps * (np.abs(T) @ np.abs(got))).all()
-        assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+    for R in (qr, graded):
+        T = R.T if adjoint else R
+        X = solve(R, Y)
+        cols = np.column_stack([solve(R, Y[:, j]) for j in range(Y.shape[1])])
+        ref = np.column_stack([substitute_by_rows(R, Y[:, j], adjoint) for j in range(Y.shape[1])])
+        for got in (X, cols):
+            assert got.shape == Y.shape
+            # componentwise backward error of substitution, |T x - y| <= c m eps |T| |x|
+            assert (np.abs(T @ got - Y) <= 4 * m * eps * (np.abs(T) @ np.abs(got))).all()
+            assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("solve", [solve_upper, solve_upper_adjoint])
+def test_vector_solve_hands_whole_blocks_to_lapack(solve, monkeypatch):
+    # counts calls, not time: every row goes through LAPACK in blocks of at
+    # most _BASE_ROWS, so no row-by-row interpreter loop runs
+    m = 400
+    R = np.linalg.qr(np.random.default_rng(3000).standard_normal((m, m)))[1]
+    y = np.ones(m)
+    rows = []
+    lapack_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        rows.append(a.shape[0])
+        return lapack_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    x = solve(R, y)
+    assert sum(rows) == m
+    assert len(rows) <= 2 * -(-m // _BASE_ROWS)
+    assert max(rows) <= _BASE_ROWS
+    T = R.T if solve is solve_upper_adjoint else R
+    assert np.linalg.norm(T @ x - y) <= 1e-12 * np.linalg.norm(y)
 
 
 @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])

@@ -125,6 +125,19 @@ def test_domain_errors():
         pi_zero_floor(8, 4, 1.5, 3.0)  # alpha < 2
     with pytest.raises(DomainError):
         cond_bound(8, 0.5, 3.0)
+    nan = float("nan")
+    for call in (
+        lambda: pi_plus(8, nan),
+        lambda: pi_minus(8, 4, nan),
+        lambda: pi_zero(8, 4, nan, 3.0),
+        lambda: pi_zero(8, 4, 2.0, nan),
+        lambda: pi_zero_floor(8, 4, nan, 3.0),
+        lambda: pi_zero_floor(8, 4, 2.0, nan),
+        lambda: cond_bound(8, nan, 3.0),
+        lambda: cond_bound(8, 2.0, nan),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_measured_condition_orthonormal_rows_equals_cond_vstar_g():
@@ -205,3 +218,5 @@ def test_error_metrics_rejects_bad_kappa():
     A = make_sparse_test(8, 32, 100.0, seed=53)
     with pytest.raises(DomainError):
         error_metrics(A, lambda v: v, np.ones(32), 0.0, "x")
+    with pytest.raises(DomainError):
+        error_metrics(A, lambda v: v, np.ones(32), float("nan"), "x")

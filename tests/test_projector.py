@@ -5,6 +5,7 @@ from nullproj import (
     ClassicalProjector,
     ConfigurationError,
     DimensionError,
+    DomainError,
     MatrixOperator,
     UniformLaggedFibonacci,
     build_preconditioner,
@@ -98,6 +99,22 @@ def test_dimension_checks():
     other = make_sparse_test(8, 40, 100.0, seed=11)
     with pytest.raises(DimensionError):
         project(pre, other, np.zeros(40))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_b_is_rejected(bad):
+    A, pre = build_pair(8, 32, 100.0, seed=10)
+    b = np.ones(32)
+    b[5] = bad
+    classical = ClassicalProjector(A)
+    for call in (
+        lambda: project(pre, A, b),
+        lambda: solve_lstsq(pre, A, b),
+        lambda: refine_lstsq(pre, A, b, np.zeros(8)),
+        lambda: classical.project(b),
+    ):
+        with pytest.raises(DomainError, match="finite"):
+            call()
 
 
 def test_classical_zero_and_agreement_when_well_conditioned():
