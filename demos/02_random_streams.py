@@ -1,11 +1,15 @@
 """The two sketch-entry streams: lagged Fibonacci and Gaussian.
 
-The uniform stream costs a floating-point subtraction and a fold per
-value; the Gaussian stream rides on it through the polar method, taking
-uniforms a bounded chunk at a time and transforming each chunk with array
-operations.  Both are exact functions of their seed, however a stream is
-split into columns, which is what lets tests replay the full random
-matrix G column by column without ever storing it.
+The uniform stream is defined by a floating-point subtraction and a fold
+per value, but every step is exact, so it is a linear recurrence mod 2^53
+on the integers 2^52 x.  A column is therefore computed in lanes: jump
+matrices give each lane its starting window, and integer array
+subtractions advance all lanes 24 values at a time, bitwise equal to the
+value-at-a-time loop.  The Gaussian stream rides on it through the polar
+method, taking uniforms a bounded chunk at a time and transforming each
+chunk with array operations.  Both are exact functions of their seed,
+however a stream is split into columns, which is what lets tests replay
+the full random matrix G column by column without ever storing it.
 """
 
 import time

@@ -15,7 +15,8 @@ class ConfigurationError(NullProjError):
 
 class DomainError(NullProjError):
     """A value lies outside its domain: a probability/bound formula's
-    parameters, or a vector to project that holds a NaN or infinite entry."""
+    parameters, a vector to project that holds a NaN or infinite entry, or
+    an operator whose output does."""
 
 
 class SizeCapError(NullProjError):

@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, SizeCapError
+from .errors import ConfigurationError, DimensionError, DomainError, SizeCapError
 
 DENSIFY_CAP = 1_000_000  # max m*n entries a densify call will materialize
 
@@ -74,10 +74,18 @@ def apply_gram(A, W):
     """Overwrite each column w of the m-by-k float array W with A A* w; returns W.
 
     Costs exactly k applies of A and k of A*, with one length-n temporary.
+    Raises `DomainError` if the result holds a NaN or infinite entry.
     """
     for k in range(W.shape[1]):
         W[:, k] = A.apply(A.apply_adjoint(W[:, k]))
-    return W
+    return require_finite(W, "the Gram product A A* w")
+
+
+def require_finite(values, what):
+    """Return `values` if every entry is finite; else raise `DomainError` naming `what`."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} holds a NaN or infinite entry; the operator's output must be finite")
+    return values
 
 
 def densify(op, max_entries=DENSIFY_CAP):

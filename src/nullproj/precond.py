@@ -16,7 +16,7 @@ import numpy as np
 
 from .dense_core import invert_small, qr_pivoted, solve_upper_permuted, solve_upper_permuted_adjoint
 from .errors import ConfigurationError, RankDeficientSketchError
-from .linop import apply_gram
+from .linop import apply_gram, require_finite
 
 
 @dataclass
@@ -56,7 +56,9 @@ def build_sketch(A, l, g):
     """Sketch S = A G, one generated column of G at a time.
 
     Applies A exactly l times and holds only one length-n column plus the
-    m-by-l result, never the full n-by-l random matrix.
+    m-by-l result, never the full n-by-l random matrix.  Raises
+    `DomainError` if an apply returned a NaN or infinite entry, which no
+    fresh sketch could mend.
     """
     m, n = A.shape
     l = int(l)
@@ -65,7 +67,7 @@ def build_sketch(A, l, g):
     S = np.empty((m, l))
     for k in range(l):
         S[:, k] = A.apply(g.fill_column(n))
-    return S
+    return require_finite(S, "the sketch A G")
 
 
 def build_gram(A, R, perm):

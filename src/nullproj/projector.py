@@ -83,9 +83,7 @@ def refine_lstsq(pre, A, b, h, iterations=1):
     if iterations < 0:
         raise ConfigurationError(f"iterations must be nonnegative, got {iterations}")
     b = _check_vector(b, pre.n)
-    h = np.array(h, dtype=float)
-    if h.shape != (pre.m,):
-        raise DimensionError(f"h must have length {pre.m}, got shape {h.shape}")
+    h = _check_vector(np.array(h, dtype=float), pre.m, "h")
     for _ in range(iterations):
         r = b - A.apply_adjoint(h)
         h = h + _solve_chain(pre, A.apply(r))
@@ -99,7 +97,8 @@ class ClassicalProjector:
     of each); afterwards every projection costs one apply of A, one of
     A*, a matvec with Q* and one triangular solve.  Deliberately
     reproduces the unstable classical scheme, so expect garbage when
-    kappa(A)^2 passes 1/eps.
+    kappa(A)^2 passes 1/eps.  An operator whose output makes A A* hold a
+    NaN or infinite entry raises `DomainError`.
     """
 
     def __init__(self, A):

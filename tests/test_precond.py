@@ -5,7 +5,9 @@ import pytest
 
 from nullproj import (
     ConfigurationError,
+    DomainError,
     GaussianStream,
+    LinearOperator,
     MatrixOperator,
     RankDeficientSketchError,
     UniformLaggedFibonacci,
@@ -140,6 +142,36 @@ def test_rank_deficient_sketch_raises_after_retries():
     g = UniformLaggedFibonacci(18)
     with pytest.raises(RankDeficientSketchError):
         build_preconditioner(A, 3, g, attempts=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_operator_output_is_a_domain_error_after_one_sketch(bad):
+    # a fresh sketch cannot mend it, so no retries are spent on it
+    M = np.ones((2, 8))
+    M[1, 3] = bad
+    A = MatrixOperator(M)
+    with pytest.raises(DomainError, match="sketch"):
+        build_preconditioner(A, 4, UniformLaggedFibonacci(18), attempts=3)
+    assert A.counts() == (4, 0)
+
+
+class NonFiniteAdjoint(LinearOperator):
+    """Finite applies of a well-conditioned matrix, NaN adjoint applies."""
+
+    def __init__(self):
+        super().__init__(2, 8)
+        self._mat = np.eye(2, 8) + np.eye(2, 8, 3)
+
+    def _apply_impl(self, x):
+        return self._mat @ x
+
+    def _apply_adjoint_impl(self, y):
+        return np.full(8, np.nan)
+
+
+def test_nonfinite_adjoint_output_is_a_domain_error_in_the_gram_build():
+    with pytest.raises(DomainError, match="Gram"):
+        build_preconditioner(NonFiniteAdjoint(), 4, UniformLaggedFibonacci(18))
 
 
 def test_rank_detection_on_graded_rank_deficient_operators():

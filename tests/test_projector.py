@@ -111,6 +111,7 @@ def test_nonfinite_b_is_rejected(bad):
         lambda: project(pre, A, b),
         lambda: solve_lstsq(pre, A, b),
         lambda: refine_lstsq(pre, A, b, np.zeros(8)),
+        lambda: refine_lstsq(pre, A, np.ones(32), np.full(8, bad)),
         lambda: classical.project(b),
     ):
         with pytest.raises(DomainError, match="finite"):
@@ -127,6 +128,14 @@ def test_classical_zero_and_agreement_when_well_conditioned():
     rc = ClassicalProjector(A).project(b)
     rr = project(pre, A, b)
     assert np.linalg.norm(rc.null_projection - rr.null_projection) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classical_rejects_nonfinite_operator_output(bad):
+    M = np.ones((2, 8))
+    M[0, 5] = bad
+    with pytest.raises(DomainError, match="Gram"), np.errstate(invalid="ignore"):
+        ClassicalProjector(MatrixOperator(M))
 
 
 def test_classical_setup_cost():

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from nullproj import ConfigurationError, GaussianStream, UniformLaggedFibonacci
-from nullproj.rng import _CHUNK
+from nullproj.rng import _CHUNK, _JUMPS, _LANES, _MAX_ROUNDS_LOG2, _ROWS
 
 N_BIG = 100_000
+# longest lane and largest group of one fill_column call
+LANE_MAX = _ROWS << _MAX_ROUNDS_LOG2
+GROUP = _LANES * LANE_MAX
 
 
 class ScalarLaggedFibonacciReference:
@@ -140,6 +143,93 @@ def test_uniform_matches_scalar_reference_bitwise(seed):
         assert g.next_uniform() == ref.next_uniform()
 
 
+@pytest.mark.parametrize("seed", [3, 2**62 + 5])
+def test_uniform_matches_reference_at_round_lane_and_group_boundaries(seed):
+    ref = ScalarLaggedFibonacciReference(seed)
+    g = UniformLaggedFibonacci(seed)
+    sizes = [b + d for b in (_ROWS, _CHUNK, LANE_MAX, GROUP) for d in (-1, 0, 1)]
+    for n in sizes + [1, 54, 55, 56, 4000, 4096, 20001, N_BIG]:
+        expected = np.array([ref.next_uniform() for _ in range(n)])
+        assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64)), n
+        assert g.next_uniform() == ref.next_uniform()
+
+
+def test_gaussian_matches_scalar_polar_reference_at_lane_sizes():
+    ref = ScalarPolarReference(9)
+    base = UniformLaggedFibonacci(9)
+    g = GaussianStream(9, base=base)
+    for n in (1, 54, 55, 56, 4000, 4096, 20001, N_BIG):
+        expected = np.array([ref.next_gaussian() for _ in range(n)])
+        assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64)), n
+        assert base.next_uniform() == ref._base.next_uniform()
+
+
+def window_of(ref):
+    """The reference's last 55 values, oldest first."""
+    return ref._buf[ref._i :] + ref._buf[: ref._i]
+
+
+def classes(values):
+    """Residues 2^52 x mod 2^53 of stream values x."""
+    return (np.array(values) * 2.0**52).astype(np.int64).view(np.uint64) & np.uint64(2**53 - 1)
+
+
+def test_jump_matrices_advance_the_window_exactly():
+    ref = ScalarLaggedFibonacciReference(31)
+    for t, jump in enumerate(_JUMPS):
+        jumped = (jump @ classes(window_of(ref))) & np.uint64(2**53 - 1)
+        for _ in range(_ROWS << t):
+            ref.next_uniform()
+        assert np.array_equal(jumped, classes(window_of(ref))), t
+
+
+def load_window(window):
+    """A stream and a reference that both continue from `window` (oldest first)."""
+    g = UniformLaggedFibonacci(0)
+    g._window = np.array(window)
+    ref = ScalarLaggedFibonacciReference(0)
+    ref._buf, ref._i, ref._j = list(window), 0, 55 - 24
+    return g, ref
+
+
+def test_forced_plus_minus_one_values_match_reference_bitwise():
+    # +1 and -1 share a residue mod 2^53; their signs come from the loop's a - b
+    w = list(UniformLaggedFibonacci(5).fill_column(55))
+    w[0], w[31] = 0.5, -0.5  # x[0] = +1
+    w[1], w[32] = -0.25, 0.75  # x[1] = -1
+    w[2], w[3], w[40], w[41] = 1.0, -1.0, 1.0, -1.0  # exact +-1 read as a and as b
+    w[24] = w[25] = 0.0  # x[24] = 0 - x[0] = -1 and x[25] = 0 - x[1] = +1
+    g, ref = load_window(w)
+    for n in (30, 1, 5000):
+        expected = np.array([ref.next_uniform() for _ in range(n)])
+        got = g.fill_column(n)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n
+        if n == 30:
+            assert got[[0, 1, 24, 25]].tolist() == [1.0, -1.0, -1.0, 1.0]
+
+
+@pytest.mark.parametrize("k", [_ROWS, _CHUNK - 1, _CHUNK, LANE_MAX, GROUP])
+def test_forced_plus_minus_one_at_a_boundary_matches_reference_bitwise(k):
+    # x[k] is linear mod 2^53 in the window's integers 2^52 w: solve for one
+    # window entry (with an odd, so invertible, coefficient) to put x[k] on
+    # residue 2^52, that is on +1 or -1
+    step = np.eye(55, k=1, dtype=np.uint64)
+    step[-1, 0] = 1
+    step[-1, 55 - 24] = np.uint64(2**64 - 1)
+    coef = [int(c) % 2**53 for c in np.linalg.matrix_power(step, k + 1)[-1]]
+    w = list(UniformLaggedFibonacci(6).fill_column(55))
+    X = [round(x * 2**52) for x in w]
+    i = next(j for j, c in enumerate(coef) if c % 2)
+    rest = sum(c * x for j, (c, x) in enumerate(zip(coef, X)) if j != i)
+    Xi = (2**52 - rest) * pow(coef[i], -1, 2**53) % 2**53
+    w[i] = (Xi if Xi <= 2**52 else Xi - 2**53) / 2**52
+    g, ref = load_window(w)
+    expected = np.array([ref.next_uniform() for _ in range(k + 100)])
+    got = g.fill_column(k + 100)
+    assert abs(got[k]) == 1.0
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_uniform_golden_values():
     # recorded from the ring-buffer implementation; guards against a rewrite
     # of both the stream and its test reference drifting together
@@ -157,6 +247,17 @@ def test_uniform_fill_column_memory_is_bounded():
     tracemalloc.start()
     tracemalloc.reset_peak()
     g.fill_column(n)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < n * 8 + 64 * 1024
+
+
+def test_uniform_construction_and_first_column_memory_is_bounded():
+    # the jump matrices are built at import, not on the first call
+    n = 100_000
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    UniformLaggedFibonacci(8).fill_column(n)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < n * 8 + 64 * 1024
