@@ -77,7 +77,12 @@ def qr_pivoted(M):
     if l < m:
         raise DimensionError(f"qr_pivoted needs at least as many rows as columns, got {l}x{m}")
 
-    A = M.copy()
+    # Factor M scaled by a power of two that puts its largest magnitude in
+    # [0.5, 1), so no squared column norm overflows or underflows.  The
+    # scaling is exact: R is scaled back exactly, and perm and Q are those of M.
+    top = np.abs(M).max(initial=0.0)
+    e = int(np.frexp(top)[1]) if 0.0 < top < np.inf else 0
+    A = np.ldexp(M, -e)
     perm = np.arange(m)
     reflectors = []  # (step, v, 2/v'v)
 
@@ -102,7 +107,7 @@ def qr_pivoted(M):
         A[k, k] = alpha
         A[k + 1 :, k] = 0.0
 
-    R = np.triu(A[:m, :])
+    R = np.ldexp(np.triu(A[:m, :]), e)
     # sign convention: flip rows of R (and matching Q columns) so diag(R) >= 0
     flip = np.diag(R) < 0.0
     R[flip, :] *= -1.0

@@ -2,7 +2,8 @@
 
 An operator here is a short, fat m-by-n map known only through `apply` and
 `apply_adjoint`.  Both entry points count their calls (thread-safely), so
-algorithm cost contracts can be asserted exactly.  `densify` provides an
+algorithm cost contracts can be asserted exactly, and both check the shape
+and finiteness of what the operator returns.  `densify` provides an
 uncounted dense snapshot for small instances, used by verification oracles.
 """
 
@@ -19,8 +20,12 @@ class LinearOperator:
     """Base class for counted matrix-free operators.
 
     Subclasses implement `_apply_impl` / `_apply_adjoint_impl` on 1-D float
-    arrays.  Instances are immutable after construction except for the two
-    call counters, which are updated under a lock so concurrent `apply`
+    arrays.  `apply` and `apply_adjoint` share one checked body that holds
+    the operator's output contract for every caller, setup and projection
+    alike: an output whose shape is not (m,) for `A x` or (n,) for `A* y`
+    raises `DimensionError`, and one with a NaN or infinite entry raises
+    `DomainError`.  Instances are immutable after construction except for
+    the two call counters, which are updated under a lock so concurrent
     calls from several threads stay exact.
     """
 
@@ -32,36 +37,39 @@ class LinearOperator:
         if m > n:
             raise DimensionError(f"operator must be short and fat (m <= n), got {m}x{n}")
         self.shape = (m, n)
-        self._apply_count = 0
-        self._adjoint_apply_count = 0
+        self._counts = [0, 0]  # apply, adjoint apply
         self._count_lock = threading.Lock()
 
     def counts(self):
         """Current (apply, adjoint-apply) counter pair."""
         with self._count_lock:
-            return (self._apply_count, self._adjoint_apply_count)
+            return tuple(self._counts)
 
     def apply(self, x):
         """Compute A x for a length-n vector; increments the apply counter."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.shape[1],):
-            raise DimensionError(
-                f"apply expects a vector of length {self.shape[1]}, got shape {x.shape}"
-            )
-        with self._count_lock:
-            self._apply_count += 1
-        return self._apply_impl(x)
+        return self._checked_apply(x, False, self._apply_impl)
 
     def apply_adjoint(self, y):
         """Compute A* y for a length-m vector; increments the adjoint counter."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.shape[0],):
-            raise DimensionError(
-                f"apply_adjoint expects a vector of length {self.shape[0]}, got shape {y.shape}"
-            )
+        return self._checked_apply(y, True, self._apply_adjoint_impl)
+
+    def _checked_apply(self, v, adjoint, impl):
+        """The one body of `apply` and `apply_adjoint`: check the input, count, check the output."""
+        name, product = ("apply_adjoint", "A* y") if adjoint else ("apply", "A x")
+        size_in, size_out = self.shape if adjoint else self.shape[::-1]
+        v = np.asarray(v, dtype=float)
+        if v.shape != (size_in,):
+            raise DimensionError(f"{name} expects a vector of length {size_in}, got shape {v.shape}")
         with self._count_lock:
-            self._adjoint_apply_count += 1
-        return self._apply_adjoint_impl(y)
+            self._counts[adjoint] += 1
+        out = impl(v)
+        if np.shape(out) != (size_out,):
+            raise DimensionError(
+                f"the operator's {product} must have shape ({size_out},), got shape {np.shape(out)}"
+            )
+        if not np.isfinite(out).all():
+            raise DomainError(f"the operator's {product} holds a NaN or infinite entry")
+        return out
 
     def _apply_impl(self, x):
         raise NotImplementedError
@@ -74,18 +82,10 @@ def apply_gram(A, W):
     """Overwrite each column w of the m-by-k float array W with A A* w; returns W.
 
     Costs exactly k applies of A and k of A*, with one length-n temporary.
-    Raises `DomainError` if the result holds a NaN or infinite entry.
     """
     for k in range(W.shape[1]):
         W[:, k] = A.apply(A.apply_adjoint(W[:, k]))
-    return require_finite(W, "the Gram product A A* w")
-
-
-def require_finite(values, what):
-    """Return `values` if every entry is finite; else raise `DomainError` naming `what`."""
-    if not np.isfinite(values).all():
-        raise DomainError(f"{what} holds a NaN or infinite entry; the operator's output must be finite")
-    return values
+    return W
 
 
 def densify(op, max_entries=DENSIFY_CAP):
@@ -122,14 +122,11 @@ class CirculantStencil:
         self.d = float(d)
 
     def apply(self, x):
-        """B x via circular shifts; O(m) work, no dense matrix."""
+        """B x from one copy of x padded by two wrapped entries at each end; O(m) work."""
         x = np.asarray(x, dtype=float)
-        return (
-            (6.0 + self.d) * x
-            - 4.0 * (np.roll(x, 1) + np.roll(x, -1))
-            + np.roll(x, 2)
-            + np.roll(x, -2)
-        )
+        m = self.m
+        p = np.concatenate((x[-2:], x, x[:2]))  # p[i + 2] = x[i mod m]
+        return (6.0 + self.d) * x - 4.0 * (p[1 : m + 1] + p[3 : m + 3]) + p[:m] + p[4:]
 
     def toarray(self):
         m = self.m

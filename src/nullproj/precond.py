@@ -16,7 +16,7 @@ import numpy as np
 
 from .dense_core import invert_small, qr_pivoted, solve_upper_permuted, solve_upper_permuted_adjoint
 from .errors import ConfigurationError, RankDeficientSketchError
-from .linop import apply_gram, require_finite
+from .linop import apply_gram
 
 
 @dataclass
@@ -56,9 +56,9 @@ def build_sketch(A, l, g):
     """Sketch S = A G, one generated column of G at a time.
 
     Applies A exactly l times and holds only one length-n column plus the
-    m-by-l result, never the full n-by-l random matrix.  Raises
-    `DomainError` if an apply returned a NaN or infinite entry, which no
-    fresh sketch could mend.
+    m-by-l result, never the full n-by-l random matrix.  An apply that
+    returns a NaN or infinite entry raises `DomainError` from the operator
+    at once; no fresh sketch could mend it.
     """
     m, n = A.shape
     l = int(l)
@@ -67,7 +67,7 @@ def build_sketch(A, l, g):
     S = np.empty((m, l))
     for k in range(l):
         S[:, k] = A.apply(g.fill_column(n))
-    return require_finite(S, "the sketch A G")
+    return S
 
 
 def build_gram(A, R, perm):

@@ -97,8 +97,8 @@ class ClassicalProjector:
     of each); afterwards every projection costs one apply of A, one of
     A*, a matvec with Q* and one triangular solve.  Deliberately
     reproduces the unstable classical scheme, so expect garbage when
-    kappa(A)^2 passes 1/eps.  An operator whose output makes A A* hold a
-    NaN or infinite entry raises `DomainError`.
+    kappa(A)^2 passes 1/eps.  A NaN or infinite operator output raises
+    `DomainError` from the apply that returned it.
     """
 
     def __init__(self, A):

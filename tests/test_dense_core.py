@@ -77,6 +77,19 @@ def test_qr_pivot_tie_break_prefers_low_index():
     assert qr.perm[0] == 0
 
 
+@pytest.mark.parametrize("shape", [(8, 4), (12, 7), (104, 100)])
+def test_qr_is_exact_under_power_of_two_scaling(shape):
+    # squared column norms of M * 2**700 overflow and of M * 2**-700 lose
+    # their digits to underflow; the factorization must not notice either
+    M = np.random.default_rng(shape[0]).standard_normal(shape)
+    base = qr_pivoted(M)
+    for k in (-700, 0, 700):
+        qr = qr_pivoted(M * 2.0**k)
+        assert np.array_equal(qr.R, base.R * 2.0**k)
+        assert np.array_equal(qr.perm, base.perm)
+        assert np.array_equal(qr.Q, base.Q)
+
+
 def test_qr_orthogonal_invariance_of_singular_values():
     rng = np.random.default_rng(2)
     M = rng.standard_normal((9, 6))

@@ -7,9 +7,12 @@ from nullproj import (
     CirculantStencil,
     ConfigurationError,
     DimensionError,
+    LinearOperator,
     MatrixOperator,
     SizeCapError,
     SparseTestMatrix,
+    UniformLaggedFibonacci,
+    build_preconditioner,
     densify,
     load_triplet_operator,
     make_dense_test,
@@ -24,6 +27,15 @@ def test_stencil_first_column_m5():
     e1 = np.zeros(5)
     e1[0] = 1.0
     assert np.array_equal(st.apply(e1), np.array([7.0, -4.0, 1.0, 1.0, -4.0]))
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 100, 400])
+def test_stencil_apply_matches_roll_formula_bitwise(m):
+    # m = 4 is the wrap case, where the +-2 offsets land on the same entry
+    st = CirculantStencil(m, 0.3)
+    x = np.random.default_rng(m).standard_normal(m)
+    reference = (6.0 + st.d) * x - 4.0 * (np.roll(x, 1) + np.roll(x, -1)) + np.roll(x, 2) + np.roll(x, -2)
+    assert np.array_equal(st.apply(x).view(np.int64), reference.view(np.int64))
 
 
 def test_stencil_apply_matches_toarray():
@@ -236,6 +248,45 @@ def test_dimension_errors():
         A.apply_adjoint(np.zeros(8))
     with pytest.raises(DimensionError):
         MatrixOperator(np.zeros((5, 3)))  # taller than wide
+
+
+class BadOutput(LinearOperator):
+    """A 2x8 matrix operator; a given `apply_out` or `adjoint_out` replaces A x or A* y."""
+
+    def __init__(self, apply_out=None, adjoint_out=None):
+        super().__init__(2, 8)
+        self._mat = np.eye(2, 8) + np.eye(2, 8, 3)
+        self._apply_out = apply_out
+        self._adjoint_out = adjoint_out
+
+    def _apply_impl(self, x):
+        return self._mat @ x if self._apply_out is None else self._apply_out
+
+    def _apply_adjoint_impl(self, y):
+        return self._mat.T @ y if self._adjoint_out is None else self._adjoint_out
+
+
+def test_wrong_length_apply_output_is_a_dimension_error_at_the_first_apply():
+    A = BadOutput(apply_out=np.ones(1))
+    with pytest.raises(DimensionError, match="A x"):
+        A.apply(np.ones(8))
+    assert A.counts() == (1, 0)
+    # broadcast into the sketch, a length-1 output would read as a rank-deficient sketch
+    A = BadOutput(apply_out=np.ones(1))
+    with pytest.raises(DimensionError, match="A x"):
+        build_preconditioner(A, 4, UniformLaggedFibonacci(18), attempts=3)
+    assert A.counts() == (1, 0)
+
+
+def test_scalar_adjoint_output_is_a_dimension_error_at_the_first_apply():
+    A = BadOutput(adjoint_out=1.0)
+    with pytest.raises(DimensionError, match=r"A\* y"):
+        A.apply_adjoint(np.ones(2))
+    assert A.counts() == (0, 1)
+    A = BadOutput(adjoint_out=np.float64(1.0))
+    with pytest.raises(DimensionError, match=r"A\* y"):
+        apply_gram(A, np.eye(2))
+    assert A.counts() == (0, 1)
 
 
 def test_densify_shape_and_cap():

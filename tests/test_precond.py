@@ -137,6 +137,17 @@ def test_scaling_invariance():
     assert abs(c1 - c2) / c1 <= 1e-6
 
 
+def test_conditioning_holds_at_extreme_operator_scales():
+    # scales whose squares overflow or underflow in a plain column norm:
+    # the build must neither fail its rank check nor lose conditioning
+    M = np.random.default_rng(0).standard_normal((4, 16))
+    conds = []
+    for scale in (2.0**-700, 1e-200, 1e-170, 1.0, 1e150, 1e160, 2.0**700):
+        A = MatrixOperator(M * scale)
+        conds.append(measured_condition(build_preconditioner(A, 8, UniformLaggedFibonacci(1)), A))
+    assert np.allclose(conds, conds[3], rtol=1e-10, atol=0)
+
+
 def test_rank_deficient_sketch_raises_after_retries():
     A = MatrixOperator(np.zeros((2, 4)))
     g = UniformLaggedFibonacci(18)
@@ -150,9 +161,9 @@ def test_nonfinite_operator_output_is_a_domain_error_after_one_sketch(bad):
     M = np.ones((2, 8))
     M[1, 3] = bad
     A = MatrixOperator(M)
-    with pytest.raises(DomainError, match="sketch"):
+    with pytest.raises(DomainError, match="A x"):
         build_preconditioner(A, 4, UniformLaggedFibonacci(18), attempts=3)
-    assert A.counts() == (4, 0)
+    assert A.counts() == (1, 0)
 
 
 class NonFiniteAdjoint(LinearOperator):
@@ -170,7 +181,7 @@ class NonFiniteAdjoint(LinearOperator):
 
 
 def test_nonfinite_adjoint_output_is_a_domain_error_in_the_gram_build():
-    with pytest.raises(DomainError, match="Gram"):
+    with pytest.raises(DomainError, match=r"A\* y"):
         build_preconditioner(NonFiniteAdjoint(), 4, UniformLaggedFibonacci(18))
 
 

@@ -118,6 +118,21 @@ def test_nonfinite_b_is_rejected(bad):
             call()
 
 
+def test_overflowing_operator_output_is_a_domain_error_on_every_projection_path():
+    # b is finite, but A b overflows: each path must stop at that apply
+    A, pre = build_pair(8, 32, 100.0, seed=2)
+    b = np.full(32, 1e308)
+    classical = ClassicalProjector(A)
+    for call in (
+        lambda: project(pre, A, b),
+        lambda: solve_lstsq(pre, A, b),
+        lambda: refine_lstsq(pre, A, b, np.zeros(8)),
+        lambda: classical.project(b),
+    ):
+        with pytest.raises(DomainError, match="A x"), np.errstate(over="ignore", invalid="ignore"):
+            call()
+
+
 def test_classical_zero_and_agreement_when_well_conditioned():
     A = make_sparse_test(8, 32, 10.0, seed=12)
     res0 = ClassicalProjector(A).project(np.zeros(32))
@@ -134,7 +149,7 @@ def test_classical_zero_and_agreement_when_well_conditioned():
 def test_classical_rejects_nonfinite_operator_output(bad):
     M = np.ones((2, 8))
     M[0, 5] = bad
-    with pytest.raises(DomainError, match="Gram"), np.errstate(invalid="ignore"):
+    with pytest.raises(DomainError, match=r"A\* y"), np.errstate(invalid="ignore"):
         ClassicalProjector(MatrixOperator(M))
 
 
