@@ -9,14 +9,13 @@ The same harness drives the CLI:  nullproj-bench --m 100 --n 3000
 --kappa 1e8 --format md --table errors
 """
 
-from nullproj import TrialConfig, emit_report, run_sweep
+from nullproj import TrialConfig, emit_report, run_trial
 
 # a kappa sweep at fixed desk-scale dimensions, 25 vectors per row
-configs = [
-    TrialConfig(m=40, n=2000, kappa=kappa, trials=25, seed=0)
+rows = [
+    run_trial(TrialConfig(m=40, n=2000, kappa=kappa, trials=25, seed=0))
     for kappa in (1e4, 1e6, 1e8, 1e10, 1e12)
 ]
-rows = run_sweep(configs)
 
 print("error table (worst case over 25 unit vectors per row):\n")
 print(emit_report(rows, "md", "errors"))

@@ -64,7 +64,7 @@ from .diagnostics import (
     pi_zero,
     pi_zero_floor,
 )
-from .bench import TrialConfig, TrialRow, emit_report, parse_csv, run_sweep, run_trial
+from .bench import TrialConfig, TrialRow, emit_report, parse_csv, run_trial
 
 __version__ = "0.1.0"
 
@@ -113,7 +113,6 @@ __all__ = [
     "project",
     "qr_pivoted",
     "refine_lstsq",
-    "run_sweep",
     "run_trial",
     "solve_lstsq",
     "solve_upper",

@@ -189,11 +189,6 @@ def run_trial(config):
     )
 
 
-def run_sweep(configs):
-    """Run several configurations sequentially (keeps timings honest)."""
-    return [run_trial(cfg) for cfg in configs]
-
-
 def _csv_cell(value):
     return repr(value) if isinstance(value, float) else str(value)
 
@@ -254,12 +249,12 @@ def emit_markdown(rows, table="errors"):
 
 
 def emit_report(rows, format="csv", table="errors"):
-    """Serialize rows as 'csv' or 'md'/'markdown' text."""
+    """Serialize rows as 'csv' or 'md' text."""
     if not rows:
         raise ConfigurationError("no rows to report")
     if format == "csv":
         return emit_csv(rows)
-    if format in ("md", "markdown"):
+    if format == "md":
         return emit_markdown(rows, table)
     raise ConfigurationError(f"unknown report format {format!r}")
 

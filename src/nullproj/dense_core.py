@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError, FactorizationError, SingularFactorError, SizeCapError
 
-ORACLE_CAP = 1_000_000  # max p*q entries the dense SVD oracle accepts
+ORACLE_CAP = 1_000_000  # max entries the dense oracles svd_dense and linop.densify accept
 
 _PIVOT_TIE_RTOL = 1e-15  # column norms this close count as tied; lowest index wins
 
@@ -208,24 +208,26 @@ def invert_small(X):
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"matrix of size {m} is not positive definite: {exc}") from exc
     W = solve_upper_adjoint(L.T, np.eye(m))  # L W = I
+    del L
     Y = W.T @ W
+    del W
     # numpy happens to compute W.T @ W with a symmetric kernel (syrk), which
     # makes it exactly symmetric, but nothing documents that
     return (Y + Y.T) / 2.0
 
 
-def svd_dense(M, max_entries=ORACLE_CAP):
+def svd_dense(M):
     """Singular values (nonincreasing) and l2 condition number of a dense matrix.
 
-    Verification oracle only; refuses inputs above the entry cap.  A zero
-    smallest singular value yields an infinite condition number.
+    Verification oracle only; refuses inputs above `ORACLE_CAP` entries.  A
+    zero smallest singular value yields an infinite condition number.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"svd_dense expects a matrix, got ndim={M.ndim}")
-    if M.shape[0] * M.shape[1] > max_entries:
+    if M.size > ORACLE_CAP:
         raise SizeCapError(
-            f"svd of a {M.shape[0]}x{M.shape[1]} matrix exceeds the cap of {max_entries} entries"
+            f"svd of a {M.shape[0]}x{M.shape[1]} matrix exceeds the cap of {ORACLE_CAP} entries"
         )
     sigma = np.linalg.svd(M, compute_uv=False)
     smallest = sigma[-1]

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_core import solve_upper_permuted_adjoint, svd_dense, ORACLE_CAP
-from .errors import DimensionError, DomainError
+from .dense_core import solve_upper_permuted_adjoint, svd_dense
+from .errors import DomainError
 from .linop import densify
+from .projector import _check_pair
 
 
 def _check_dims(l, m):
@@ -103,19 +104,15 @@ def cond_bound(l, alpha, beta):
     return np.sqrt(2.0) * l * alpha * beta
 
 
-def measured_condition(pre, A, max_entries=ORACLE_CAP):
+def measured_condition(pre, A):
     """Actual condition number of the preconditioned operator, via the SVD oracle.
 
-    Densifies A (desk scale only), forms P^-1 A with the adjoint permuted
-    solve, and returns sigma_max / sigma_min.
+    Densifies A (at most `dense_core.ORACLE_CAP` entries), forms P^-1 A with
+    the adjoint permuted solve, and returns sigma_max / sigma_min.
     """
-    if (pre.m, pre.n) != A.shape:
-        raise DimensionError(
-            f"preconditioner was built for a {pre.m}x{pre.n} operator, got {A.shape[0]}x{A.shape[1]}"
-        )
-    Ad = densify(A, max_entries=max_entries)
-    preconditioned = solve_upper_permuted_adjoint(pre.R, pre.perm, Ad)
-    return svd_dense(preconditioned, max_entries=max_entries)[1]
+    _check_pair(pre, A)
+    preconditioned = solve_upper_permuted_adjoint(pre.R, pre.perm, densify(A))
+    return svd_dense(preconditioned)[1]
 
 
 @dataclass

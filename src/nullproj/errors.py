@@ -20,7 +20,7 @@ class DomainError(NullProjError):
 
 
 class SizeCapError(NullProjError):
-    """A densification or dense-oracle request exceeds the configured entry cap."""
+    """A densification or dense-oracle request exceeds the entry cap `dense_core.ORACLE_CAP`."""
 
 
 class SingularFactorError(NullProjError):

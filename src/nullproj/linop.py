@@ -11,9 +11,8 @@ import threading
 
 import numpy as np
 
+from .dense_core import ORACLE_CAP
 from .errors import ConfigurationError, DimensionError, DomainError, SizeCapError
-
-DENSIFY_CAP = 1_000_000  # max m*n entries a densify call will materialize
 
 
 class LinearOperator:
@@ -88,11 +87,11 @@ def apply_gram(A, W):
     return W
 
 
-def densify(op, max_entries=DENSIFY_CAP):
-    """Dense m-by-n snapshot of `op`, column by column, without touching counters."""
+def densify(op):
+    """Uncounted dense m-by-n snapshot of `op`, column by column; at most `ORACLE_CAP` entries."""
     m, n = op.shape
-    if m * n > max_entries:
-        raise SizeCapError(f"densify of a {m}x{n} operator exceeds the cap of {max_entries} entries")
+    if m * n > ORACLE_CAP:
+        raise SizeCapError(f"densify of a {m}x{n} operator exceeds the cap of {ORACLE_CAP} entries")
     out = np.empty((m, n))
     e = np.zeros(n)
     for j in range(n):

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense_core import invert_small, qr_pivoted, solve_upper_permuted, solve_upper_permuted_adjoint
-from .errors import ConfigurationError, RankDeficientSketchError
+from .errors import ConfigurationError, DimensionError, RankDeficientSketchError
 from .linop import apply_gram
+
+SKETCH_ATTEMPTS = 3  # sketches a build tries before it reports a rank-deficient operator
 
 
 @dataclass
@@ -25,8 +27,9 @@ class Preconditioner:
 
     `R` is upper-triangular m-by-m, `perm` the pivot index array (the
     permutation acts as z -> z[perm]), and `Y` the symmetric inverse of
-    the preconditioned Gram matrix.  Instances are immutable (the arrays
-    are marked read-only) and safe to share across threads.
+    the preconditioned Gram matrix.  Construction rejects a malformed `R`,
+    `perm` or `Y`.  Instances are immutable (the arrays are marked
+    read-only) and safe to share across threads.
     """
 
     R: np.ndarray
@@ -38,6 +41,11 @@ class Preconditioner:
     build_apply_counts: tuple
 
     def __post_init__(self):
+        for name, arr in (("R", self.R), ("Y", self.Y)):
+            if arr.shape != (self.m, self.m):
+                raise DimensionError(f"{name} must be {self.m}x{self.m}, got shape {arr.shape}")
+        if self.perm.dtype.kind not in "iu" or not np.array_equal(np.sort(self.perm), np.arange(self.m)):
+            raise ConfigurationError(f"perm must be an integer permutation of range({self.m})")
         for arr in (self.R, self.perm, self.Y):
             arr.setflags(write=False)
 
@@ -86,7 +94,7 @@ def build_gram(A, R, perm):
     return solve_upper_permuted_adjoint(R, perm, W)
 
 
-def build_preconditioner(A, l, g, attempts=3):
+def build_preconditioner(A, l, g):
     """Full randomized setup: sketch, pivoted QR of S*, Gram matrix, inverse.
 
     Parameters
@@ -98,24 +106,21 @@ def build_preconditioner(A, l, g, attempts=3):
     g : stream
         Random generator with a `fill_column` method (uniform lagged
         Fibonacci and Gaussian streams both qualify).
-    attempts : int
-        How many fresh sketches to try if one comes out rank deficient
-        (probability ~0 for a full-rank A); afterwards the rank error is
-        raised for the caller, who may reseed.
 
-    Returns a `Preconditioner` whose `build_apply_counts` records the
-    (A, A*) applies spent, (l+m, m) on the standard single-attempt path.
+    A rank-deficient sketch is replaced by a fresh one, up to
+    `SKETCH_ATTEMPTS` sketches in all; then `RankDeficientSketchError` is
+    raised for the caller, who may reseed.  Returns a `Preconditioner`
+    whose `build_apply_counts` records the (A, A*) applies spent, (l+m, m)
+    on the standard single-attempt path.
     Only R and the permutation outlive the attempt that produced them:
     the sketch and the QR's Householder reflectors are freed before the
     Gram build, so neither adds to the memory the Gram matrix and its
     inverse need.
     """
     m, n = A.shape
-    if attempts < 1:
-        raise ConfigurationError(f"attempts must be at least 1, got {attempts}")
     before = A.counts()
     eps = np.finfo(float).eps
-    for _ in range(attempts):
+    for _ in range(SKETCH_ATTEMPTS):
         qr = qr_pivoted(build_sketch(A, l, g).T)
         R, perm = qr.R, qr.perm
         del qr
@@ -124,7 +129,7 @@ def build_preconditioner(A, l, g, attempts=3):
             break
     else:
         raise RankDeficientSketchError(
-            f"sketch was rank deficient in {attempts} attempt(s); is the operator full rank?"
+            f"sketch was rank deficient in {SKETCH_ATTEMPTS} attempts; is the operator full rank?"
         )
     Y = invert_small(build_gram(A, R, perm))
     after = A.counts()

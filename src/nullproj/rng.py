@@ -20,12 +20,15 @@ lag, so no value in a 24-block depends on another).  The residues mod 2^53
 2^64, is exact on them, and read as int64 they are the values times 2^63,
 which convert to floats exactly.  Each class but one names a single value
 in [-1, 1]; class 2^52 is +1 or -1, and those rare values (about one in
-2^53) get their sign from the scalar rule afterwards.  The output is
-bitwise the value-at-a-time loop's, whatever column sizes are requested.
+2^53) get their sign from the scalar rule afterwards.  Each call writes
+one frame, the window and then the new values, so every operand is a
+slice of it.  The output is bitwise the value-at-a-time loop's, whatever
+column sizes are requested.
 
 The Gaussian stream draws its uniforms in chunks of bounded size and
-transforms each chunk with array operations; its values are the same as
-those of the one-pair-at-a-time polar method.
+transforms each chunk with array operations into a frame one slot longer
+than the request; its values are the same as those of the
+one-pair-at-a-time polar method.
 """
 
 import numpy as np
@@ -137,11 +140,12 @@ def _run_group(start, region, t, lanes):
 class UniformLaggedFibonacci:
     """Lagged Fibonacci stream, uniform on [-1, 1], lags (55, 24).
 
-    The state is a window: an array of the last 55 values, oldest first.
-    It is seeded by expanding a 64-bit integer through a splitmix64 mixer
-    and then discarding 550 draws so the recurrence has fully churned the
-    initial state.  Each value is defined by one floating-point
-    subtraction plus a fold back into [-1, 1], `x[k] = x[k-55] - x[k-24]`;
+    The state is a window: an array of the last 55 values, oldest first,
+    which `fill_column` extends into one frame and copies back from its
+    end.  It is seeded by expanding a 64-bit integer through a splitmix64
+    mixer and then discarding 550 draws so the recurrence has fully churned
+    the initial state.  Each value is defined by one floating-point subtraction plus
+    a fold back into [-1, 1], `x[k] = x[k-55] - x[k-24]`;
     `fill_column` computes the same values in exact integer arithmetic mod
     2^53 on up to `_LANES` lanes at once (see the module docstring), so
     its working memory is bounded whatever the column length, and a single
@@ -155,7 +159,6 @@ class UniformLaggedFibonacci:
             z, state = _splitmix64(state)
             # top 53 bits -> [0, 1) -> [-1, 1)
             window.append(2.0 * ((z >> 11) / 9007199254740992.0) - 1.0)
-        self.seed = int(seed)
         self._window = np.array(window)
         self.fill_column(_WARMUP)
 
@@ -173,37 +176,34 @@ class UniformLaggedFibonacci:
         n = int(n)
         if n < 0:
             raise ConfigurationError(f"column length must be nonnegative, got {n}")
-        out = np.empty(n)
-        done = 0
-        while done < n:
-            start = out[done - _LAG_LONG : done] if done else self._window
+        frame = np.empty(_LAG_LONG + n)
+        frame[:_LAG_LONG] = self._window
+        done = _LAG_LONG
+        while done < frame.size:
             # fewest rounds (up to the cap) that fit the rest into _LANES lanes
-            blocks = -(-(n - done) // _ROWS)
+            blocks = -(-(frame.size - done) // _ROWS)
             t = min(_MAX_ROUNDS_LOG2, (-(-blocks // _LANES) - 1).bit_length())
             lanes = min(_LANES, -(-blocks >> t))
             size = lanes * (_ROWS << t)
-            _run_group(start, out[done : done + size], t, lanes)
+            _run_group(frame[done - _LAG_LONG : done], frame[done : done + size], t, lanes)
             done += size
-        if n and out.min() == -1.0:
-            self._resolve_signs(out)
-        if n >= _LAG_LONG:
-            self._window = out[-_LAG_LONG:].copy()
-        else:
-            self._window = np.concatenate((self._window[n:], out))
+        out = frame[_LAG_LONG:]
+        if out.min(initial=0.0) == -1.0:
+            _resolve_signs(frame)
+        # copied, so the window neither aliases the returned column nor keeps the frame alive
+        self._window = frame[-_LAG_LONG:].copy()
         return out
 
-    def _resolve_signs(self, out):
-        """Replace each -1 that `_run_group` wrote for class 2^52 by the loop's own `a - b`.
 
-        Going in increasing order, both operands already hold their exact
-        values.  Only class 2^52 converts to -1, so no other value changes.
-        """
-        x = self._window
-        for s in range(0, out.size, _CHUNK):
-            for k in np.flatnonzero(out[s : s + _CHUNK] == -1.0) + s:
-                a = out[k - _LAG_LONG] if k >= _LAG_LONG else x[k]
-                b = out[k - _LAG_SHORT] if k >= _LAG_SHORT else x[k + _LAG_LONG - _LAG_SHORT]
-                out[k] = a - b
+def _resolve_signs(frame):
+    """Replace each -1 that `_run_group` wrote for class 2^52 past the window by the loop's `a - b`.
+
+    Going in increasing order, both operands already hold their exact
+    values.  Only class 2^52 converts to -1, so no other value changes.
+    """
+    for s in range(_LAG_LONG, frame.size, _CHUNK):
+        for k in np.flatnonzero(frame[s : s + _CHUNK] == -1.0) + s:
+            frame[k] = frame[k - _LAG_LONG] - frame[k - _LAG_SHORT]
 
 
 class GaussianStream:
@@ -211,10 +211,12 @@ class GaussianStream:
 
     Uses the polar method: pairs (u, v) from the base stream are rejected
     until u^2 + v^2 lands in (0, 1), then both transformed variates are
-    used, in that order, the second one cached as the spare if the request
-    ends between them.  Pairs are drawn and transformed as arrays, at most
-    `_CHUNK_PAIRS` at a time, and never more pairs than the variates still
-    owed: each pair yields at most two, so every pair drawn is used.  The
+    used, in that order.  A request of n fills a frame of n + 1: its last
+    slot catches the second variate of a pair the request ends inside,
+    which becomes the spare the next request starts with.  Pairs are drawn
+    and transformed as arrays, at most `_CHUNK_PAIRS` at a time, and never
+    more pairs than the variates still owed: each pair yields at most two,
+    so every pair drawn is used.  The
     base stream therefore advances exactly as under the one-pair-at-a-time
     method, and the output does not depend on how it is split into columns.
 
@@ -223,7 +225,6 @@ class GaussianStream:
     """
 
     def __init__(self, seed, base=None):
-        self.seed = int(seed)
         self._base = base if base is not None else UniformLaggedFibonacci(seed)
         self._spare = None
 
@@ -240,11 +241,10 @@ class GaussianStream:
         n = int(n)
         if n < 0:
             raise ConfigurationError(f"column length must be nonnegative, got {n}")
-        out = np.empty(n)
+        frame = np.empty(n + 1)
         k = 0
-        if n > 0 and self._spare is not None:
-            out[0] = self._spare
-            self._spare = None
+        if self._spare is not None:
+            frame[0] = self._spare
             k = 1
         while k < n:
             pairs = min((n - k + 1) // 2, _CHUNK_PAIRS)
@@ -255,14 +255,11 @@ class GaussianStream:
             accepted = np.flatnonzero((0.0 < s) & (s < 1.0))
             s = s[accepted]
             factor = np.sqrt(-2.0 * np.log(s) / s)
-            x = u[accepted] * factor
-            y = v[accepted] * factor
-            # x and y interleave into the output; an odd count leaves y[-1] over
-            take = min(2 * accepted.size, n - k)
-            dst = out[k : k + take]
-            dst[0::2] = x[: (take + 1) // 2]
-            dst[1::2] = y[: take // 2]
-            if take < 2 * accepted.size:
-                self._spare = y[-1]
-            k += take
-        return out
+            # x and y interleave into the frame, whose last slot takes the
+            # second variate of a pair the request ends inside
+            dst = frame[k : k + 2 * accepted.size]
+            dst[0::2] = u[accepted] * factor
+            dst[1::2] = v[accepted] * factor
+            k += dst.size
+        self._spare = frame[n] if k > n else None
+        return frame[:n]

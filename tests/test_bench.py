@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nullproj import ConfigurationError, NullProjError, TrialConfig, parse_csv, run_sweep, run_trial
+from nullproj import ConfigurationError, NullProjError, TrialConfig, parse_csv, run_trial
 from nullproj.bench import emit_csv, emit_markdown, emit_report, main
 
 
@@ -83,7 +83,7 @@ def test_run_trial_with_refinement():
 
 
 def test_csv_round_trip():
-    rows = run_sweep([small_config(trials=1), small_config(trials=1, seed=9)])
+    rows = [run_trial(small_config(trials=1)), run_trial(small_config(trials=1, seed=9))]
     text = emit_csv(rows)
     assert text.count("\n") == 3  # header + 2 rows
     assert parse_csv(text) == rows

@@ -5,10 +5,12 @@ import pytest
 
 from nullproj import (
     ConfigurationError,
+    DimensionError,
     DomainError,
     GaussianStream,
     LinearOperator,
     MatrixOperator,
+    Preconditioner,
     RankDeficientSketchError,
     UniformLaggedFibonacci,
     build_gram,
@@ -22,6 +24,7 @@ from nullproj import (
     project,
     qr_pivoted,
 )
+from nullproj.precond import SKETCH_ATTEMPTS
 
 
 def perm_matrix(perm):
@@ -148,11 +151,40 @@ def test_conditioning_holds_at_extreme_operator_scales():
     assert np.allclose(conds, conds[3], rtol=1e-10, atol=0)
 
 
+def test_numerical_rank_boundary_of_the_sparse_family():
+    # kappa = 1e14 is still full rank in double precision and builds within
+    # the paper's bound; at 1e15 every sketch fails the rank check
+    m, n, l = 50, 1000, 54
+    for seed in range(5):
+        A = make_sparse_test(m, n, 1e14, seed=seed)
+        pre = build_preconditioner(A, l, UniformLaggedFibonacci(100 + seed))
+        assert measured_condition(pre, A) <= 10 * l
+    for seed in range(5):
+        A = make_sparse_test(m, n, 1e15, seed=seed)
+        with pytest.raises(RankDeficientSketchError):
+            build_preconditioner(A, l, UniformLaggedFibonacci(100 + seed))
+        assert A.counts() == (SKETCH_ATTEMPTS * l, 0)
+
+
+def test_preconditioner_rejects_malformed_factors():
+    A = make_sparse_test(8, 32, 100.0, seed=2)
+    pre = build_preconditioner(A, 12, UniformLaggedFibonacci(3))
+    fields = dict(R=pre.R, perm=pre.perm, Y=pre.Y, l=12, m=8, n=32, build_apply_counts=(20, 8))
+    assert np.array_equal(Preconditioner(**fields).perm, pre.perm)
+    # a repeated index would make `project` return a wrong projection silently
+    for perm in (np.zeros(8, int), np.arange(7), np.arange(1, 9), np.arange(8.0)):
+        with pytest.raises(ConfigurationError, match="perm"):
+            Preconditioner(**{**fields, "perm": perm})
+    for name in ("R", "Y"):
+        with pytest.raises(DimensionError, match=name):
+            Preconditioner(**{**fields, name: np.eye(5)})
+
+
 def test_rank_deficient_sketch_raises_after_retries():
     A = MatrixOperator(np.zeros((2, 4)))
     g = UniformLaggedFibonacci(18)
     with pytest.raises(RankDeficientSketchError):
-        build_preconditioner(A, 3, g, attempts=3)
+        build_preconditioner(A, 3, g)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -162,7 +194,7 @@ def test_nonfinite_operator_output_is_a_domain_error_after_one_sketch(bad):
     M[1, 3] = bad
     A = MatrixOperator(M)
     with pytest.raises(DomainError, match="A x"):
-        build_preconditioner(A, 4, UniformLaggedFibonacci(18), attempts=3)
+        build_preconditioner(A, 4, UniformLaggedFibonacci(18))
     assert A.counts() == (1, 0)
 
 
