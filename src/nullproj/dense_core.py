@@ -8,12 +8,18 @@ Both triangular solves are one back-substitution kernel: it halves the
 factor, so most of the work is one matrix product per level, and hands
 each block of at most `_BASE_ROWS` rows to LAPACK whole; no loop over
 rows runs in the interpreter.  The adjoint solve is the same kernel on
-reversed views.  The QR keeps its
-Householder reflectors and forms the orthonormal factor only when a
-caller asks for it.  The greedy column pivoting recomputes the remaining
-column norms at every step instead of downdating them; that costs an
-extra O(l m^2) but cannot drift, which matters because the factorization
-doubles as a rank detector.
+reversed views.  The QR factors `_PANEL` columns at a time and updates
+the rest of the matrix with one matrix product per panel; it keeps its
+Householder vectors in LAPACK's compact layout and forms the orthonormal
+factor only when a caller asks for it.  The greedy column pivoting
+downdates the remaining column norms by each new row of R.  A downdate
+that cancels all but `_STALE` of a squared norm marks it stale: the panel
+ends there and the stale norms are computed again from their columns, so
+a pivot is never chosen from a norm that cancellation has emptied.  That
+matters because the factorization doubles as a rank detector.  The QR,
+the inverse and the SVD oracle refuse a NaN or infinite input with
+`DomainError`; the triangular solves run on every projection and check
+only their factor's diagonal.
 """
 
 from dataclasses import dataclass, field
@@ -21,11 +27,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, FactorizationError, SingularFactorError, SizeCapError
+from .errors import DimensionError, DomainError, FactorizationError, SingularFactorError, SizeCapError
 
 ORACLE_CAP = 1_000_000  # max entries the dense oracles svd_dense and linop.densify accept
 
 _PIVOT_TIE_RTOL = 1e-15  # column norms this close count as tied; lowest index wins
+_TIED = (1.0 - _PIVOT_TIE_RTOL) ** 2  # the same rule on squared norms
+
+# The pivoted QR factors this many columns per panel, then updates the
+# remaining block with one matrix product.
+_PANEL = 32
+
+# A downdated squared column norm below this fraction of its last computed
+# value is stale and is computed again (sqrt(eps), as in LAPACK's dlaqps).
+_STALE = np.sqrt(np.finfo(float).eps)
 
 # A triangular solve halves its factor until a block has at most this many
 # rows, then solves the block in one LAPACK call.  Vector and matrix
@@ -39,24 +54,43 @@ class PivotedQR:
 
     Equivalently M = Q R Pi for the permutation Pi acting as z -> z[perm].
     R's diagonal is nonnegative and nonincreasing in magnitude, so trailing
-    near-zero entries expose rank deficiency of M.  The l-by-m factor Q is
-    formed from the stored Householder reflectors on first access and
-    cached; callers that need only R and perm never pay for it.
+    near-zero entries expose rank deficiency of M.
+
+    Q is stored in the compact layout of LAPACK's geqp3: column k of
+    `householder` holds, strictly below its diagonal, the Householder
+    vector v_k of step k, whose leading entry 1 is implied, and
+    H_k = I - tau[k] v_k v_k*.  Q is the first m columns of
+    H_0 H_1 ... H_{m-1}, with the columns in `flip` negated.  The l-by-m
+    factor is formed from that layout on first access and cached; callers
+    that need only R and perm never pay for it.
     """
 
     R: np.ndarray
     perm: np.ndarray
-    rows: int = field(repr=False)  # l, the row count of Q
-    reflectors: list = field(repr=False)  # (step, v, 2/v'v) in application order
+    householder: np.ndarray = field(repr=False)  # l-by-m; only the strict lower trapezoid is read
+    tau: np.ndarray = field(repr=False)  # reflector coefficients; 0 where no reflector was needed
     flip: np.ndarray = field(repr=False)  # rows of R negated to make its diagonal nonnegative
 
     @cached_property
     def Q(self):
-        m = self.R.shape[0]
-        Q = np.zeros((self.rows, m))
-        Q[:m, :m] = np.eye(m)
-        for k, v, coef in reversed(self.reflectors):
-            Q[k:, :] -= coef * np.outer(v, v @ Q[k:, :])
+        l, m = self.householder.shape
+        Q = np.eye(l, m)
+        # Back to front, one panel of reflectors per three matrix products:
+        # H_k ... H_{k+b-1} = I - V T V* with V unit lower trapezoidal and T
+        # upper triangular (the compact WY form of Schreiber and Van Loan).
+        # Columns of Q before k are still unit vectors with zeros in rows k
+        # onward, which the panel leaves alone.
+        for k in reversed(range(0, m, _PANEL)):
+            b = min(_PANEL, m - k)
+            V = np.tril(self.householder[k:, k : k + b], -1)
+            np.fill_diagonal(V, 1.0)
+            tau = self.tau[k : k + b]
+            S = V.T @ V
+            T = np.zeros((b, b))
+            for i in range(b):
+                T[:i, i] = -tau[i] * (T[:i, :i] @ S[:i, i])
+                T[i, i] = tau[i]
+            Q[k:, k:] -= V @ (T @ (V.T @ Q[k:, k:]))
         Q[:, self.flip] *= -1.0
         return Q
 
@@ -67,8 +101,19 @@ def qr_pivoted(M):
     At each step the remaining column of largest Euclidean norm is chosen
     (ties within 1e-15 relative resolved toward the lower index).  The
     returned R has a nonnegative diagonal.  The l-by-m orthonormal factor
-    Q is not formed here: `PivotedQR.Q` builds it from the reflectors the
-    first time it is read.
+    Q is not formed here: `PivotedQR.Q` builds it from the stored
+    Householder vectors the first time it is read.  A NaN or infinite
+    entry raises DomainError.
+
+    The columns are factored in panels of `_PANEL`, the BLAS-3 scheme of
+    LAPACK's dgeqp3/dlaqps (Quintana-Orti, Sun and Bischof, SISC 1998).
+    Within a panel only the pivot column and the pivot row are brought up
+    to date, from the panel's reflectors V and the accumulated F; the
+    rest of the matrix B becomes B - V F* in one product when the panel
+    ends.  Each pivot row downdates the remaining squared column norms.
+    One that falls below `_STALE` of its value when last computed is
+    stale: the panel ends at that step, and the stale norms are computed
+    again from their updated columns (Drmac and Bujanovic, ACM TOMS 2008).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -78,40 +123,71 @@ def qr_pivoted(M):
         raise DimensionError(f"qr_pivoted needs at least as many rows as columns, got {l}x{m}")
 
     # Factor M scaled by a power of two that puts its largest magnitude in
-    # [0.5, 1), so no squared column norm overflows or underflows.  The
-    # scaling is exact: R is scaled back exactly, and perm and Q are those of M.
+    # [0.5, 1), so no squared column norm overflows, and none underflows
+    # unless its column lies about 1e154 below that magnitude.  The scaling
+    # is exact: R is scaled back exactly, and perm and Q are those of M.
     top = np.abs(M).max(initial=0.0)
-    e = int(np.frexp(top)[1]) if 0.0 < top < np.inf else 0
-    A = np.ldexp(M, -e)
+    if not np.isfinite(top):
+        raise DomainError("qr_pivoted needs a finite matrix, got a NaN or infinite entry")
+    e = int(np.frexp(top)[1])
+    # W holds M's columns as its rows (LAPACK's column-major layout), so
+    # the pivot column, the reflector and the panel update read contiguous rows.
+    W = np.ldexp(M.T, -e, order="C")
     perm = np.arange(m)
-    reflectors = []  # (step, v, 2/v'v)
+    tau = np.zeros(m)
+    sq = np.einsum("ij,ij->i", W, W)  # squared norms of the remaining rows of each column
+    floor = _STALE * sq  # a downdated square below this is stale
 
-    for k in range(m):
-        norms = np.sqrt(np.sum(A[k:, k:] ** 2, axis=0))
-        top = norms.max()
-        if top == 0.0:
-            break  # remaining block is exactly zero; R stays zero there
-        piv = k + int(np.argmax(norms >= top * (1.0 - _PIVOT_TIE_RTOL)))
-        if piv != k:
-            A[:, [k, piv]] = A[:, [piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
+    k = 0
+    while k < m:
+        F = np.zeros((m - k, min(_PANEL, m - k)))  # row j - k: the panel's deferred update of column j
+        c = k  # next column to factor
+        stale = np.zeros(0, dtype=bool)
+        while c < k + F.shape[1] and not stale.any():
+            i = c - k
+            big = sq[c:].max()
+            if big == 0.0:
+                break  # the remaining columns are exactly zero; R stays zero there
+            piv = c + int((sq[c:] >= big * _TIED).argmax())
+            if piv != c:
+                W[c], W[piv] = W[piv], W[c].copy()
+                F[i], F[piv - k] = F[piv - k], F[i].copy()
+                perm[c], perm[piv] = perm[piv], perm[c]
+                sq[piv], floor[piv] = sq[c], floor[c]
 
-        x = A[k:, k]
-        normx = np.sqrt(np.sum(x * x))
-        alpha = -normx if x[0] >= 0.0 else normx
-        v = x.copy()
-        v[0] -= alpha
-        coef = 2.0 / np.dot(v, v)
-        reflectors.append((k, v, coef))
-        A[k:, k + 1 :] -= coef * np.outer(v, v @ A[k:, k + 1 :])
-        A[k, k] = alpha
-        A[k + 1 :, k] = 0.0
+            x = W[c, c:]
+            x -= F[i, :i] @ W[k:c, c:]  # column c, brought up to date by this panel's reflectors
+            normx = np.sqrt(x @ x)
+            alpha = -normx if x[0] >= 0.0 else normx
+            tau[c] = (alpha - x[0]) / alpha
+            x[1:] /= x[0] - alpha
+            x[0] = 1.0  # v, with its implied leading 1 in place for the products below
+            # F's column i takes this reflector's share of every later
+            # column's update; row c of R is then brought up to date
+            y = W[k:, c:] @ x
+            F[i + 1 :, i] = tau[c] * (y[i + 1 :] - F[i + 1 :, :i] @ y[:i])
+            W[c + 1 :, c] -= F[i + 1 :, : i + 1] @ W[k : c + 1, c]
+            W[c, c] = alpha
 
-    R = np.ldexp(np.triu(A[:m, :]), e)
+            sq[c + 1 :] -= W[c + 1 :, c] ** 2
+            stale = sq[c + 1 :] < floor[c + 1 :]
+            c += 1
+        if c == k:
+            break  # the rest of the matrix is exactly zero
+        W[c:, c:] -= F[c - k :, : c - k] @ W[k:c, c:]  # the panel's update, in one product
+        if stale.any():
+            stale = c + np.flatnonzero(stale)
+            cols = W[stale, c:]
+            sq[stale] = np.einsum("ij,ij->i", cols, cols)
+            floor[stale] = _STALE * sq[stale]
+        k = c
+
+    R = np.triu(W[:, :m].T)
+    np.ldexp(R, e, out=R)
     # sign convention: flip rows of R (and matching Q columns) so diag(R) >= 0
     flip = np.diag(R) < 0.0
     R[flip, :] *= -1.0
-    return PivotedQR(R=R, perm=perm, rows=l, reflectors=reflectors, flip=flip)
+    return PivotedQR(R=R, perm=perm, householder=W.T, tau=tau, flip=flip)
 
 
 def _check_factor(R):
@@ -197,11 +273,14 @@ def invert_small(X):
     solve, and Y = W* W.  The preconditioned Gram matrix this is built for
     is well conditioned by construction, so an X that is not numerically
     SPD means a broken build and raises FactorizationError.  The result is
-    symmetrized, so Y == Y.T holds exactly.
+    symmetrized, so Y == Y.T holds exactly.  A NaN or infinite entry
+    raises DomainError.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionError(f"invert_small expects a square matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise DomainError("invert_small needs a finite matrix, got a NaN or infinite entry")
     m = X.shape[0]
     try:
         L = np.linalg.cholesky(X)
@@ -219,8 +298,9 @@ def invert_small(X):
 def svd_dense(M):
     """Singular values (nonincreasing) and l2 condition number of a dense matrix.
 
-    Verification oracle only; refuses inputs above `ORACLE_CAP` entries.  A
-    zero smallest singular value yields an infinite condition number.
+    Verification oracle only; refuses inputs above `ORACLE_CAP` entries,
+    and a NaN or infinite entry with DomainError.  A zero smallest singular
+    value yields an infinite condition number.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -229,6 +309,8 @@ def svd_dense(M):
         raise SizeCapError(
             f"svd of a {M.shape[0]}x{M.shape[1]} matrix exceeds the cap of {ORACLE_CAP} entries"
         )
+    if not np.isfinite(M).all():
+        raise DomainError("svd_dense needs a finite matrix, got a NaN or infinite entry")
     sigma = np.linalg.svd(M, compute_uv=False)
     smallest = sigma[-1]
     cond = np.inf if smallest == 0.0 else float(sigma[0] / smallest)

@@ -15,8 +15,9 @@ class ConfigurationError(NullProjError):
 
 class DomainError(NullProjError):
     """A value lies outside its domain: a probability/bound formula's
-    parameters, a vector to project that holds a NaN or infinite entry, or
-    an operator whose output does."""
+    parameters, a vector to project that holds a NaN or infinite entry, an
+    operator whose output does, or a matrix handed to the pivoted QR, the
+    small inverse or the SVD oracle that does."""
 
 
 class SizeCapError(NullProjError):

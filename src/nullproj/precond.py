@@ -113,9 +113,9 @@ def build_preconditioner(A, l, g):
     whose `build_apply_counts` records the (A, A*) applies spent, (l+m, m)
     on the standard single-attempt path.
     Only R and the permutation outlive the attempt that produced them:
-    the sketch and the QR's Householder reflectors are freed before the
-    Gram build, so neither adds to the memory the Gram matrix and its
-    inverse need.
+    the sketch and the QR's Householder reflectors (an l-by-m array) are
+    freed before the Gram build, so neither adds to the memory the Gram
+    matrix and its inverse need.
     """
     m, n = A.shape
     before = A.counts()

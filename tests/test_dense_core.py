@@ -5,6 +5,7 @@ import pytest
 
 from nullproj import (
     DimensionError,
+    DomainError,
     FactorizationError,
     SingularFactorError,
     SizeCapError,
@@ -14,7 +15,12 @@ from nullproj import (
     solve_upper_adjoint,
     svd_dense,
 )
-from nullproj.dense_core import _BASE_ROWS, solve_upper_permuted, solve_upper_permuted_adjoint
+from nullproj.dense_core import (
+    _BASE_ROWS,
+    _PIVOT_TIE_RTOL,
+    solve_upper_permuted,
+    solve_upper_permuted_adjoint,
+)
 
 
 def reconstruction_error(M, qr):
@@ -79,7 +85,7 @@ def test_qr_pivot_tie_break_prefers_low_index():
     assert qr.perm[0] == 0
 
 
-@pytest.mark.parametrize("shape", [(8, 4), (12, 7), (104, 100)])
+@pytest.mark.parametrize("shape", [(8, 4), (12, 7), (104, 100), (404, 400)])
 def test_qr_is_exact_under_power_of_two_scaling(shape):
     # squared column norms of M * 2**700 overflow and of M * 2**-700 lose
     # their digits to underflow; the factorization must not notice either
@@ -90,6 +96,103 @@ def test_qr_is_exact_under_power_of_two_scaling(shape):
         assert np.array_equal(qr.R, base.R * 2.0**k)
         assert np.array_equal(qr.perm, base.perm)
         assert np.array_equal(qr.Q, base.Q)
+
+
+def qr_by_steps(M):
+    """Reference pivoted QR: one column per step, every remaining norm recomputed.
+
+    The unblocked algorithm, with the same power-of-two prescaling and tie
+    rule as `qr_pivoted`; returns (R, perm).
+    """
+    M = np.asarray(M, dtype=float)
+    e = int(np.frexp(np.abs(M).max(initial=0.0))[1])
+    A = np.ldexp(M, -e)
+    l, m = A.shape
+    perm = np.arange(m)
+    for k in range(m):
+        norms = np.sqrt(np.sum(A[k:, k:] ** 2, axis=0))
+        top = norms.max()
+        if top == 0.0:
+            break
+        piv = k + int(np.argmax(norms >= top * (1.0 - _PIVOT_TIE_RTOL)))
+        A[:, [k, piv]] = A[:, [piv, k]]
+        perm[[k, piv]] = perm[[piv, k]]
+        x = A[k:, k]
+        normx = np.sqrt(np.sum(x * x))
+        alpha = -normx if x[0] >= 0.0 else normx
+        v = x.copy()
+        v[0] -= alpha
+        A[k:, k + 1 :] -= (2.0 / np.dot(v, v)) * np.outer(v, v @ A[k:, k + 1 :])
+        A[k, k] = alpha
+        A[k + 1 :, k] = 0.0
+    R = np.ldexp(np.triu(A[:m, :]), e)
+    R[np.diag(R) < 0.0, :] *= -1.0
+    return R, perm
+
+
+def qr_test_matrix(kind, l, m):
+    M = np.random.default_rng(l * 1000 + m).standard_normal((l, m))
+    if kind == "graded":
+        M *= np.logspace(0, -10, m)
+    elif kind == "duplicate":
+        M[:, m // 2] = M[:, 0]  # an exact tie, broken toward the lower index
+    elif kind == "zero_columns":
+        M[:, 1::3] = 0.0
+    elif kind == "zero_block":
+        M[(m + 1) // 2 :, :] = 0.0  # rank (m+1)//2, the rest exactly zero once it is factored
+    return M
+
+
+@pytest.mark.parametrize("kind", ["random", "graded", "duplicate", "zero_columns", "zero_block"])
+@pytest.mark.parametrize("extra", [0, 4], ids=["l=m", "l=m+4"])
+@pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 64, 65, 100, 400])
+def test_qr_matches_unblocked_steps(m, extra, kind):
+    # panel edges (31-33, 64-65), several panels (100, 400), and inputs whose
+    # norms cancel (graded), tie (duplicate) or are exactly zero
+    M = qr_test_matrix(kind, m + extra, m)
+    R_ref, perm_ref = qr_by_steps(M)
+    qr = qr_pivoted(M)
+    assert np.array_equal(qr.perm, perm_ref)
+    assert np.abs(qr.R - R_ref).max() <= 1e-14 * np.linalg.norm(M)
+    assert reconstruction_error(M, qr) <= 1e-13
+
+
+def test_qr_recomputes_norms_that_cancellation_empties():
+    # every column is u plus a tiny part: pivoting u away leaves each
+    # downdated norm at 1e-10 of its first value, far below what a
+    # downdate can resolve, so only norms computed again from the columns
+    # pick the right pivots
+    rng = np.random.default_rng(12)
+    l, m = 80, 60
+    u = rng.standard_normal(l)
+    M = u[:, None] + 1e-10 * rng.standard_normal((l, m)) * np.logspace(0, -3, m)
+    qr = qr_pivoted(M)
+    assert np.array_equal(qr.perm, qr_by_steps(M)[1])
+    diag = np.diag(qr.R)
+    assert (diag[1:] <= diag[:-1] * (1.0 + 1e-12)).all()
+
+
+def test_qr_peak_memory_is_bounded():
+    # one working copy of M and one matrix-sized temporary at a time (the
+    # panel update's product, or R): about 2.5 l m doubles at the peak,
+    # against about 3.5 for one outer-product update per column
+    l, m = 404, 400
+    M = np.random.default_rng(13).standard_normal((l, m))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    qr_pivoted(M)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 3.0 * l * m * 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kernel", [qr_pivoted, invert_small, svd_dense])
+def test_dense_kernels_refuse_nonfinite_input(kernel, bad):
+    X = np.eye(4)
+    X[1, 2] = bad
+    with pytest.raises(DomainError):
+        kernel(X)
 
 
 def test_qr_orthogonal_invariance_of_singular_values():
