@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import error_metrics
 from .errors import ConfigurationError, NullProjError
 from .linop import _check_sparse_family, make_dense_test, make_sparse_test
-from .precond import build_preconditioner, default_sketch_width
+from .precond import _check_sketch_width, build_preconditioner, default_sketch_width
 from .projector import ClassicalProjector, project, refine_lstsq, solve_lstsq
 from .rng import GaussianStream, UniformLaggedFibonacci
 
@@ -48,8 +48,7 @@ class TrialConfig:
         _check_sparse_family(self.m, self.n, self.kappa)
         if self.l is None:
             self.l = default_sketch_width(self.m, self.n)
-        if not self.m <= self.l <= self.n:
-            raise ConfigurationError(f"need m <= l <= n, got l={self.l}")
+        self.l = _check_sketch_width(self.l, self.m, self.n)
         if self.trials < 1:
             raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
         if self.refine_iters < 0:

@@ -4,7 +4,9 @@ An operator here is a short, fat m-by-n map known only through `apply` and
 `apply_adjoint`.  Both entry points count their calls (thread-safely), so
 algorithm cost contracts can be asserted exactly, and both check the shape
 and finiteness of what the operator returns.  `densify` provides an
-uncounted dense snapshot for small instances, used by verification oracles.
+uncounted dense snapshot for small instances, used by verification oracles;
+it runs each column through the same checked body as `apply`, so it holds
+the same output contract without touching the counters.
 """
 
 import threading
@@ -19,13 +21,14 @@ class LinearOperator:
     """Base class for counted matrix-free operators.
 
     Subclasses implement `_apply_impl` / `_apply_adjoint_impl` on 1-D float
-    arrays.  `apply` and `apply_adjoint` share one checked body that holds
-    the operator's output contract for every caller, setup and projection
-    alike: an output whose shape is not (m,) for `A x` or (n,) for `A* y`
-    raises `DimensionError`, and one with a NaN or infinite entry raises
-    `DomainError`.  Instances are immutable after construction except for
-    the two call counters, which are updated under a lock so concurrent
-    calls from several threads stay exact.
+    arrays.  `apply`, `apply_adjoint` and `densify` share one checked body
+    that holds the operator's output contract for every caller, setup,
+    projection and oracle alike: an output whose shape is not (m,) for
+    `A x` or (n,) for `A* y` raises `DimensionError`, and one with a NaN or
+    infinite entry raises `DomainError`.  Instances are immutable after
+    construction except for the two call counters, which `apply` and
+    `apply_adjoint` update under a lock so concurrent calls from several
+    threads stay exact.
     """
 
     def __init__(self, m, n):
@@ -46,21 +49,27 @@ class LinearOperator:
 
     def apply(self, x):
         """Compute A x for a length-n vector; increments the apply counter."""
-        return self._checked_apply(x, False, self._apply_impl)
+        with self._count_lock:
+            self._counts[0] += 1
+        return self._checked_apply(x, False)
 
     def apply_adjoint(self, y):
         """Compute A* y for a length-m vector; increments the adjoint counter."""
-        return self._checked_apply(y, True, self._apply_adjoint_impl)
+        with self._count_lock:
+            self._counts[1] += 1
+        return self._checked_apply(y, True)
 
-    def _checked_apply(self, v, adjoint, impl):
-        """The one body of `apply` and `apply_adjoint`: check the input, count, check the output."""
-        name, product = ("apply_adjoint", "A* y") if adjoint else ("apply", "A x")
-        size_in, size_out = self.shape if adjoint else self.shape[::-1]
+    def _checked_apply(self, v, adjoint):
+        """The one checked body of every product: check the input, apply, check the output."""
+        if adjoint:
+            name, product, impl = "apply_adjoint", "A* y", self._apply_adjoint_impl
+            size_in, size_out = self.shape
+        else:
+            name, product, impl = "apply", "A x", self._apply_impl
+            size_out, size_in = self.shape
         v = np.asarray(v, dtype=float)
         if v.shape != (size_in,):
             raise DimensionError(f"{name} expects a vector of length {size_in}, got shape {v.shape}")
-        with self._count_lock:
-            self._counts[adjoint] += 1
         out = impl(v)
         if np.shape(out) != (size_out,):
             raise DimensionError(
@@ -88,7 +97,12 @@ def apply_gram(A, W):
 
 
 def densify(op):
-    """Uncounted dense m-by-n snapshot of `op`, column by column; at most `ORACLE_CAP` entries."""
+    """Uncounted dense m-by-n snapshot of `op`, column by column; at most `ORACLE_CAP` entries.
+
+    Each column goes through the operator's checked body, so a column of the
+    wrong shape raises `DimensionError` and a NaN or infinite one raises
+    `DomainError`, exactly as from `apply`; the counters do not move.
+    """
     m, n = op.shape
     if m * n > ORACLE_CAP:
         raise SizeCapError(f"densify of a {m}x{n} operator exceeds the cap of {ORACLE_CAP} entries")
@@ -96,7 +110,7 @@ def densify(op):
     e = np.zeros(n)
     for j in range(n):
         e[j] = 1.0
-        out[:, j] = op._apply_impl(e)
+        out[:, j] = op._checked_apply(e, False)
         e[j] = 0.0
     return out
 
@@ -115,7 +129,7 @@ class CirculantStencil:
         m = int(m)
         if m < 4:
             raise ConfigurationError(f"stencil needs m >= 4, got m={m}")
-        if d <= 0:
+        if not d > 0:  # also rejects NaN
             raise ConfigurationError(f"diagonal shift d must be positive, got {d}")
         self.m = m
         self.d = float(d)
@@ -144,8 +158,10 @@ class SparseTestMatrix(LinearOperator):
     """A = U [B B ... B] V with permutations U, V and circulant block B.
 
     `row_perm` (length m) and `col_perm` (length n) are index arrays: the
-    permuted vector is `x[perm]`.  The operator applies in O(n) work and
-    has condition number (16+d)/d, inherited from the stencil.
+    permuted vector is `x[perm]`.  Each must be a permutation of its index
+    range; anything else raises `ConfigurationError`.  The operator applies
+    in O(n) work and has condition number (16+d)/d, inherited from the
+    stencil.
     """
 
     def __init__(self, stencil, row_perm, col_perm):
@@ -162,9 +178,9 @@ class SparseTestMatrix(LinearOperator):
         self.row_perm = row_perm
         self.col_perm = col_perm
         self.block_count = n // m
-        self._row_perm_inv = np.argsort(row_perm)
+        self._row_perm_inv = _inverse_permutation(row_perm, "row_perm")
         # V* tile(w) gathers entry i from w[argsort(col_perm)[i] % m]
-        self._adjoint_gather = np.argsort(col_perm) % m
+        self._adjoint_gather = _inverse_permutation(col_perm, "col_perm") % m
 
     def _apply_impl(self, x):
         m = self.shape[0]
@@ -176,6 +192,14 @@ class SparseTestMatrix(LinearOperator):
         t = y[self.row_perm]  # U* y
         w = self.stencil.apply(t)  # B is symmetric
         return w[self._adjoint_gather]  # V* [w w ... w]
+
+
+def _inverse_permutation(perm, name):
+    """argsort of the index array `perm`; ConfigurationError unless it permutes range(perm.size)."""
+    inv = np.argsort(perm)
+    if not np.array_equal(perm[inv], np.arange(perm.size)):
+        raise ConfigurationError(f"{name} must be a permutation of range({perm.size})")
+    return inv
 
 
 class DenseTestMatrix(LinearOperator):
@@ -262,6 +286,20 @@ def _check_sparse_family(m, n, kappa):
         raise ConfigurationError(f"kappa must exceed 1, got {kappa}")
 
 
+def _seeded_sparse_test(m, n, kappa, seed):
+    """The sparse test operator for (m, n, kappa) and the generator that drew its permutations.
+
+    Both test families start here, so a dense operator's rank-10 factors
+    come from the same generator, right after its base's permutations.
+    """
+    m = int(m)
+    n = int(n)
+    _check_sparse_family(m, n, kappa)
+    rng = np.random.default_rng(seed)
+    stencil = CirculantStencil(m, 16.0 / (kappa - 1.0))
+    return SparseTestMatrix(stencil, rng.permutation(m), rng.permutation(n)), rng
+
+
 def make_sparse_test(m, n, kappa, seed):
     """Seeded sparse test operator with condition number exactly `kappa`.
 
@@ -270,20 +308,13 @@ def make_sparse_test(m, n, kappa, seed):
     eigenvalue short of 16+d and the stated condition number would only
     hold approximately.
     """
-    m = int(m)
-    n = int(n)
-    _check_sparse_family(m, n, kappa)
-    d = 16.0 / (kappa - 1.0)
-    rng = np.random.default_rng(seed)
-    return SparseTestMatrix(CirculantStencil(m, d), rng.permutation(m), rng.permutation(n))
+    return _seeded_sparse_test(m, n, kappa, seed)[0]
 
 
 def make_dense_test(m, n, kappa, seed):
     """Seeded dense test operator: sparse base plus Gaussian rank-10 update."""
-    base = make_sparse_test(m, n, kappa, seed)
-    rng = np.random.default_rng(seed)
-    rng.permutation(m)  # keep the base's permutation draws aligned
-    rng.permutation(n)
+    base, rng = _seeded_sparse_test(m, n, kappa, seed)
+    m, n = base.shape
     E = rng.standard_normal((m, DenseTestMatrix.RANK))
     F = rng.standard_normal((DenseTestMatrix.RANK, n))
     return DenseTestMatrix(base, E, F)
@@ -294,7 +325,9 @@ def load_triplet_operator(path):
 
     Format: a header line `m n nnz` followed by nnz lines `row col value`
     with 1-indexed coordinates.  Storage grows with the lines actually
-    read, so a header that overstates nnz fails on the first missing line.
+    read, so a header that overstates nnz fails on the first missing line;
+    one that understates it fails on the first line after the nnz entries
+    that is not blank.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -319,4 +352,10 @@ def load_triplet_operator(path):
                     f"{path}: entry {k + 1} (line {k + 2}) must be 'row col value' "
                     f"with integer indices, got {parts}"
                 ) from None
+        for lineno, line in enumerate(fh, start=nnz + 2):
+            if line.strip():
+                raise ConfigurationError(
+                    f"{path}: line {lineno} lies past the header's nnz={nnz} entries, "
+                    f"got {line.split()}"
+                )
     return TripletMatrix(m, n, rows, cols, vals)

@@ -10,6 +10,7 @@ exactly l+m applies of A and m applies of A*, and never allocates more
 than one length-n column of G at a time.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,17 @@ def default_sketch_width(m, n=None):
     return width
 
 
+def _check_sketch_width(l, m, n):
+    """The sketch width `l` as a Python int; ConfigurationError unless it is an integer in [m, n]."""
+    try:
+        l = operator.index(l)
+    except TypeError:
+        raise ConfigurationError(f"sketch width must be an integer, got {l!r}") from None
+    if not m <= l <= n:
+        raise ConfigurationError(f"sketch width must satisfy m <= l <= n, got l={l} for {m}x{n}")
+    return l
+
+
 def build_sketch(A, l, g):
     """Sketch S = A G, one generated column of G at a time.
 
@@ -69,9 +81,7 @@ def build_sketch(A, l, g):
     at once; no fresh sketch could mend it.
     """
     m, n = A.shape
-    l = int(l)
-    if not m <= l <= n:
-        raise ConfigurationError(f"sketch width must satisfy m <= l <= n, got l={l} for {m}x{n}")
+    l = _check_sketch_width(l, m, n)
     S = np.empty((m, l))
     for k in range(l):
         S[:, k] = A.apply(g.fill_column(n))
@@ -102,7 +112,8 @@ def build_preconditioner(A, l, g):
     A : LinearOperator
         Short, fat full-rank operator.
     l : int
-        Sketch width, m <= l <= n (m+4 is the usual choice).
+        Sketch width, an integer with m <= l <= n (m+4 is the usual
+        choice); anything else raises `ConfigurationError`.
     g : stream
         Random generator with a `fill_column` method (uniform lagged
         Fibonacci and Gaussian streams both qualify).
@@ -118,6 +129,7 @@ def build_preconditioner(A, l, g):
     matrix and its inverse need.
     """
     m, n = A.shape
+    l = _check_sketch_width(l, m, n)
     before = A.counts()
     eps = np.finfo(float).eps
     for _ in range(SKETCH_ATTEMPTS):

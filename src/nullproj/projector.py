@@ -8,6 +8,7 @@ kept as a baseline: it squares the condition number and loses accuracy
 exactly the way the benchmark tables show.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,10 @@ def refine_lstsq(pre, A, b, h, iterations=1):
     per-iteration cost is one apply of A plus one of A*.
     """
     _check_pair(pre, A)
+    try:
+        iterations = operator.index(iterations)
+    except TypeError:
+        raise ConfigurationError(f"iterations must be an integer, got {iterations!r}") from None
     if iterations < 0:
         raise ConfigurationError(f"iterations must be nonnegative, got {iterations}")
     b = _check_vector(b, pre.n)

@@ -31,6 +31,17 @@ def test_config_defaults_and_validation():
         TrialConfig(m=8, n=64, kappa=10.0, rng_kind="mt19937")
 
 
+@pytest.mark.parametrize("l", [10.7, np.float64(12.0), "12"], ids=["float", "np.float64", "str"])
+def test_config_rejects_a_non_integer_width(l):
+    with pytest.raises(ConfigurationError, match="integer"):
+        small_config(l=l)
+
+
+def test_config_stores_an_integer_width_as_an_int():
+    cfg = small_config(l=np.int64(12))
+    assert type(cfg.l) is int and cfg.l == 12
+
+
 def test_run_trial_fields_and_counts():
     row = run_trial(small_config())
     assert (row.build_applies, row.build_adjoint_applies) == (row.l + row.m, row.m)

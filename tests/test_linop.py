@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import threading
 
 import numpy as np
@@ -7,6 +9,7 @@ from nullproj import (
     CirculantStencil,
     ConfigurationError,
     DimensionError,
+    DomainError,
     LinearOperator,
     MatrixOperator,
     SizeCapError,
@@ -66,6 +69,24 @@ def test_stencil_validation():
         CirculantStencil(3, 1.0)
     with pytest.raises(ConfigurationError):
         CirculantStencil(8, 0.0)
+    with pytest.raises(ConfigurationError):
+        CirculantStencil(8, float("nan"))
+
+
+@pytest.mark.parametrize(
+    "row_perm, col_perm",
+    [
+        ([0, 1, 2, 9], range(8)),  # out of range: apply would run, apply_adjoint would not
+        ([0, 1, 2, -1], range(8)),
+        ([0, 1, 1, 3], range(8)),
+        (range(4), [0, 0, 1, 2, 3, 4, 5, 6]),  # column 7 would be silently zero
+        (range(4), [0, 1, 2, 3, 4, 5, 6, 8]),
+    ],
+    ids=["row-out-of-range", "row-negative", "row-repeat", "col-repeat", "col-out-of-range"],
+)
+def test_sparse_test_matrix_rejects_non_permutations(row_perm, col_perm):
+    with pytest.raises(ConfigurationError, match="permutation"):
+        SparseTestMatrix(CirculantStencil(4, 1.0), row_perm, col_perm)
 
 
 def test_apply_zero_is_zero_exactly():
@@ -214,6 +235,32 @@ def test_make_sparse_test_validation():
         make_sparse_test(2, 8, 1e4, seed=0)
 
 
+def reference_dense_draws(m, n, seed):
+    """The dense family's draws as first written: the base's generator, then a second one that
+    discards the same two permutations before drawing E and F."""
+    rng = np.random.default_rng(seed)
+    row_perm, col_perm = rng.permutation(m), rng.permutation(n)
+    rng = np.random.default_rng(seed)
+    rng.permutation(m)
+    rng.permutation(n)
+    E = rng.standard_normal((m, 10))
+    F = rng.standard_normal((10, n))
+    return row_perm, col_perm, E, F
+
+
+@pytest.mark.parametrize("m,n", [(8, 32), (100, 20000)])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_dense_test_draws_match_the_two_generator_reference_bitwise(m, n, seed):
+    row_perm, col_perm, E, F = reference_dense_draws(m, n, seed)
+    A = make_dense_test(m, n, 1e4, seed)
+    for got, want in ((A.base.row_perm, row_perm), (A.base.col_perm, col_perm)):
+        assert np.array_equal(got, want)
+    for got, want in ((A.E, E), (A.F, F)):
+        assert got.tobytes() == want.tobytes()
+    sparse = make_sparse_test(m, n, 1e4, seed)
+    assert np.array_equal(sparse.row_perm, row_perm) and np.array_equal(sparse.col_perm, col_perm)
+
+
 def test_dense_test_matches_sparse_plus_lowrank():
     A = make_dense_test(8, 32, 1e4, seed=13)
     expected = densify(A.base) + A.E @ A.F / np.sqrt(8 * 32)
@@ -298,6 +345,59 @@ def test_densify_shape_and_cap():
         densify(LinearOperator(1000, 1001))
 
 
+class RecordingBadOutput(BadOutput):
+    """BadOutput that records the column index of each unit vector it is applied to."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.columns = []
+
+    def _apply_impl(self, x):
+        self.columns.append(int(np.argmax(x)))
+        return super()._apply_impl(x)
+
+
+@pytest.mark.parametrize(
+    "apply_out, error, match",
+    [
+        (np.ones(1), DimensionError, r"A x must have shape \(2,\)"),
+        (np.array([1.0, np.nan]), DomainError, "A x holds a NaN"),
+    ],
+    ids=["length-1", "nan"],
+)
+def test_densify_holds_the_apply_output_contract_uncounted(apply_out, error, match):
+    A = RecordingBadOutput(apply_out=apply_out)
+    with pytest.raises(error, match=match):
+        densify(A)
+    assert A.columns == [0]  # stopped at the first column
+    assert A.counts() == (0, 0)
+
+
+def test_operator_impls_are_reached_only_through_the_checked_body():
+    # Every product of an operator passes the output checks of LinearOperator._checked_apply.
+    # An operator may build on another one inside its own impls (DenseTestMatrix on its base).
+    impls = {"_apply_impl", "_apply_adjoint_impl"}
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "nullproj"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "LinearOperator":
+                bodies = [f for f in node.body if getattr(f, "name", None) == "_checked_apply"]
+            elif isinstance(node, ast.FunctionDef) and node.name in impls:
+                bodies = [node]
+            else:
+                continue
+            allowed.update(n for body in bodies for n in ast.walk(body))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in impls and node not in allowed
+        ]
+    assert offenders == []
+
+
 def test_densify_leaves_counters_alone():
     A = make_sparse_test(4, 8, 10.0, seed=18)
     densify(A)
@@ -318,6 +418,12 @@ def test_triplet_file_round_trip(tmp_path):
     assert np.array_equal(op.apply_adjoint(y), dense.T @ y)
 
 
+def test_triplet_file_trailing_blank_lines_load(tmp_path):
+    path = tmp_path / "mat.txt"
+    path.write_text("2 3 1\n1 1 5.0\n\n   \n")
+    assert np.array_equal(densify(load_triplet_operator(path)), [[5.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
 @pytest.mark.parametrize(
     "text, where",
     [
@@ -327,8 +433,19 @@ def test_triplet_file_round_trip(tmp_path):
         ("2 3 1\n1 1 abc\n", "entry 1 \\(line 2\\)"),
         ("2 3 2\n1 1 1.0\n1 99999999999999999999 1.0\n", "entry 2 \\(line 3\\)"),
         ("2 3 99999999999999999999\n1 1 1.0\n", "entry 2 \\(line 3\\)"),
+        ("2 3 1\n1 1 5.0\n2 3 7.0\n", "line 3 lies past the header's nnz=1"),
+        ("2 3 1\n1 1 5.0\n\n2 3 7.0\n", "line 4 lies past the header's nnz=1"),
     ],
-    ids=["short", "negative-nnz", "non-integer", "non-numeric-entry", "index-overflow", "huge-nnz"],
+    ids=[
+        "short",
+        "negative-nnz",
+        "non-integer",
+        "non-numeric-entry",
+        "index-overflow",
+        "huge-nnz",
+        "extra-entry",
+        "extra-entry-after-blank",
+    ],
 )
 def test_triplet_file_bad_header(tmp_path, text, where):
     path = tmp_path / "bad.txt"

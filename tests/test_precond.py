@@ -59,6 +59,34 @@ def test_sketch_counts_and_bounds():
         build_sketch(A, 31, UniformLaggedFibonacci(2))  # l > n
 
 
+NON_INTEGER_WIDTHS = pytest.mark.parametrize(
+    "l", [10.7, np.float64(12.0), "12"], ids=["float", "np.float64", "str"]
+)
+
+
+@NON_INTEGER_WIDTHS
+def test_build_sketch_rejects_a_non_integer_width(l):
+    A = make_sparse_test(8, 32, 100.0, 0)
+    with pytest.raises(ConfigurationError, match="integer"):
+        build_sketch(A, l, UniformLaggedFibonacci(2))
+    assert A.counts() == (0, 0)
+
+
+@NON_INTEGER_WIDTHS
+def test_build_preconditioner_rejects_a_non_integer_width(l):
+    A = make_sparse_test(8, 32, 100.0, 0)
+    with pytest.raises(ConfigurationError, match="integer"):
+        build_preconditioner(A, l, UniformLaggedFibonacci(2))
+    assert A.counts() == (0, 0)
+
+
+def test_build_preconditioner_records_the_width_as_an_int():
+    A = make_sparse_test(8, 32, 100.0, 0)
+    pre = build_preconditioner(A, np.int64(12), UniformLaggedFibonacci(2))
+    assert type(pre.l) is int and pre.l == 12
+    assert pre.build_apply_counts == (20, 8)
+
+
 def test_build_gram_scalar_case():
     c, r = 3.0, 2.0
     A = MatrixOperator(np.array([[c]]))

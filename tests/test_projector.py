@@ -218,6 +218,19 @@ def test_refine_zero_iterations_is_identity():
         refine_lstsq(pre, A, b, h, -1)
 
 
+def test_refine_iterations_must_be_an_integer():
+    A, pre = build_pair(8, 32, 100.0, seed=26)
+    b = np.ones(32) / np.sqrt(32)
+    h = solve_lstsq(pre, A, b)
+    before = A.counts()
+    for bad in (1.5, np.float64(2.0), "2"):
+        with pytest.raises(ConfigurationError, match="integer"):
+            refine_lstsq(pre, A, b, h, bad)
+    assert A.counts() == before
+    assert np.array_equal(refine_lstsq(pre, A, b, h, np.int64(2)), refine_lstsq(pre, A, b, h, 2))
+    assert A.counts() == (before[0] + 4, before[1] + 4)
+
+
 def test_refine_does_not_worsen_residual_kappa_1e6():
     kappa = 1e6
     A, pre = build_pair(20, 100, kappa, seed=27)
