@@ -10,6 +10,7 @@ Also usable as a command line tool; see `main` or run `nullproj-bench -h`.
 """
 
 import argparse
+import operator
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -49,6 +50,12 @@ class TrialConfig:
         if self.l is None:
             self.l = default_sketch_width(self.m, self.n)
         self.l = _check_sketch_width(self.l, self.m, self.n)
+        for name in ("trials", "refine_iters"):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 1:
             raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
         if self.refine_iters < 0:

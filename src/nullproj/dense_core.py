@@ -4,22 +4,27 @@ The permuted solve pair owns the pivot convention M = R Pi of `qr_pivoted`,
 so no caller indexes with the permutation itself.
 
 These run on matrices whose side is the short dimension m of the operator.
-Both triangular solves are one back-substitution kernel: it halves the
-factor, so most of the work is one matrix product per level, and hands
-each block of at most `_BASE_ROWS` rows to LAPACK whole; no loop over
-rows runs in the interpreter.  The adjoint solve is the same kernel on
-reversed views.  The QR factors `_PANEL` columns at a time and updates
-the rest of the matrix with one matrix product per panel; it keeps its
-Householder vectors in LAPACK's compact layout and forms the orthonormal
-factor only when a caller asks for it.  The greedy column pivoting
-downdates the remaining column norms by each new row of R.  A downdate
-that cancels all but `_STALE` of a squared norm marks it stale: the panel
-ends there and the stale norms are computed again from their columns, so
-a pivot is never chosen from a norm that cancellation has emptied.  That
-matters because the factorization doubles as a rank detector.  The QR,
-the inverse and the SVD oracle refuse a NaN or infinite input with
-`DomainError`; the triangular solves run on every projection and check
-only their factor's diagonal.
+Both triangular solves run on one partitioned inverse of the factor: each
+diagonal block of at most `_BASE_ROWS` rows is inverted once, by one
+LAPACK solve against the identity, and a solve is then a sweep of BLAS
+products, one with the already-solved part and one with the block's
+inverse per block row; no loop over rows runs in the interpreter.  The
+adjoint solve sweeps the other way on forward views of the same factor.
+A factor held for many solves keeps its block inverses, so its solves
+make no LAPACK call.
+
+The QR factors `_PANEL` columns at a time and updates the rest of the
+matrix with one matrix product per panel; it keeps its Householder
+vectors in LAPACK's compact layout and forms the orthonormal factor only
+when a caller asks for it.  The greedy column pivoting downdates the
+remaining column norms by each new row of R.  A downdate that cancels
+all but `_STALE` of a squared norm marks it stale: the panel ends there
+and the stale norms are computed again from their columns, so a pivot is
+never chosen from a norm that cancellation has emptied.  That matters
+because the factorization doubles as a rank detector.  The QR, the
+inverse and the SVD oracle refuse a NaN or infinite input with
+`DomainError`; the triangular solves run on every projection, and only
+the block inversion checks the factor, for a zero diagonal.
 """
 
 from dataclasses import dataclass, field
@@ -42,9 +47,10 @@ _PANEL = 32
 # value is stale and is computed again (sqrt(eps), as in LAPACK's dlaqps).
 _STALE = np.sqrt(np.finfo(float).eps)
 
-# A triangular solve halves its factor until a block has at most this many
-# rows, then solves the block in one LAPACK call.  Vector and matrix
-# right-hand sides share it.
+# A triangular solve splits its factor into diagonal blocks of this many rows
+# (the last may be shorter), inverts each block once in one LAPACK call, and
+# then costs two BLAS products per block row.  Vector and matrix right-hand
+# sides share it.
 _BASE_ROWS = 32
 
 
@@ -190,80 +196,105 @@ def qr_pivoted(M):
     return PivotedQR(R=R, perm=perm, householder=W.T, tau=tau, flip=flip)
 
 
-def _check_factor(R):
+def _as_factor(R):
+    R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise DimensionError(f"triangular factor must be square, got shape {R.shape}")
-    diag = np.diag(R)
-    zero = np.flatnonzero(diag == 0.0)
+    return R
+
+
+def invert_diagonal_blocks(R):
+    """The inverses of an upper-triangular factor's diagonal blocks, for `solve_upper*`.
+
+    The blocks are R[a:b, a:b] for a = 0, `_BASE_ROWS`, 2 `_BASE_ROWS`, ...
+    and b = min(a + `_BASE_ROWS`, m).  Returns an m-by-min(m, `_BASE_ROWS`)
+    array whose rows a:b hold the inverse of that block in their first b-a
+    columns, and zeros after them: 256 m bytes for m >= 32.  A zero on R's
+    diagonal raises SingularFactorError naming its index; the sweeps rely
+    on this check, so a factor held for many solves is checked once.
+    """
+    R = _as_factor(R)
+    zero = np.flatnonzero(np.diag(R) == 0.0)
     if zero.size:
         raise SingularFactorError(f"triangular factor has zero diagonal at index {zero[0]}")
+    m = R.shape[0]
+    inv = np.zeros((m, min(m, _BASE_ROWS)))
+    for a in range(0, m, _BASE_ROWS):
+        b = min(a + _BASE_ROWS, m)
+        # Exact substitution, not a general solve: below an upper-triangular
+        # block's diagonal every entry is an exact zero, so partial pivoting
+        # never swaps rows, the LU factors are L = I and the block itself, and
+        # LAPACK's solve reduces to back substitution, one identity column at
+        # a time.
+        inv[a:b, : b - a] = np.linalg.solve(R[a:b, a:b], np.eye(b - a))
+    return inv
 
 
-def _prepare_solve(R, rhs):
-    """Checked float factor and a float copy of the right-hand side to solve in place."""
-    R = np.asarray(R, dtype=float)
-    _check_factor(R)
+def _substitute(R, inv, rhs, adjoint=False):
+    """Solve R x = rhs, or R* x = rhs when `adjoint`, given `inv = invert_diagonal_blocks(R)`.
+
+    Back substitution runs bottom to top, x[a:b] = D (rhs[a:b] - R[a:b, b:] x[b:])
+    with D the inverse of block [a, b).  The adjoint is forward substitution
+    top to bottom, x[a:b] = D* (rhs[a:b] - R[:a, a:b]* x[:a]).  Every
+    product reads a forward view of R, which BLAS takes without a copy.
+    """
     x = np.array(rhs, dtype=float)
-    if x.shape[0] != R.shape[0]:
-        raise DimensionError(
-            f"right-hand side length {x.shape[0]} does not match factor size {R.shape[0]}"
-        )
-    return R, x
-
-
-def _back_substitute(U, x, lo, hi):
-    """Overwrite x[lo:hi] with the solution of U[lo:hi, lo:hi] g = x[lo:hi], U upper-triangular."""
-    if hi - lo > _BASE_ROWS:
-        mid = (lo + hi) // 2
-        _back_substitute(U, x, mid, hi)
-        x[lo:mid] -= U[lo:mid, mid:hi] @ x[mid:hi]
-        _back_substitute(U, x, lo, mid)
-        return
-    # Exact substitution, not a general solve: below an upper-triangular
-    # block's diagonal every entry is an exact zero, so partial pivoting never
-    # swaps rows, the LU factors are L = I and U itself, and LAPACK's solve
-    # reduces to back substitution.  The diagonal is nonzero by _check_factor.
-    x[lo:hi] = np.linalg.solve(U[lo:hi, lo:hi], x[lo:hi])
+    m = R.shape[0]
+    if x.shape[0] != m:
+        raise DimensionError(f"right-hand side length {x.shape[0]} does not match factor size {m}")
+    starts = range(0, m, _BASE_ROWS)
+    for a in starts if adjoint else reversed(starts):
+        b = min(a + _BASE_ROWS, m)
+        D = inv[a:b, : b - a]
+        if adjoint:
+            x[a:b] -= R[:a, a:b].T @ x[:a]
+            x[a:b] = D.T @ x[a:b]
+        else:
+            x[a:b] -= R[a:b, b:] @ x[b:]
+            x[a:b] = D @ x[a:b]
+    return x
 
 
 def solve_upper(R, y):
     """Solve R g = y by blocked back substitution; accepts vector or matrix right-hand sides.
 
-    R must be upper-triangular with exact zeros below its diagonal: the
-    base blocks are read whole.
+    R must be upper-triangular with exact zeros below its diagonal: its
+    diagonal blocks are read whole.  A one-off solve: it inverts R's
+    diagonal blocks and sweeps once.
     """
-    R, x = _prepare_solve(R, y)
-    _back_substitute(R, x, 0, R.shape[0])
-    return x
+    R = _as_factor(R)
+    return _substitute(R, invert_diagonal_blocks(R), y)
 
 
 def solve_upper_adjoint(R, d):
     """Solve R* e = d (R upper-triangular); accepts vector or matrix right-hand sides.
 
-    R* is lower-triangular, and reversing both its row and column order
-    makes it upper-triangular, so this is the back substitution of
-    `solve_upper` run on reversed views of R* and of the right-hand side.
+    R* is lower-triangular, so this is forward substitution with the
+    transposed blocks of R, as in `solve_upper` a one-off solve.
     """
-    R, x = _prepare_solve(R, d)
-    _back_substitute(R.T[::-1, ::-1], x[::-1], 0, R.shape[0])
-    return x
+    R = _as_factor(R)
+    return _substitute(R, invert_diagonal_blocks(R), d, adjoint=True)
 
 
-def solve_upper_permuted(R, perm, y):
+def solve_upper_permuted(R, inv, perm, y):
     """Solve R x[perm] = y, that is M x = y for M = R Pi as in `qr_pivoted`.
 
-    Back substitution, then a scatter through the permutation; accepts
-    vector or matrix right-hand sides.
+    `inv` is `invert_diagonal_blocks(R)`, computed once per factor.  Back
+    substitution, then a scatter through the permutation; accepts vector
+    or matrix right-hand sides.
     """
-    g = solve_upper(R, y)
+    g = _substitute(R, inv, y)
     x = np.empty_like(g)
     x[perm] = g
     return x
 
 
-def solve_upper_permuted_adjoint(R, perm, d):
-    """Return R^-* d[perm], that is solve M* e = d for M = R Pi as in `qr_pivoted`."""
-    return solve_upper_adjoint(R, np.asarray(d, dtype=float)[perm])
+def solve_upper_permuted_adjoint(R, inv, perm, d):
+    """Return R^-* d[perm], that is solve M* e = d for M = R Pi as in `qr_pivoted`.
+
+    `inv` is `invert_diagonal_blocks(R)`, computed once per factor.
+    """
+    return _substitute(R, inv, np.asarray(d, dtype=float)[perm], adjoint=True)
 
 
 def invert_small(X):

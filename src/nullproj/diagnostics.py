@@ -111,7 +111,7 @@ def measured_condition(pre, A):
     the adjoint permuted solve, and returns sigma_max / sigma_min.
     """
     _check_pair(pre, A)
-    preconditioned = solve_upper_permuted_adjoint(pre.R, pre.perm, densify(A))
+    preconditioned = solve_upper_permuted_adjoint(pre.R, pre.block_inverses, pre.perm, densify(A))
     return svd_dense(preconditioned)[1]
 
 

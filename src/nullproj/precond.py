@@ -11,11 +11,17 @@ than one length-n column of G at a time.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_core import invert_small, qr_pivoted, solve_upper_permuted, solve_upper_permuted_adjoint
+from .dense_core import (
+    invert_diagonal_blocks,
+    invert_small,
+    qr_pivoted,
+    solve_upper_permuted,
+    solve_upper_permuted_adjoint,
+)
 from .errors import ConfigurationError, DimensionError, RankDeficientSketchError
 from .linop import apply_gram
 
@@ -29,8 +35,11 @@ class Preconditioner:
     `R` is upper-triangular m-by-m, `perm` the pivot index array (the
     permutation acts as z -> z[perm]), and `Y` the symmetric inverse of
     the preconditioned Gram matrix.  Construction rejects a malformed `R`,
-    `perm` or `Y`.  Instances are immutable (the arrays are marked
-    read-only) and safe to share across threads.
+    `perm` or `Y`, then derives `block_inverses`, the inverses of R's
+    diagonal blocks (`dense_core.invert_diagonal_blocks`), so that no
+    projection makes a LAPACK call; a zero on R's diagonal raises
+    `SingularFactorError` here.  Instances are immutable (the arrays are
+    marked read-only) and safe to share across threads.
     """
 
     R: np.ndarray
@@ -40,6 +49,7 @@ class Preconditioner:
     m: int
     n: int
     build_apply_counts: tuple
+    block_inverses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, arr in (("R", self.R), ("Y", self.Y)):
@@ -47,7 +57,8 @@ class Preconditioner:
                 raise DimensionError(f"{name} must be {self.m}x{self.m}, got shape {arr.shape}")
         if self.perm.dtype.kind not in "iu" or not np.array_equal(np.sort(self.perm), np.arange(self.m)):
             raise ConfigurationError(f"perm must be an integer permutation of range({self.m})")
-        for arr in (self.R, self.perm, self.Y):
+        self.block_inverses = invert_diagonal_blocks(self.R)
+        for arr in (self.R, self.perm, self.Y, self.block_inverses):
             arr.setflags(write=False)
 
 
@@ -93,15 +104,17 @@ def build_gram(A, R, perm):
 
     P* = R Pi, so (P*)^-1 is the permuted solve against the identity;
     `apply_gram` overwrites its columns with A A* (P*)^-1, and the adjoint
-    permuted solve applies P^-1 from the left.  Costs m applies of A and m
-    of A*, with one length-n temporary.
+    permuted solve applies P^-1 from the left.  Each solve inverts R's
+    diagonal blocks for itself, the first before any apply, so the inverses
+    are not held through the applies, where the build's memory peaks.
+    Costs m applies of A and m of A*, with one length-n temporary.
     """
     m, n = A.shape
     R = np.asarray(R, dtype=float)
     if R.shape != (m, m):
         raise ConfigurationError(f"R must be {m}x{m} for a {m}x{n} operator, got {R.shape}")
-    W = apply_gram(A, solve_upper_permuted(R, perm, np.eye(m)))
-    return solve_upper_permuted_adjoint(R, perm, W)
+    W = apply_gram(A, solve_upper_permuted(R, invert_diagonal_blocks(R), perm, np.eye(m)))
+    return solve_upper_permuted_adjoint(R, invert_diagonal_blocks(R), perm, W)
 
 
 def build_preconditioner(A, l, g):

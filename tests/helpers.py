@@ -36,3 +36,14 @@ def unit_vectors(n, count, seed):
     for _ in range(count):
         v = rng.standard_normal(n)
         yield v / np.linalg.norm(v)
+
+
+def substitute_by_rows(R, y, adjoint=False):
+    """Reference solve of R x = y (or R* x = y), one row at a time, no blocking."""
+    T = R.T if adjoint else R
+    m = R.shape[0]
+    x = np.zeros(m)
+    order = range(m) if adjoint else range(m - 1, -1, -1)
+    for k in order:
+        x[k] = (y[k] - T[k] @ x) / T[k, k]
+    return x

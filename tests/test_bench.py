@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nullproj import ConfigurationError, NullProjError, TrialConfig, parse_csv, run_trial
+from nullproj import ConfigurationError, LinearOperator, NullProjError, TrialConfig, parse_csv, run_trial
 from nullproj.bench import emit_csv, emit_markdown, emit_report, main
 
 
@@ -40,6 +40,25 @@ def test_config_rejects_a_non_integer_width(l):
 def test_config_stores_an_integer_width_as_an_int():
     cfg = small_config(l=np.int64(12))
     assert type(cfg.l) is int and cfg.l == 12
+
+
+@pytest.mark.parametrize("name", ["trials", "refine_iters"])
+@pytest.mark.parametrize("value", [2.5, np.float64(2.0), "2"], ids=["float", "np.float64", "str"])
+def test_config_rejects_non_integer_counts_before_any_apply(name, value, monkeypatch):
+    # refused at construction, so neither setup is built or timed first
+    products = []
+    checked_apply = LinearOperator._checked_apply
+
+    def counting_apply(self, v, adjoint):
+        products.append(adjoint)
+        return checked_apply(self, v, adjoint)
+
+    monkeypatch.setattr(LinearOperator, "_checked_apply", counting_apply)
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+        run_trial(small_config(**{name: value}))
+    assert products == []
+    cfg = small_config(**{name: np.int64(2)})
+    assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
 
 
 def test_run_trial_fields_and_counts():

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -18,9 +20,12 @@ from nullproj import (
 from nullproj.dense_core import (
     _BASE_ROWS,
     _PIVOT_TIE_RTOL,
+    invert_diagonal_blocks,
     solve_upper_permuted,
     solve_upper_permuted_adjoint,
 )
+
+from helpers import substitute_by_rows
 
 
 def reconstruction_error(M, qr):
@@ -225,17 +230,6 @@ def test_solve_upper_matrix_rhs():
     assert np.linalg.norm(R @ G - Y) <= 1e-13 * np.linalg.norm(Y)
 
 
-def substitute_by_rows(R, y, adjoint=False):
-    """Reference solve of R x = y (or R* x = y), one row at a time, no blocking."""
-    T = R.T if adjoint else R
-    m = R.shape[0]
-    x = np.zeros(m)
-    order = range(m) if adjoint else range(m - 1, -1, -1)
-    for k in order:
-        x[k] = (y[k] - T[k] @ x) / T[k, k]
-    return x
-
-
 SOLVE_SIZES = sorted(
     {1, 16, 17, 49, 128, 129, 200, 385} | {_BASE_ROWS, _BASE_ROWS + 1, 3 * _BASE_ROWS + 1}
 )
@@ -288,6 +282,41 @@ def test_vector_solve_hands_whole_blocks_to_lapack(solve, monkeypatch):
     assert np.linalg.norm(T @ x - y) <= 1e-12 * np.linalg.norm(y)
 
 
+def test_lapack_solves_only_in_the_block_inversion():
+    # Every triangular solve sweeps BLAS products over block inverses that
+    # invert_diagonal_blocks takes once per factor; a second LAPACK solve
+    # path would put a per-call factorization back on every projection.
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "nullproj"
+    inside, offenders = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "invert_diagonal_blocks":
+                allowed.update(ast.walk(node))
+        for node in ast.walk(tree):
+            linalg_solve = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "solve"
+                and getattr(node.value, "attr", getattr(node.value, "id", None)) == "linalg"
+            )
+            imported = isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "").split(".")
+            if linalg_solve or imported:
+                (inside if node in allowed else offenders).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 1 and inside[0].startswith("dense_core.py:")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("m", [1, 31, 32, 33, 100])
+def test_block_inverses_invert_the_diagonal_blocks(m):
+    R = np.linalg.qr(np.random.default_rng(4000 + m).standard_normal((m, m)))[1]
+    inv = invert_diagonal_blocks(R)
+    assert inv.shape == (m, min(m, _BASE_ROWS))
+    for a in range(0, m, _BASE_ROWS):
+        b = min(a + _BASE_ROWS, m)
+        assert np.abs(inv[a:b, : b - a] @ R[a:b, a:b] - np.eye(b - a)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])
 @pytest.mark.parametrize("m", [1, 17, 129])
 def test_permuted_solves_match_dense_oracle(m, cols):
@@ -296,9 +325,10 @@ def test_permuted_solves_match_dense_oracle(m, cols):
     perm = rng.permutation(m)
     M = R[:, np.argsort(perm)]  # M x = R x[perm]
     y = rng.standard_normal(m if cols is None else (m, cols))
+    inv = invert_diagonal_blocks(R)
     for got, ref in (
-        (solve_upper_permuted(R, perm, y), np.linalg.solve(M, y)),
-        (solve_upper_permuted_adjoint(R, perm, y), np.linalg.solve(M.T, y)),
+        (solve_upper_permuted(R, inv, perm, y), np.linalg.solve(M, y)),
+        (solve_upper_permuted_adjoint(R, inv, perm, y), np.linalg.solve(M.T, y)),
     ):
         assert got.shape == y.shape
         assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)

@@ -12,6 +12,7 @@ from nullproj import (
     MatrixOperator,
     Preconditioner,
     RankDeficientSketchError,
+    SingularFactorError,
     UniformLaggedFibonacci,
     build_gram,
     build_preconditioner,
@@ -24,6 +25,7 @@ from nullproj import (
     project,
     qr_pivoted,
 )
+from nullproj.dense_core import invert_diagonal_blocks
 from nullproj.precond import SKETCH_ATTEMPTS
 
 
@@ -206,6 +208,33 @@ def test_preconditioner_rejects_malformed_factors():
     for name in ("R", "Y"):
         with pytest.raises(DimensionError, match=name):
             Preconditioner(**{**fields, name: np.eye(5)})
+
+
+def test_preconditioner_derives_read_only_block_inverses_of_r():
+    A = make_sparse_test(40, 160, 1e4, seed=2)
+    pre = build_preconditioner(A, 44, UniformLaggedFibonacci(3))
+    assert np.array_equal(pre.block_inverses, invert_diagonal_blocks(pre.R))
+    with pytest.raises(ValueError):
+        pre.block_inverses[0, 0] = 1.0
+    # derived from R on every construction, never passed in
+    fields = dict(R=pre.R, perm=pre.perm, Y=pre.Y, l=44, m=40, n=160, build_apply_counts=(84, 40))
+    with pytest.raises(TypeError):
+        Preconditioner(**fields, block_inverses=pre.block_inverses)
+
+
+def test_preconditioner_refuses_a_zero_diagonal_factor_at_construction():
+    A = make_sparse_test(8, 32, 100.0, seed=2)
+    pre = build_preconditioner(A, 12, UniformLaggedFibonacci(3))
+    R = pre.R.copy()
+    R[5, 5] = 0.0
+    fields = dict(R=R, perm=pre.perm, Y=pre.Y, l=12, m=8, n=32, build_apply_counts=(20, 8))
+    with pytest.raises(SingularFactorError, match="index 5"):
+        Preconditioner(**fields)
+    # the shape and permutation checks run before the factor is inverted
+    with pytest.raises(DimensionError, match="R"):
+        Preconditioner(**{**fields, "R": np.zeros((5, 5))})
+    with pytest.raises(ConfigurationError, match="perm"):
+        Preconditioner(**{**fields, "perm": np.zeros(8, int)})
 
 
 def test_rank_deficient_sketch_raises_after_retries():

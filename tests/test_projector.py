@@ -9,13 +9,26 @@ from nullproj import (
     MatrixOperator,
     UniformLaggedFibonacci,
     build_preconditioner,
+    error_metrics,
+    make_dense_test,
     make_sparse_test,
+    measured_condition,
     project,
     refine_lstsq,
     solve_lstsq,
+    solve_upper,
+    solve_upper_adjoint,
 )
+from nullproj.projector import _solve_chain
 
-from helpers import oracle_lstsq, oracle_null_projection, oracle_row_projection, svd_parts, unit_vectors
+from helpers import (
+    oracle_lstsq,
+    oracle_null_projection,
+    oracle_row_projection,
+    substitute_by_rows,
+    svd_parts,
+    unit_vectors,
+)
 
 
 def build_pair(m, n, kappa, seed, l=None):
@@ -305,3 +318,59 @@ def test_concurrent_projections_share_one_preconditioner():
     for got, want in zip(results, serial):
         assert np.array_equal(got, want)
     assert (after[0] - before[0], after[1] - before[1]) == (len(bs), len(bs))
+
+
+def test_projections_after_a_build_make_no_lapack_solve(monkeypatch):
+    # R's diagonal blocks are inverted once per build; every solve after
+    # that is BLAS products only, on both the randomized and classical paths
+    A, pre = build_pair(100, 1000, 1e8, seed=70)
+    classical = ClassicalProjector(A)
+    b = np.random.default_rng(71).standard_normal(1000)
+    calls = []
+    lapack_solve = np.linalg.solve
+
+    def counting_solve(a, rhs):
+        calls.append(a.shape)
+        return lapack_solve(a, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    project(pre, A, b)
+    refine_lstsq(pre, A, b, solve_lstsq(pre, A, b), 2)
+    classical.project(b)
+    measured_condition(pre, A)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12])
+@pytest.mark.parametrize("family", [make_sparse_test, make_dense_test], ids=["sparse", "dense"])
+def test_blocked_chain_holds_the_error_bounds_at_m400(family, kappa):
+    # (400, 4000) spans 13 diagonal blocks of R, so most of each solve is
+    # the products between blocks rather than one block inverse
+    m, n = 400, 4000
+    eps = np.finfo(float).eps
+    A = family(m, n, kappa, 80)
+    pre = build_preconditioner(A, m + 4, UniformLaggedFibonacci(81))
+    R, perm = pre.R, pre.perm
+    for b in unit_vectors(n, 2, 82):
+        em = error_metrics(A, lambda v: project(pre, A, v).null_projection, b, kappa, "randomized")
+        assert em.delta_over_kappa <= 1e-13
+        assert em.epsilon_over_kappa <= 1e-13
+
+        # the chain step by step, each solve against the row-by-row reference
+        c = A.apply(b)
+        e = solve_upper_adjoint(R, c[perm])
+        e_ref = substitute_by_rows(R, c[perm], adjoint=True)
+        y = pre.Y @ e_ref
+        g = solve_upper(R, y)
+        g_ref = substitute_by_rows(R, y)
+        for T, x, rhs in ((R.T, e, c[perm]), (R, g, y)):
+            # componentwise backward error of substitution, whatever kappa is
+            assert (np.abs(T @ x - rhs) <= 4 * m * eps * (np.abs(T) @ np.abs(x))).all()
+        assert np.linalg.norm(g - g_ref) <= 1e-11 * np.linalg.norm(g_ref)
+        h = _solve_chain(pre, c)
+        h_ref = np.empty(m)
+        h_ref[perm] = g_ref
+        # the adjoint solve's forward error grows with cond(R), about kappa,
+        # for any substitution order: the chain matches to 1e-11 at kappa
+        # 1e4 and to about kappa eps beyond
+        assert np.linalg.norm(h - h_ref) <= max(1e-11, 100 * kappa * eps) * np.linalg.norm(h_ref)
