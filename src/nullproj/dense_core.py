@@ -13,6 +13,14 @@ adjoint solve sweeps the other way on forward views of the same factor.
 A factor held for many solves keeps its block inverses, so its solves
 make no LAPACK call.
 
+Ownership: the substitution kernel and the private forms built on it
+(`_solve_upper_permuted`, `_invert_spd`) overwrite the array they are
+given, so a caller that owns a fresh array, such as the Gram build's
+identity or its Gram matrix, hands it over without a copy.  Every public
+function copies its input once at its boundary, so the caller's arrays
+are never written and may be read-only; the adjoint permuted solve needs
+no copy, because its gather d[perm] is already a fresh array.
+
 The QR factors `_PANEL` columns at a time and updates the rest of the
 matrix with one matrix product per panel; it keeps its Householder
 vectors in LAPACK's compact layout and forms the orthonormal factor only
@@ -97,7 +105,7 @@ class PivotedQR:
                 T[:i, i] = -tau[i] * (T[:i, :i] @ S[:i, i])
                 T[i, i] = tau[i]
             Q[k:, k:] -= V @ (T @ (V.T @ Q[k:, k:]))
-        Q[:, self.flip] *= -1.0
+        np.negative(Q, out=Q, where=self.flip)
         return Q
 
 
@@ -153,7 +161,7 @@ def qr_pivoted(M):
             i = c - k
             big = sq[c:].max()
             if big == 0.0:
-                break  # the remaining columns are exactly zero; R stays zero there
+                break  # no column is left to factor; R's rows from c on are zeroed below
             piv = c + int((sq[c:] >= big * _TIED).argmax())
             if piv != c:
                 W[c], W[piv] = W[piv], W[c].copy()
@@ -179,7 +187,11 @@ def qr_pivoted(M):
             stale = sq[c + 1 :] < floor[c + 1 :]
             c += 1
         if c == k:
-            break  # the rest of the matrix is exactly zero
+            # the remaining columns are zero, or so small that their squared
+            # norms underflow; R is zero there, which keeps its diagonal
+            # nonincreasing, and tau = 0 leaves Q's columns alone
+            W[k:, k:] = 0.0
+            break
         W[c:, c:] -= F[c - k :, : c - k] @ W[k:c, c:]  # the panel's update, in one product
         if stale.any():
             stale = c + np.flatnonzero(stale)
@@ -192,7 +204,7 @@ def qr_pivoted(M):
     np.ldexp(R, e, out=R)
     # sign convention: flip rows of R (and matching Q columns) so diag(R) >= 0
     flip = np.diag(R) < 0.0
-    R[flip, :] *= -1.0
+    np.negative(R, out=R, where=flip[:, None])
     return PivotedQR(R=R, perm=perm, householder=W.T, tau=tau, flip=flip)
 
 
@@ -230,15 +242,15 @@ def invert_diagonal_blocks(R):
     return inv
 
 
-def _substitute(R, inv, rhs, adjoint=False):
-    """Solve R x = rhs, or R* x = rhs when `adjoint`, given `inv = invert_diagonal_blocks(R)`.
+def _substitute(R, inv, x, adjoint=False):
+    """Overwrite the float array x with R^-1 x, or R^-* x when `adjoint`; returns x.
 
-    Back substitution runs bottom to top, x[a:b] = D (rhs[a:b] - R[a:b, b:] x[b:])
-    with D the inverse of block [a, b).  The adjoint is forward substitution
-    top to bottom, x[a:b] = D* (rhs[a:b] - R[:a, a:b]* x[:a]).  Every
-    product reads a forward view of R, which BLAS takes without a copy.
+    `inv` is `invert_diagonal_blocks(R)`.  Back substitution runs bottom
+    to top, x[a:b] = D (x[a:b] - R[a:b, b:] x[b:]) with D the inverse of
+    block [a, b).  The adjoint is forward substitution top to bottom,
+    x[a:b] = D* (x[a:b] - R[:a, a:b]* x[:a]).  Every product reads a
+    forward view of R, which BLAS takes without a copy.
     """
-    x = np.array(rhs, dtype=float)
     m = R.shape[0]
     if x.shape[0] != m:
         raise DimensionError(f"right-hand side length {x.shape[0]} does not match factor size {m}")
@@ -260,29 +272,34 @@ def solve_upper(R, y):
 
     R must be upper-triangular with exact zeros below its diagonal: its
     diagonal blocks are read whole.  A one-off solve: it inverts R's
-    diagonal blocks and sweeps once.
+    diagonal blocks and sweeps once, on its own copy of y.
     """
     R = _as_factor(R)
-    return _substitute(R, invert_diagonal_blocks(R), y)
+    return _substitute(R, invert_diagonal_blocks(R), np.array(y, dtype=float))
 
 
 def solve_upper_adjoint(R, d):
     """Solve R* e = d (R upper-triangular); accepts vector or matrix right-hand sides.
 
     R* is lower-triangular, so this is forward substitution with the
-    transposed blocks of R, as in `solve_upper` a one-off solve.
+    transposed blocks of R, as in `solve_upper` a one-off solve on a copy of d.
     """
     R = _as_factor(R)
-    return _substitute(R, invert_diagonal_blocks(R), d, adjoint=True)
+    return _substitute(R, invert_diagonal_blocks(R), np.array(d, dtype=float), adjoint=True)
 
 
 def solve_upper_permuted(R, inv, perm, y):
     """Solve R x[perm] = y, that is M x = y for M = R Pi as in `qr_pivoted`.
 
     `inv` is `invert_diagonal_blocks(R)`, computed once per factor.  Back
-    substitution, then a scatter through the permutation; accepts vector
-    or matrix right-hand sides.
+    substitution on a copy of y, then a scatter through the permutation;
+    accepts vector or matrix right-hand sides.
     """
+    return _solve_upper_permuted(R, inv, perm, np.array(y, dtype=float))
+
+
+def _solve_upper_permuted(R, inv, perm, y):
+    """`solve_upper_permuted` for a float array y that it overwrites on the way."""
     g = _substitute(R, inv, y)
     x = np.empty_like(g)
     x[perm] = g
@@ -292,7 +309,9 @@ def solve_upper_permuted(R, inv, perm, y):
 def solve_upper_permuted_adjoint(R, inv, perm, d):
     """Return R^-* d[perm], that is solve M* e = d for M = R Pi as in `qr_pivoted`.
 
-    `inv` is `invert_diagonal_blocks(R)`, computed once per factor.
+    `inv` is `invert_diagonal_blocks(R)`, computed once per factor.  The
+    gather d[perm] is already a fresh array, so the solve runs on it and
+    d is left as it was.
     """
     return _substitute(R, inv, np.asarray(d, dtype=float)[perm], adjoint=True)
 
@@ -305,9 +324,17 @@ def invert_small(X):
     is well conditioned by construction, so an X that is not numerically
     SPD means a broken build and raises FactorizationError.  The result is
     symmetrized, so Y == Y.T holds exactly.  A NaN or infinite entry
-    raises DomainError.
+    raises DomainError.  X is left as it was: the inverse runs on a copy.
     """
-    X = np.asarray(X, dtype=float)
+    return _invert_spd(np.array(X, dtype=float))
+
+
+def _invert_spd(X):
+    """`invert_small` for a float array X that it overwrites: X ends up holding Y.
+
+    X is dead once its Cholesky factor exists, so it takes W = L^-1 and
+    then Y; besides X, at most one m-by-m array (L, then W* W) is alive.
+    """
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionError(f"invert_small expects a square matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
@@ -317,13 +344,16 @@ def invert_small(X):
         L = np.linalg.cholesky(X)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"matrix of size {m} is not positive definite: {exc}") from exc
-    W = solve_upper_adjoint(L.T, np.eye(m))  # L W = I
+    X[...] = 0.0
+    np.fill_diagonal(X, 1.0)
+    W = _substitute(L.T, invert_diagonal_blocks(L.T), X, adjoint=True)  # L W = I
     del L
     Y = W.T @ W
-    del W
     # numpy happens to compute W.T @ W with a symmetric kernel (syrk), which
     # makes it exactly symmetric, but nothing documents that
-    return (Y + Y.T) / 2.0
+    np.add(Y, Y.T, out=W)
+    W /= 2.0
+    return W
 
 
 def svd_dense(M):

@@ -231,7 +231,12 @@ class DenseTestMatrix(LinearOperator):
         return self.base._apply_impl(x) + self.scale * (self.E @ (self.F @ x))
 
     def _apply_adjoint_impl(self, y):
-        return self.base._apply_adjoint_impl(y) + self.scale * (self.F.T @ (self.E.T @ y))
+        # both terms are fresh length-n arrays, so the update goes in place
+        out = self.base._apply_adjoint_impl(y)
+        low_rank = self.F.T @ (self.E.T @ y)
+        low_rank *= self.scale
+        out += low_rank
+        return out
 
 
 class MatrixOperator(LinearOperator):

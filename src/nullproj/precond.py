@@ -8,6 +8,13 @@ preconditioned Gram matrix.  The Gram build is the permuted solve pair of
 `dense_core` wrapped around `linop.apply_gram`.  The whole build costs
 exactly l+m applies of A and m applies of A*, and never allocates more
 than one length-n column of G at a time.
+
+Working set: the QR of the sketch is the peak, narrowly, with the m-by-l
+sketch, the QR's m-by-l working copy and R alive (3.21 m^2 doubles at
+(m, l) = (400, 404)).  The Gram build and the inverse each hold at most
+three m-by-m arrays, R among them (3.16 m^2 doubles at m = 400), because
+their solves and the inverse overwrite arrays the build owns: the Gram
+build's identity takes R^-1, and the Gram matrix X takes L^-1 and then Y.
 """
 
 import operator
@@ -16,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense_core import (
+    _invert_spd,
+    _solve_upper_permuted,
     invert_diagonal_blocks,
-    invert_small,
     qr_pivoted,
-    solve_upper_permuted,
     solve_upper_permuted_adjoint,
 )
 from .errors import ConfigurationError, DimensionError, RankDeficientSketchError
@@ -102,18 +109,19 @@ def build_sketch(A, l, g):
 def build_gram(A, R, perm):
     """Preconditioned Gram matrix X = P^-1 A A* (P*)^-1 with P = Pi* R*.
 
-    P* = R Pi, so (P*)^-1 is the permuted solve against the identity;
-    `apply_gram` overwrites its columns with A A* (P*)^-1, and the adjoint
-    permuted solve applies P^-1 from the left.  Each solve inverts R's
-    diagonal blocks for itself, the first before any apply, so the inverses
-    are not held through the applies, where the build's memory peaks.
+    P* = R Pi, so (P*)^-1 is the permuted solve against the identity,
+    which it overwrites on the way; `apply_gram` overwrites its columns
+    with A A* (P*)^-1, and the adjoint permuted solve applies P^-1 from
+    the left.  Each solve inverts R's diagonal blocks for itself, the first
+    before any apply, so the inverses are not held through the applies,
+    where a build with large n peaks.
     Costs m applies of A and m of A*, with one length-n temporary.
     """
     m, n = A.shape
     R = np.asarray(R, dtype=float)
     if R.shape != (m, m):
         raise ConfigurationError(f"R must be {m}x{m} for a {m}x{n} operator, got {R.shape}")
-    W = apply_gram(A, solve_upper_permuted(R, invert_diagonal_blocks(R), perm, np.eye(m)))
+    W = apply_gram(A, _solve_upper_permuted(R, invert_diagonal_blocks(R), perm, np.eye(m)))
     return solve_upper_permuted_adjoint(R, invert_diagonal_blocks(R), perm, W)
 
 
@@ -139,7 +147,11 @@ def build_preconditioner(A, l, g):
     Only R and the permutation outlive the attempt that produced them:
     the sketch and the QR's Householder reflectors (an l-by-m array) are
     freed before the Gram build, so neither adds to the memory the Gram
-    matrix and its inverse need.
+    matrix and its inverse need.  The build's memory peaks in the QR,
+    with two m-by-l arrays and R alive; the Gram build and the inverse
+    then hold at most three m-by-m arrays each, R included, because the
+    solves and the inverse run in place on arrays the build made (the
+    Gram matrix X is overwritten by Y).
     """
     m, n = A.shape
     l = _check_sketch_width(l, m, n)
@@ -156,7 +168,7 @@ def build_preconditioner(A, l, g):
         raise RankDeficientSketchError(
             f"sketch was rank deficient in {SKETCH_ATTEMPTS} attempts; is the operator full rank?"
         )
-    Y = invert_small(build_gram(A, R, perm))
+    Y = _invert_spd(build_gram(A, R, perm))
     after = A.counts()
     return Preconditioner(
         R=R,

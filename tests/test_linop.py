@@ -287,6 +287,16 @@ def test_dense_adjoint_matches_transposed_dense():
     assert np.allclose(A.apply_adjoint(y), Ad.T @ y, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("m,n", [(8, 32), (100, 20000)])
+def test_dense_adjoint_is_bitwise_the_sum_of_its_terms(m, n):
+    # the rank-10 term is added in place into the base's output; the
+    # reference is the same sum written as one expression
+    A = make_dense_test(m, n, 1e4, seed=17)
+    for y in np.random.default_rng(18).standard_normal((3, m)):
+        want = A.base._apply_adjoint_impl(y) + A.scale * (A.F.T @ (A.E.T @ y))
+        assert A.apply_adjoint(y).tobytes() == want.tobytes()
+
+
 def test_dimension_errors():
     A = make_sparse_test(4, 8, 10.0, seed=17)
     with pytest.raises(DimensionError):

@@ -20,6 +20,7 @@ from nullproj import (
     default_sketch_width,
     densify,
     invert_small,
+    make_dense_test,
     make_sparse_test,
     measured_condition,
     project,
@@ -330,8 +331,9 @@ def test_build_memory_stays_far_below_full_g():
 
 
 def test_build_holds_no_sketch_through_inverse():
-    # the build's peak is its last phase: the inverse, with X and R alive;
-    # a sketch still referenced by then would add one more m-by-l array
+    # the inverse holds X and R alive (it is not the build's peak, which is
+    # the QR of the sketch); a sketch still referenced by then would add
+    # one more m-by-l array
     m, n, l = 100, 1000, 104
     A = make_sparse_test(m, n, 1e8, seed=24)
     # the first builds in a process also fill interpreter caches, which
@@ -343,6 +345,27 @@ def test_build_holds_no_sketch_through_inverse():
     X = build_gram(A, pre.R, pre.perm)
     inv_peak = traced_peak(invert_small, X)
     assert build_peak - inv_peak - X.nbytes - pre.R.nbytes < m * l * 8
+
+
+def test_build_working_set_stays_near_three_sketch_sized_arrays():
+    # the QR holds the sketch, its working copy and R (about 3.3 m l
+    # doubles); the Gram build and the inverse hold at most three m-by-m
+    # arrays, since their solves and the inverse overwrite arrays the build
+    # owns; one throwaway m-by-m copy in either phase passes 3.6 m l
+    m, n, l = 200, 2000, 204
+    A = make_sparse_test(m, n, 1e8, seed=30)
+    peak = min(traced_peak(build_preconditioner, A, l, UniformLaggedFibonacci(31)) for _ in range(3))
+    assert peak < 3.6 * m * l * 8
+
+
+def test_dense_build_holds_few_length_n_vectors():
+    # the dense family's adjoint adds its rank-10 term into the base's
+    # output in place: about 3 length-n vectors at the peak, against 4
+    # with one more temporary per adjoint apply
+    m, n = 100, 20_000
+    A = make_dense_test(m, n, 1e12, seed=32)
+    peak = min(traced_peak(build_preconditioner, A, m + 4, GaussianStream(33)) for _ in range(3))
+    assert peak < 3.5 * n * 8
 
 
 def test_build_gram_rejects_wrong_factor_shape():
