@@ -1,7 +1,8 @@
 """Small dense kernels: pivoted Householder QR, triangular solves, inversion.
 
-The permuted solve pair owns the pivot convention M = R Pi of `qr_pivoted`,
-so no caller indexes with the permutation itself.
+`PermutedFactor` owns the pivoted factor M = R Pi of `qr_pivoted`: its
+checks, its block inverses and both permuted solves, so no caller indexes
+with the permutation or handles the block inverses itself.
 
 These run on matrices whose side is the short dimension m of the operator.
 Both triangular solves run on one partitioned inverse of the factor: each
@@ -10,16 +11,18 @@ LAPACK solve against the identity, and a solve is then a sweep of BLAS
 products, one with the already-solved part and one with the block's
 inverse per block row; no loop over rows runs in the interpreter.  The
 adjoint solve sweeps the other way on forward views of the same factor.
-A factor held for many solves keeps its block inverses, so its solves
-make no LAPACK call.
+A `PermutedFactor` held for many solves keeps its block inverses, so its
+solves make no LAPACK call.
 
-Ownership: the substitution kernel and the private forms built on it
-(`_solve_upper_permuted`, `_invert_spd`) overwrite the array they are
-given, so a caller that owns a fresh array, such as the Gram build's
-identity or its Gram matrix, hands it over without a copy.  Every public
-function copies its input once at its boundary, so the caller's arrays
-are never written and may be read-only; the adjoint permuted solve needs
-no copy, because its gather d[perm] is already a fresh array.
+Ownership: the substitution kernel overwrites the array it is given, and
+so do `PermutedFactor.solve` and the private `_invert_spd`, so a caller
+that owns a fresh array, such as the Gram build's identity, the chain's
+`Y @ ...` or the Gram matrix, hands it over without a copy.
+`PermutedFactor.solve_adjoint` never writes its input, because its
+gather d[perm] is already a fresh array, and the public functions
+(`solve_upper`, `solve_upper_adjoint`, `invert_small`) copy their input
+once at their boundary, so the caller's arrays are never written and may
+be read-only.  A `PermutedFactor` holds R and perm without copying them.
 
 The QR factors `_PANEL` columns at a time and updates the rest of the
 matrix with one matrix product per panel; it keeps its Householder
@@ -31,8 +34,9 @@ and the stale norms are computed again from their columns, so a pivot is
 never chosen from a norm that cancellation has emptied.  That matters
 because the factorization doubles as a rank detector.  The QR, the
 inverse and the SVD oracle refuse a NaN or infinite input with
-`DomainError`; the triangular solves run on every projection, and only
-the block inversion checks the factor, for a zero diagonal.
+`DomainError`; the triangular solves run on every projection, so they
+check only the right-hand side's length, and a `PermutedFactor` checks
+its R (finite, no zero on the diagonal) and its perm once, when it is made.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +44,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FactorizationError, SingularFactorError, SizeCapError
+from .errors import (
+    ConfigurationError,
+    DimensionError,
+    DomainError,
+    FactorizationError,
+    SingularFactorError,
+    SizeCapError,
+)
 
 ORACLE_CAP = 1_000_000  # max entries the dense oracles svd_dense and linop.densify accept
 
@@ -216,7 +227,7 @@ def _as_factor(R):
 
 
 def invert_diagonal_blocks(R):
-    """The inverses of an upper-triangular factor's diagonal blocks, for `solve_upper*`.
+    """The inverses of an upper-triangular factor's diagonal blocks, for the solves.
 
     The blocks are R[a:b, a:b] for a = 0, `_BASE_ROWS`, 2 `_BASE_ROWS`, ...
     and b = min(a + `_BASE_ROWS`, m).  Returns an m-by-min(m, `_BASE_ROWS`)
@@ -242,6 +253,11 @@ def invert_diagonal_blocks(R):
     return inv
 
 
+def _check_rhs(x, m):
+    if x.shape[:1] != (m,):
+        raise DimensionError(f"right-hand side of shape {x.shape} does not match factor size {m}")
+
+
 def _substitute(R, inv, x, adjoint=False):
     """Overwrite the float array x with R^-1 x, or R^-* x when `adjoint`; returns x.
 
@@ -252,8 +268,7 @@ def _substitute(R, inv, x, adjoint=False):
     forward view of R, which BLAS takes without a copy.
     """
     m = R.shape[0]
-    if x.shape[0] != m:
-        raise DimensionError(f"right-hand side length {x.shape[0]} does not match factor size {m}")
+    _check_rhs(x, m)
     starts = range(0, m, _BASE_ROWS)
     for a in starts if adjoint else reversed(starts):
         b = min(a + _BASE_ROWS, m)
@@ -288,32 +303,47 @@ def solve_upper_adjoint(R, d):
     return _substitute(R, invert_diagonal_blocks(R), np.array(d, dtype=float), adjoint=True)
 
 
-def solve_upper_permuted(R, inv, perm, y):
-    """Solve R x[perm] = y, that is M x = y for M = R Pi as in `qr_pivoted`.
+class PermutedFactor:
+    """The factor M = R Pi of `qr_pivoted`, with R's block inverses and both solves.
 
-    `inv` is `invert_diagonal_blocks(R)`, computed once per factor.  Back
-    substitution on a copy of y, then a scatter through the permutation;
-    accepts vector or matrix right-hand sides.
+    Holds `R` and `perm` without copying them.  Construction checks them
+    once: `perm` must be an integer permutation of range(m)
+    (ConfigurationError) and `R` square (DimensionError) and finite
+    (DomainError); then it inverts R's diagonal blocks, which raises
+    SingularFactorError on a zero diagonal, so its solves make no LAPACK
+    call and check nothing but the right-hand side's length.
     """
-    return _solve_upper_permuted(R, inv, perm, np.array(y, dtype=float))
 
+    def __init__(self, R, perm):
+        self.R = _as_factor(R)
+        self.perm = np.asarray(perm)
+        m = self.R.shape[0]
+        if self.perm.dtype.kind not in "iu" or not np.array_equal(np.sort(self.perm), np.arange(m)):
+            raise ConfigurationError(f"perm must be an integer permutation of range({m})")
+        if not np.isfinite(self.R).all():
+            raise DomainError("R must be finite, got a NaN or infinite entry")
+        self.block_inverses = invert_diagonal_blocks(self.R)
+        self.block_inverses.setflags(write=False)
 
-def _solve_upper_permuted(R, inv, perm, y):
-    """`solve_upper_permuted` for a float array y that it overwrites on the way."""
-    g = _substitute(R, inv, y)
-    x = np.empty_like(g)
-    x[perm] = g
-    return x
+    def solve(self, y):
+        """Return x with M x = y, that is R x[perm] = y; may overwrite the float array y.
 
+        Back substitution in y, then a scatter through the permutation;
+        accepts vector or matrix right-hand sides.
+        """
+        g = _substitute(self.R, self.block_inverses, np.asarray(y, dtype=float))
+        x = np.empty_like(g)
+        x[self.perm] = g
+        return x
 
-def solve_upper_permuted_adjoint(R, inv, perm, d):
-    """Return R^-* d[perm], that is solve M* e = d for M = R Pi as in `qr_pivoted`.
+    def solve_adjoint(self, d):
+        """Return R^-* d[perm], that is solve M* e = d; d is left as it was.
 
-    `inv` is `invert_diagonal_blocks(R)`, computed once per factor.  The
-    gather d[perm] is already a fresh array, so the solve runs on it and
-    d is left as it was.
-    """
-    return _substitute(R, inv, np.asarray(d, dtype=float)[perm], adjoint=True)
+        The gather d[perm] is already a fresh array, so the solve runs on it.
+        """
+        d = np.asarray(d, dtype=float)
+        _check_rhs(d, self.R.shape[0])  # before the gather, which would drop rows past m
+        return _substitute(self.R, self.block_inverses, d[self.perm], adjoint=True)
 
 
 def invert_small(X):

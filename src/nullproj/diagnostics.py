@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_core import solve_upper_permuted_adjoint, svd_dense
+from .dense_core import svd_dense
 from .errors import DomainError
 from .linop import densify
 from .projector import _check_pair
@@ -108,10 +108,11 @@ def measured_condition(pre, A):
     """Actual condition number of the preconditioned operator, via the SVD oracle.
 
     Densifies A (at most `dense_core.ORACLE_CAP` entries), forms P^-1 A with
-    the adjoint permuted solve, and returns sigma_max / sigma_min.
+    `pre.factor.solve_adjoint`, which leaves the dense copy of A alone,
+    and returns sigma_max / sigma_min.
     """
     _check_pair(pre, A)
-    preconditioned = solve_upper_permuted_adjoint(pre.R, pre.block_inverses, pre.perm, densify(A))
+    preconditioned = pre.factor.solve_adjoint(densify(A))
     return svd_dense(preconditioned)[1]
 
 

@@ -4,10 +4,10 @@ Given a counted operator A (m-by-n, m <= n) and a random stream, this
 module forms the sketch S = A G column by column, takes a pivoted QR of
 S*, and precomputes everything a projection needs afterwards: the
 triangular factor R, the pivot permutation, and the inverse Y of the
-preconditioned Gram matrix.  The Gram build is the permuted solve pair of
-`dense_core` wrapped around `linop.apply_gram`.  The whole build costs
-exactly l+m applies of A and m applies of A*, and never allocates more
-than one length-n column of G at a time.
+preconditioned Gram matrix.  The Gram build is the two solves of a
+`dense_core.PermutedFactor` wrapped around `linop.apply_gram`.  The whole
+build costs exactly l+m applies of A and m applies of A*, and never
+allocates more than one length-n column of G at a time.
 
 Working set: the QR of the sketch is the peak, narrowly, with the m-by-l
 sketch, the QR's m-by-l working copy and R alive (3.21 m^2 doubles at
@@ -22,14 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_core import (
-    _invert_spd,
-    _solve_upper_permuted,
-    invert_diagonal_blocks,
-    qr_pivoted,
-    solve_upper_permuted_adjoint,
-)
-from .errors import ConfigurationError, DimensionError, RankDeficientSketchError
+from .dense_core import PermutedFactor, _invert_spd, qr_pivoted
+from .errors import ConfigurationError, DimensionError, DomainError, RankDeficientSketchError
 from .linop import apply_gram
 
 SKETCH_ATTEMPTS = 3  # sketches a build tries before it reports a rank-deficient operator
@@ -41,12 +35,15 @@ class Preconditioner:
 
     `R` is upper-triangular m-by-m, `perm` the pivot index array (the
     permutation acts as z -> z[perm]), and `Y` the symmetric inverse of
-    the preconditioned Gram matrix.  Construction rejects a malformed `R`,
-    `perm` or `Y`, then derives `block_inverses`, the inverses of R's
-    diagonal blocks (`dense_core.invert_diagonal_blocks`), so that no
-    projection makes a LAPACK call; a zero on R's diagonal raises
-    `SingularFactorError` here.  Instances are immutable (the arrays are
-    marked read-only) and safe to share across threads.
+    the preconditioned Gram matrix.  Construction checks the shapes of
+    `R` and `Y` and that `Y` is finite, then derives `factor`, the
+    `dense_core.PermutedFactor` of `R` and `perm`.  The factor holds
+    those two arrays without a copy and checks them: a `perm` that is not
+    an integer permutation raises `ConfigurationError`, a NaN or infinite
+    entry of `R` `DomainError` and a zero on R's diagonal
+    `SingularFactorError`.  It inverts R's diagonal blocks once, so that
+    no projection makes a LAPACK call.  Instances are immutable (the
+    arrays are marked read-only) and safe to share across threads.
     """
 
     R: np.ndarray
@@ -56,16 +53,18 @@ class Preconditioner:
     m: int
     n: int
     build_apply_counts: tuple
-    block_inverses: np.ndarray = field(init=False, repr=False)
+    factor: PermutedFactor = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, arr in (("R", self.R), ("Y", self.Y)):
             if arr.shape != (self.m, self.m):
                 raise DimensionError(f"{name} must be {self.m}x{self.m}, got shape {arr.shape}")
-        if self.perm.dtype.kind not in "iu" or not np.array_equal(np.sort(self.perm), np.arange(self.m)):
-            raise ConfigurationError(f"perm must be an integer permutation of range({self.m})")
-        self.block_inverses = invert_diagonal_blocks(self.R)
-        for arr in (self.R, self.perm, self.Y, self.block_inverses):
+        if not np.isfinite(self.Y).all():
+            raise DomainError("Y must be finite, got a NaN or infinite entry")
+        self.factor = PermutedFactor(self.R, self.perm)
+        # the factor converts a non-float R once; both then hold that one array
+        self.R, self.perm = self.factor.R, self.factor.perm
+        for arr in (self.R, self.perm, self.Y):
             arr.setflags(write=False)
 
 
@@ -109,20 +108,21 @@ def build_sketch(A, l, g):
 def build_gram(A, R, perm):
     """Preconditioned Gram matrix X = P^-1 A A* (P*)^-1 with P = Pi* R*.
 
-    P* = R Pi, so (P*)^-1 is the permuted solve against the identity,
+    P* = R Pi, so (P*)^-1 is `PermutedFactor.solve` against the identity,
     which it overwrites on the way; `apply_gram` overwrites its columns
-    with A A* (P*)^-1, and the adjoint permuted solve applies P^-1 from
-    the left.  Each solve inverts R's diagonal blocks for itself, the first
-    before any apply, so the inverses are not held through the applies,
-    where a build with large n peaks.
+    with A A* (P*)^-1, and `PermutedFactor.solve_adjoint` applies P^-1
+    from the left.  Each solve makes its own factor, the first before any
+    apply, so a malformed `perm` raises `ConfigurationError` with no apply
+    spent, and R's block inverses are not held through the applies, where
+    a build with large n peaks.
     Costs m applies of A and m of A*, with one length-n temporary.
     """
     m, n = A.shape
     R = np.asarray(R, dtype=float)
     if R.shape != (m, m):
         raise ConfigurationError(f"R must be {m}x{m} for a {m}x{n} operator, got {R.shape}")
-    W = apply_gram(A, _solve_upper_permuted(R, invert_diagonal_blocks(R), perm, np.eye(m)))
-    return solve_upper_permuted_adjoint(R, invert_diagonal_blocks(R), perm, W)
+    W = apply_gram(A, PermutedFactor(R, perm).solve(np.eye(m)))
+    return PermutedFactor(R, perm).solve_adjoint(W)
 
 
 def build_preconditioner(A, l, g):

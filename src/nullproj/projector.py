@@ -3,10 +3,13 @@
 The randomized path applies seven cheap steps per vector: one apply of A,
 the adjoint permuted solve P^-1 (a permutation and a triangular solve), one
 small matvec with Y, the permuted solve (P*)^-1 (a triangular solve and a
-permutation), and one apply of A*.  Each triangular solve is a sweep of
-BLAS products with R and the inverses of its diagonal blocks, which the
-`Preconditioner` took once at construction (a partitioned inverse, never
-an inverse of R or of anything Gram-like), so no projection calls LAPACK.
+permutation), and one apply of A*.  Both permuted solves are methods of
+`pre.factor`, the `dense_core.PermutedFactor` that owns R, perm and the
+inverses of R's diagonal blocks, taken once at construction (a
+partitioned inverse, never an inverse of R or of anything Gram-like), so
+each triangular solve is a sweep of BLAS products and no projection
+calls LAPACK.  `solve` may overwrite its input, so the chain hands it the
+fresh `Y @ ...` product.
 The classical normal-equations path is kept as a baseline: it squares the
 condition number and loses accuracy exactly the way the benchmark tables
 show.
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_core import invert_diagonal_blocks, qr_pivoted, solve_upper_permuted, solve_upper_permuted_adjoint
-from .errors import ConfigurationError, DimensionError, DomainError, FactorizationError
+from .dense_core import PermutedFactor, qr_pivoted
+from .errors import ConfigurationError, DimensionError, DomainError
 from .linop import apply_gram
 
 
@@ -54,8 +57,7 @@ def _check_vector(b, n, name="b"):
 
 def _solve_chain(pre, c):
     """Steps 2-6: h = (P*)^-1 Y P^-1 c for c = A b, each factor applied on its own."""
-    R, inv, perm = pre.R, pre.block_inverses, pre.perm
-    return solve_upper_permuted(R, inv, perm, pre.Y @ solve_upper_permuted_adjoint(R, inv, perm, c))
+    return pre.factor.solve(pre.Y @ pre.factor.solve_adjoint(c))
 
 
 def project(pre, A, b):
@@ -104,28 +106,25 @@ class ClassicalProjector:
     """Normal-equations baseline: cache A A* and its pivoted QR, then project.
 
     Setup applies A* to each unit vector and A to the result (m applies
-    of each) and inverts the diagonal blocks of R once; afterwards every
-    projection costs one apply of A, one of A*, a matvec with Q* and one
-    triangular solve.  Deliberately reproduces the unstable classical
-    scheme, so expect garbage when kappa(A)^2 passes 1/eps.  A NaN or
-    infinite operator output raises `DomainError` from the apply that
-    returned it.
+    of each) and makes the `PermutedFactor` of the QR once; afterwards
+    every projection costs one apply of A, one of A*, a matvec with Q* and
+    one triangular solve.  Deliberately reproduces the unstable classical
+    scheme, so expect garbage when kappa(A)^2 passes 1/eps; an exactly
+    singular A A*, such as from a zero row of A, raises
+    `SingularFactorError`.  A NaN or infinite operator output raises
+    `DomainError` from the apply that returned it.
     """
 
     def __init__(self, A):
         qr = qr_pivoted(apply_gram(A, np.eye(A.shape[0])))
-        if (np.diag(qr.R) == 0.0).any():
-            raise FactorizationError("A A* is exactly singular; cannot build the classical projector")
         self.A = A
-        self._R = qr.R
-        self._block_inverses = invert_diagonal_blocks(qr.R)
+        self._factor = PermutedFactor(qr.R, qr.perm)
         self._Q = qr.Q  # formed now, so setup rather than the first projection pays for it
-        self._perm = qr.perm
 
     def project(self, b):
         A = self.A
         b = _check_vector(b, A.shape[1])
         # A A* = Q R Pi
-        x = solve_upper_permuted(self._R, self._block_inverses, self._perm, self._Q.T @ A.apply(b))
+        x = self._factor.solve(self._Q.T @ A.apply(b))
         row = A.apply_adjoint(x)
         return ProjectionResult(row_projection=row, null_projection=b - row, lstsq_solution=x)

@@ -17,13 +17,7 @@ from nullproj import (
     solve_upper_adjoint,
     svd_dense,
 )
-from nullproj.dense_core import (
-    _BASE_ROWS,
-    _PIVOT_TIE_RTOL,
-    invert_diagonal_blocks,
-    solve_upper_permuted,
-    solve_upper_permuted_adjoint,
-)
+from nullproj.dense_core import _BASE_ROWS, _PIVOT_TIE_RTOL, PermutedFactor, invert_diagonal_blocks
 
 from helpers import substitute_by_rows
 
@@ -323,6 +317,27 @@ def test_lapack_solves_only_in_the_block_inversion():
     assert offenders == []
 
 
+def test_pivoted_factor_has_one_owner():
+    # Only dense_core inverts R's blocks or sweeps with them, and only it
+    # indexes with the pivot permutation: every other module goes through
+    # PermutedFactor, so the block layout and the convention M = R Pi can
+    # change in one place.
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "nullproj"
+    owned = {"invert_diagonal_blocks", "_substitute"}
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "dense_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            by_perm = isinstance(node, ast.Subscript) and (
+                getattr(node.slice, "id", getattr(node.slice, "attr", None)) == "perm"
+            )
+            if name in owned or by_perm:
+                offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert offenders == []
+
+
 @pytest.mark.parametrize("m", [1, 31, 32, 33, 100])
 def test_block_inverses_invert_the_diagonal_blocks(m):
     R = np.linalg.qr(np.random.default_rng(4000 + m).standard_normal((m, m)))[1]
@@ -341,10 +356,10 @@ def test_permuted_solves_match_dense_oracle(m, cols):
     perm = rng.permutation(m)
     M = R[:, np.argsort(perm)]  # M x = R x[perm]
     y = rng.standard_normal(m if cols is None else (m, cols))
-    inv = invert_diagonal_blocks(R)
+    factor = PermutedFactor(R, perm)
     for got, ref in (
-        (solve_upper_permuted(R, inv, perm, y), np.linalg.solve(M, y)),
-        (solve_upper_permuted_adjoint(R, inv, perm, y), np.linalg.solve(M.T, y)),
+        (factor.solve(y.copy()), np.linalg.solve(M, y)),
+        (factor.solve_adjoint(y), np.linalg.solve(M.T, y)),
     ):
         assert got.shape == y.shape
         assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
@@ -357,9 +372,7 @@ def read_only(a):
 
 
 @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])
-@pytest.mark.parametrize(
-    "solve", [solve_upper, solve_upper_adjoint, solve_upper_permuted, solve_upper_permuted_adjoint]
-)
+@pytest.mark.parametrize("solve", [solve_upper, solve_upper_adjoint])
 def test_public_solves_leave_their_inputs_alone(solve, cols):
     # the sweep overwrites the array it is given; a public solve gives it a
     # copy, so the caller's arrays are unchanged and may be read-only
@@ -367,15 +380,35 @@ def test_public_solves_leave_their_inputs_alone(solve, cols):
     rng = np.random.default_rng(5000 + m)
     R = np.linalg.qr(rng.standard_normal((m, m)))[1]
     y = rng.standard_normal(m if cols is None else (m, cols))
-    if solve in (solve_upper, solve_upper_adjoint):
-        args = (R, y)
-    else:
-        args = (R, invert_diagonal_blocks(R), rng.permutation(m), y)
+    args = (R, y)
     kept = [a.copy() for a in args]
     x = solve(*args)
     for a, b in zip(args, kept):
         assert np.array_equal(a, b)
     assert np.array_equal(solve(*map(read_only, args)), x)
+
+
+def test_permuted_factor_holds_its_arrays_and_leaves_d_alone():
+    # no copy of R or perm; solve_adjoint gathers d[perm] and solves on that
+    m = 70
+    rng = np.random.default_rng(5002)
+    R = read_only(np.linalg.qr(rng.standard_normal((m, m)))[1])
+    perm = read_only(rng.permutation(m))
+    factor = PermutedFactor(R, perm)
+    assert factor.R is R and factor.perm is perm
+    d = read_only(rng.standard_normal((m, 3)))
+    kept = d.copy()
+    assert np.array_equal(factor.solve_adjoint(d), solve_upper_adjoint(R, d[perm]))
+    assert np.array_equal(d, kept)
+
+
+@pytest.mark.parametrize("rows", [6, 8])
+def test_permuted_solves_refuse_a_wrong_length_right_hand_side(rows):
+    # the adjoint gathers d[perm] first, which would drop d's rows past m
+    factor = PermutedFactor(np.triu(np.ones((7, 7))), np.arange(7)[::-1])
+    for solve in (factor.solve, factor.solve_adjoint):
+        with pytest.raises(DimensionError, match="factor size 7"):
+            solve(np.ones((rows, 2)))
 
 
 def test_invert_small_leaves_its_input_alone():

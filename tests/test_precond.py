@@ -19,14 +19,13 @@ from nullproj import (
     build_sketch,
     default_sketch_width,
     densify,
-    invert_small,
     make_dense_test,
     make_sparse_test,
     measured_condition,
     project,
     qr_pivoted,
 )
-from nullproj.dense_core import invert_diagonal_blocks
+from nullproj.dense_core import PermutedFactor, invert_diagonal_blocks
 from nullproj.precond import SKETCH_ATTEMPTS
 
 
@@ -211,16 +210,32 @@ def test_preconditioner_rejects_malformed_factors():
             Preconditioner(**{**fields, name: np.eye(5)})
 
 
+@pytest.mark.parametrize("name, bad", [("R", np.nan), ("Y", np.inf)], ids=["R", "Y"])
+def test_preconditioner_refuses_a_nonfinite_array(name, bad):
+    # were it accepted, R's NaN would come back from solve_lstsq as a NaN solution
+    A = make_sparse_test(8, 32, 100.0, seed=2)
+    pre = build_preconditioner(A, 12, UniformLaggedFibonacci(3))
+    fields = dict(R=pre.R.copy(), perm=pre.perm, Y=pre.Y.copy(), l=12, m=8, n=32, build_apply_counts=(20, 8))
+    fields[name][3, 6] = bad
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        Preconditioner(**fields)
+
+
 def test_preconditioner_derives_read_only_block_inverses_of_r():
     A = make_sparse_test(40, 160, 1e4, seed=2)
     pre = build_preconditioner(A, 44, UniformLaggedFibonacci(3))
-    assert np.array_equal(pre.block_inverses, invert_diagonal_blocks(pre.R))
+    # the factor holds the preconditioner's own arrays, not copies
+    assert pre.factor.R is pre.R and pre.factor.perm is pre.perm
+    assert np.array_equal(pre.factor.block_inverses, invert_diagonal_blocks(pre.R))
     with pytest.raises(ValueError):
-        pre.block_inverses[0, 0] = 1.0
+        pre.factor.block_inverses[0, 0] = 1.0
     # derived from R on every construction, never passed in
     fields = dict(R=pre.R, perm=pre.perm, Y=pre.Y, l=44, m=40, n=160, build_apply_counts=(84, 40))
     with pytest.raises(TypeError):
-        Preconditioner(**fields, block_inverses=pre.block_inverses)
+        Preconditioner(**fields, factor=PermutedFactor(pre.R, pre.perm))
+    # a float32 R is converted once, and that one array is shared and read-only
+    narrow = Preconditioner(**{**fields, "R": pre.R.astype(np.float32)})
+    assert narrow.factor.R is narrow.R and not narrow.R.flags.writeable
 
 
 def test_preconditioner_refuses_a_zero_diagonal_factor_at_construction():
@@ -330,23 +345,6 @@ def test_build_memory_stays_far_below_full_g():
     assert peaks[1] - peaks[0] < n * 8
 
 
-def test_build_holds_no_sketch_through_inverse():
-    # the inverse holds X and R alive (it is not the build's peak, which is
-    # the QR of the sketch); a sketch still referenced by then would add
-    # one more m-by-l array
-    m, n, l = 100, 1000, 104
-    A = make_sparse_test(m, n, 1e8, seed=24)
-    # the first builds in a process also fill interpreter caches, which
-    # tracemalloc counts; the least of three peaks is the build's own
-    build_peak = min(
-        traced_peak(build_preconditioner, A, l, UniformLaggedFibonacci(25)) for _ in range(3)
-    )
-    pre = build_preconditioner(A, l, UniformLaggedFibonacci(25))
-    X = build_gram(A, pre.R, pre.perm)
-    inv_peak = traced_peak(invert_small, X)
-    assert build_peak - inv_peak - X.nbytes - pre.R.nbytes < m * l * 8
-
-
 def test_build_working_set_stays_near_three_sketch_sized_arrays():
     # the QR holds the sketch, its working copy and R (about 3.3 m l
     # doubles); the Gram build and the inverse hold at most three m-by-m
@@ -366,6 +364,18 @@ def test_dense_build_holds_few_length_n_vectors():
     A = make_dense_test(m, n, 1e12, seed=32)
     peak = min(traced_peak(build_preconditioner, A, m + 4, GaussianStream(33)) for _ in range(3))
     assert peak < 3.5 * n * 8
+
+
+@pytest.mark.parametrize(
+    "perm", [np.zeros(6, int), np.arange(5), np.arange(6.0)], ids=["repeated", "short", "float"]
+)
+def test_build_gram_refuses_a_bad_permutation_before_any_apply(perm):
+    # a repeated index used to spend (m, m) applies on a wrong X
+    A = make_sparse_test(6, 24, 100.0, seed=23)
+    R = qr_pivoted(np.random.default_rng(24).standard_normal((10, 6))).R
+    with pytest.raises(ConfigurationError, match="perm"):
+        build_gram(A, R, perm)
+    assert A.counts() == (0, 0)
 
 
 def test_build_gram_rejects_wrong_factor_shape():

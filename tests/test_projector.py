@@ -7,6 +7,7 @@ from nullproj import (
     DimensionError,
     DomainError,
     MatrixOperator,
+    SingularFactorError,
     UniformLaggedFibonacci,
     build_preconditioner,
     error_metrics,
@@ -163,6 +164,15 @@ def test_classical_rejects_nonfinite_operator_output(bad):
     M = np.ones((2, 8))
     M[0, 5] = bad
     with pytest.raises(DomainError, match=r"A\* y"), np.errstate(invalid="ignore"):
+        ClassicalProjector(MatrixOperator(M))
+
+
+def test_classical_refuses_an_exactly_singular_gram_matrix():
+    # a zero row of A is a zero row and column of A A*, which the pivoting
+    # factors last, so R's last diagonal entry is an exact zero
+    M = np.random.default_rng(16).standard_normal((5, 12))
+    M[2] = 0.0
+    with pytest.raises(SingularFactorError, match="index 4"):
         ClassicalProjector(MatrixOperator(M))
 
 
