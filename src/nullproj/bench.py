@@ -24,21 +24,24 @@ from .precond import _check_sketch_width, build_preconditioner, default_sketch_w
 from .projector import ClassicalProjector, project, refine_lstsq, solve_lstsq
 from .rng import GaussianStream, UniformLaggedFibonacci
 
-MATRIX_KINDS = ("sparse", "dense")
-RNG_KINDS = ("lfg", "gauss")
-TABLES = ("timings", "errors")
+_FAMILIES = {"sparse": make_sparse_test, "dense": make_dense_test}
+_STREAMS = {"lfg": UniformLaggedFibonacci, "gauss": GaussianStream}
 
 _FAST_PHASE = 0.05  # phases under 50 ms get timed as a median of 3 runs
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrialConfig:
-    """One benchmark configuration; validated on construction."""
+    """One benchmark configuration; validated on construction.
+
+    The fields are in CSV column order, and `nullproj-bench` takes its
+    defaults from them.
+    """
 
     m: int
     n: int
-    kappa: float
     l: int = None
+    kappa: float
     matrix_kind: str = "sparse"
     rng_kind: str = "lfg"
     trials: int = 100
@@ -60,25 +63,16 @@ class TrialConfig:
             raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
         if self.refine_iters < 0:
             raise ConfigurationError(f"refine_iters must be nonnegative, got {self.refine_iters}")
-        if self.matrix_kind not in MATRIX_KINDS:
-            raise ConfigurationError(f"matrix_kind must be one of {MATRIX_KINDS}")
-        if self.rng_kind not in RNG_KINDS:
-            raise ConfigurationError(f"rng_kind must be one of {RNG_KINDS}")
+        if self.matrix_kind not in _FAMILIES:
+            raise ConfigurationError(f"matrix_kind must be one of {tuple(_FAMILIES)}")
+        if self.rng_kind not in _STREAMS:
+            raise ConfigurationError(f"rng_kind must be one of {tuple(_STREAMS)}")
 
 
-@dataclass
-class TrialRow:
-    """One result record: config echo, phase timings, error maxima, apply counts."""
+@dataclass(kw_only=True)
+class TrialRow(TrialConfig):
+    """One result record: the checked config it ran, phase timings, error maxima, apply counts."""
 
-    m: int
-    n: int
-    l: int
-    kappa: float
-    matrix_kind: str
-    rng_kind: str
-    trials: int
-    seed: int
-    refine_iters: int
     s_pre: float
     s_pro: float
     t_pre: float
@@ -122,8 +116,7 @@ def run_trial(config):
     the cost model (l+m, m) for the build and (1, 1) per projection.
     """
     cfg = config
-    make = make_sparse_test if cfg.matrix_kind == "sparse" else make_dense_test
-    A = make(cfg.m, cfg.n, cfg.kappa, cfg.seed)
+    A = _FAMILIES[cfg.matrix_kind](cfg.m, cfg.n, cfg.kappa, cfg.seed)
 
     rng_b = np.random.default_rng([cfg.seed, 2])
 
@@ -136,8 +129,7 @@ def run_trial(config):
     s_pre, classical = _timed(lambda: ClassicalProjector(A))
     s_pro, _ = _timed(lambda: classical.project(b_time))
 
-    stream_cls = UniformLaggedFibonacci if cfg.rng_kind == "lfg" else GaussianStream
-    g = stream_cls(cfg.seed + 1)
+    g = _STREAMS[cfg.rng_kind](cfg.seed + 1)
     t_pre, pre = _timed(lambda: build_preconditioner(A, cfg.l, g))
     if pre.build_apply_counts != (cfg.l + cfg.m, cfg.m):
         raise NullProjError(
@@ -171,15 +163,7 @@ def run_trial(config):
         er = max(er, mr.epsilon_over_kappa)
 
     return TrialRow(
-        m=cfg.m,
-        n=cfg.n,
-        l=cfg.l,
-        kappa=cfg.kappa,
-        matrix_kind=cfg.matrix_kind,
-        rng_kind=cfg.rng_kind,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        refine_iters=cfg.refine_iters,
+        **{f.name: getattr(cfg, f.name) for f in fields(TrialConfig)},
         s_pre=s_pre,
         s_pro=s_pro,
         t_pre=t_pre,
@@ -243,7 +227,7 @@ _MD_TABLES = {
 def emit_markdown(rows, table="errors"):
     """Markdown table with the usual column order: m, n, l, kappa, then data."""
     if table not in _MD_TABLES:
-        raise ConfigurationError(f"table must be one of {TABLES}, got {table!r}")
+        raise ConfigurationError(f"table must be one of {tuple(_MD_TABLES)}, got {table!r}")
     columns = _MD_TABLES[table]
     header = ["m", "n", "l", "kappa"] + [label for _, label in columns]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
@@ -274,45 +258,54 @@ def main(argv=None):
         prog="nullproj-bench",
         description="Benchmark classical vs randomized null-space projection on synthetic matrices.",
     )
-    parser.add_argument("--m", type=int, required=True, help="rows of the test operator")
-    parser.add_argument("--n", type=int, required=True, help="columns (a multiple of m)")
-    parser.add_argument("--l", type=int, default=None, help="sketch width (default m+4)")
-    parser.add_argument("--kappa", type=float, required=True, help="target condition number (> 1)")
-    parser.add_argument("--matrix", choices=MATRIX_KINDS, default="sparse")
-    parser.add_argument("--rng", choices=RNG_KINDS, default="lfg", help="sketch entry stream")
-    parser.add_argument("--trials", type=int, default=100, help="random unit vectors per error max")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--refine", type=int, default=0, help="refinement iterations per projection")
-    parser.add_argument("--table", choices=TABLES, default="errors")
-    parser.add_argument("--format", choices=("csv", "md"), default="csv")
-    parser.add_argument("--out", default=None, help="output file (default stdout)")
-    args = parser.parse_args(argv)
+    # the trial flags set only what is given, so the defaults are TrialConfig's
+    trial = parser.add_argument_group("trial configuration", argument_default=argparse.SUPPRESS)
+    trial.add_argument("--m", type=int, required=True, help="rows of the test operator")
+    trial.add_argument("--n", type=int, required=True, help="columns (a multiple of m)")
+    trial.add_argument("--l", type=int, help="sketch width (default m+4)")
+    trial.add_argument("--kappa", type=float, required=True, help="target condition number (> 1)")
+    trial.add_argument("--matrix", dest="matrix_kind", choices=_FAMILIES)
+    trial.add_argument("--rng", dest="rng_kind", choices=_STREAMS, help="sketch entry stream")
+    trial.add_argument("--trials", type=int, help="random unit vectors per error max")
+    trial.add_argument("--seed", type=int)
+    trial.add_argument(
+        "--refine",
+        dest="refine_iters",
+        metavar="REFINE",
+        type=int,
+        help="refinement iterations per projection",
+    )
+    output = parser.add_argument_group("output")
+    output.add_argument(
+        "--table",
+        choices=_MD_TABLES,
+        default="errors",
+        help=(
+            "markdown table; timings time one cold call per phase, or take the median of 3 "
+            f"calls when the first takes under {_FAST_PHASE * 1000:.0f} ms, and run every "
+            "classical phase before the randomized ones, not interleaved"
+        ),
+    )
+    output.add_argument("--format", choices=("csv", "md"), default="csv")
+    output.add_argument("--out", default=None, help="output file (default stdout)")
+    args = vars(parser.parse_args(argv))
+    table, format, out = args.pop("table"), args.pop("format"), args.pop("out")
 
     try:
-        config = TrialConfig(
-            m=args.m,
-            n=args.n,
-            l=args.l,
-            kappa=args.kappa,
-            matrix_kind=args.matrix,
-            rng_kind=args.rng,
-            trials=args.trials,
-            seed=args.seed,
-            refine_iters=args.refine,
-        )
+        config = TrialConfig(**args)
     except NullProjError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
     try:
         row = run_trial(config)
-        text = emit_report([row], args.format, args.table)
+        text = emit_report([row], format, table)
     except NullProjError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

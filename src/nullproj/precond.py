@@ -35,8 +35,9 @@ class Preconditioner:
 
     `R` is upper-triangular m-by-m, `perm` the pivot index array (the
     permutation acts as z -> z[perm]), and `Y` the symmetric inverse of
-    the preconditioned Gram matrix.  Construction checks the shapes of
-    `R` and `Y` and that `Y` is finite, then derives `factor`, the
+    the preconditioned Gram matrix.  Construction converts `R` and `Y` to
+    float arrays (a float ndarray is not copied), checks their shapes and
+    that `Y` is finite, then derives `factor`, the
     `dense_core.PermutedFactor` of `R` and `perm`.  The factor holds
     those two arrays without a copy and checks them: a `perm` that is not
     an integer permutation raises `ConfigurationError`, a NaN or infinite
@@ -56,14 +57,15 @@ class Preconditioner:
     factor: PermutedFactor = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.R, self.Y = np.asarray(self.R, dtype=float), np.asarray(self.Y, dtype=float)
         for name, arr in (("R", self.R), ("Y", self.Y)):
             if arr.shape != (self.m, self.m):
                 raise DimensionError(f"{name} must be {self.m}x{self.m}, got shape {arr.shape}")
         if not np.isfinite(self.Y).all():
             raise DomainError("Y must be finite, got a NaN or infinite entry")
         self.factor = PermutedFactor(self.R, self.perm)
-        # the factor converts a non-float R once; both then hold that one array
-        self.R, self.perm = self.factor.R, self.factor.perm
+        # the factor holds this R and converts perm once; both then hold those arrays
+        self.perm = self.factor.perm
         for arr in (self.R, self.perm, self.Y):
             arr.setflags(write=False)
 

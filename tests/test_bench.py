@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,8 @@ def test_config_defaults_and_validation():
         TrialConfig(m=8, n=64, kappa=10.0, matrix_kind="banded")
     with pytest.raises(ConfigurationError):
         TrialConfig(m=8, n=64, kappa=10.0, rng_kind="mt19937")
+    with pytest.raises(TypeError):
+        TrialConfig(8, 64, 10.0)  # keyword-only, so no field can be bound by position
 
 
 @pytest.mark.parametrize("l", [10.7, np.float64(12.0), "12"], ids=["float", "np.float64", "str"])
@@ -127,6 +131,16 @@ def test_parse_csv_empty_raises(text):
         parse_csv(text)
 
 
+@pytest.mark.parametrize("name, cell", [("m", "7"), ("l", "3")])
+def test_parse_csv_refuses_a_row_the_config_refuses(name, cell):
+    row = run_trial(small_config(trials=1))
+    header, line = emit_csv([row]).splitlines()
+    cells = line.split(",")
+    cells[header.split(",").index(name)] = cell
+    with pytest.raises(ConfigurationError):
+        parse_csv(f"{header}\n{','.join(cells)}\n")
+
+
 def test_markdown_column_order():
     row = run_trial(small_config(trials=1))
     md_err = emit_markdown([row], table="errors")
@@ -199,6 +213,27 @@ def test_cli_numerical_failure_exit_1(monkeypatch, capsys):
     code = main(["--m", "8", "--n", "64", "--kappa", "1e4"])
     assert code == 1
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_builds_the_config_with_trial_config_defaults(monkeypatch):
+    configs = []
+
+    def capture(config):
+        configs.append(config)
+        raise NullProjError("captured")
+
+    monkeypatch.setattr("nullproj.bench.run_trial", capture)
+    assert main(["--m", "8", "--n", "64", "--kappa", "1e4"]) == 1
+    default = TrialConfig(m=8, n=64, kappa=1e4)
+    assert configs == [default]
+    argv = ["--m", "16", "--n", "320", "--l", "18", "--kappa", "1e6", "--matrix", "dense"]
+    argv += ["--rng", "gauss", "--trials", "7", "--seed", "11", "--refine", "2"]
+    assert main(argv) == 1
+    expected = dict(m=16, n=320, l=18, kappa=1e6, matrix_kind="dense", rng_kind="gauss")
+    expected.update(trials=7, seed=11, refine_iters=2)
+    assert {f.name: getattr(configs[1], f.name) for f in fields(TrialConfig)} == expected
+    # every flag moved its field off the default, so none was dropped on the way
+    assert all(getattr(configs[1], f.name) != getattr(default, f.name) for f in fields(TrialConfig))
 
 
 def test_setup_time_trend_roughly_linear_in_n():

@@ -238,6 +238,18 @@ def test_preconditioner_derives_read_only_block_inverses_of_r():
     assert narrow.factor.R is narrow.R and not narrow.R.flags.writeable
 
 
+def test_preconditioner_converts_nested_lists():
+    # A = [3 4] has A A* = 25, so R = [5] gives X = 1 and Y = [1]
+    fields = dict(R=[[5.0]], perm=[0], Y=[[1.0]], l=1, m=1, n=2, build_apply_counts=(0, 0))
+    pre = Preconditioner(**fields)
+    assert pre.R.dtype == pre.Y.dtype == float and pre.factor.R is pre.R
+    res = project(pre, MatrixOperator(np.array([[3.0, 4.0]])), np.array([1.0, 0.0]))
+    np.testing.assert_allclose(res.row_projection, [0.36, 0.48], rtol=1e-14)
+    np.testing.assert_allclose(res.lstsq_solution, [0.12], rtol=1e-14)
+    with pytest.raises(DimensionError, match="Y"):
+        Preconditioner(**{**fields, "Y": [[1.0, 0.0]]})
+
+
 def test_preconditioner_refuses_a_zero_diagonal_factor_at_construction():
     A = make_sparse_test(8, 32, 100.0, seed=2)
     pre = build_preconditioner(A, 12, UniformLaggedFibonacci(3))
@@ -258,6 +270,32 @@ def test_rank_deficient_sketch_raises_after_retries():
     g = UniformLaggedFibonacci(18)
     with pytest.raises(RankDeficientSketchError):
         build_preconditioner(A, 3, g)
+
+
+class ZeroColumnsFirst:
+    """Draws `zeros` all-zero columns, then `base`'s columns; the zeros do not advance `base`."""
+
+    def __init__(self, base, zeros):
+        self.base, self.zeros = base, zeros
+
+    def fill_column(self, n):
+        if self.zeros:
+            self.zeros -= 1
+            return np.zeros(n)
+        return self.base.fill_column(n)
+
+
+@pytest.mark.parametrize("zeros, counts", [(24, (68, 20)), (48, (92, 20))], ids=["one", "two"])
+def test_a_retried_sketch_builds_what_a_first_sketch_would(zeros, counts):
+    # each all-zero sketch is rank deficient, so the build pays l applies
+    # for it and retries; the sketch that passes is a plain build's first
+    m, n, l = 20, 400, 24
+    plain = build_preconditioner(make_sparse_test(m, n, 1e8, 0), l, UniformLaggedFibonacci(1))
+    A = make_sparse_test(m, n, 1e8, 0)
+    pre = build_preconditioner(A, l, ZeroColumnsFirst(UniformLaggedFibonacci(1), zeros))
+    assert pre.build_apply_counts == counts == A.counts()
+    for name in ("R", "perm", "Y"):
+        assert np.array_equal(getattr(pre, name), getattr(plain, name))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
