@@ -53,7 +53,7 @@ class TrialConfig:
         if self.l is None:
             self.l = default_sketch_width(self.m, self.n)
         self.l = _check_sketch_width(self.l, self.m, self.n)
-        for name in ("trials", "refine_iters"):
+        for name in ("trials", "seed", "refine_iters"):
             value = getattr(self, name)
             try:
                 setattr(self, name, operator.index(value))
@@ -61,6 +61,8 @@ class TrialConfig:
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 1:
             raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.refine_iters < 0:
             raise ConfigurationError(f"refine_iters must be nonnegative, got {self.refine_iters}")
         if self.matrix_kind not in _FAMILIES:

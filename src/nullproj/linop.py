@@ -161,7 +161,8 @@ class SparseTestMatrix(LinearOperator):
     permuted vector is `x[perm]`.  Each must be a permutation of its index
     range; anything else raises `ConfigurationError`.  The operator applies
     in O(n) work and has condition number (16+d)/d, inherited from the
-    stencil.
+    stencil.  `A x` sums the blocks of V x straight into m slots with one
+    `bincount`, so it makes no length-n copy of x.
     """
 
     def __init__(self, stencil, row_perm, col_perm):
@@ -177,15 +178,14 @@ class SparseTestMatrix(LinearOperator):
         self.stencil = stencil
         self.row_perm = row_perm
         self.col_perm = col_perm
-        self.block_count = n // m
         self._row_perm_inv = _inverse_permutation(row_perm, "row_perm")
-        # V* tile(w) gathers entry i from w[argsort(col_perm)[i] % m]
+        # entry i of x meets slot argsort(col_perm)[i] % m of the stencil's
+        # input: [I I ... I] V x scatter-adds into it, V* tile(w) gathers from it
         self._adjoint_gather = _inverse_permutation(col_perm, "col_perm") % m
 
     def _apply_impl(self, x):
-        m = self.shape[0]
-        # sum the n/m blocks of V x (left to right, down axis 0) before applying B
-        w = x[self.col_perm].reshape(self.block_count, m).sum(axis=0)
+        # [I I ... I] V x summed in entry order, with no length-n copy of x
+        w = np.bincount(self._adjoint_gather, weights=x, minlength=self.shape[0])
         return self.stencil.apply(w)[self._row_perm_inv]
 
     def _apply_adjoint_impl(self, y):

@@ -15,6 +15,11 @@ sketch, the QR's m-by-l working copy and R alive (3.21 m^2 doubles at
 three m-by-m arrays, R among them (3.16 m^2 doubles at m = 400), because
 their solves and the inverse overwrite arrays the build owns: the Gram
 build's identity takes R^-1, and the Gram matrix X takes L^-1 and then Y.
+At large n the length-n arrays dominate instead, and a build holds one at a
+time: the stream's column in the sketch, then `A* w` in the Gram build,
+since the sparse operator's `A x` makes no length-n copy of x.  At
+(m, n) = (100, 1e5) a build peaks at about 1.02 MiB (tracemalloc), 1.3
+length-n arrays; when `A x` gathered a copy of x it peaked at 1.69 MiB.
 """
 
 import operator

@@ -65,6 +65,21 @@ def test_config_rejects_non_integer_counts_before_any_apply(name, value, monkeyp
     assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
 
 
+def test_config_checks_the_seed():
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        small_config(seed=3.0)
+    with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+        small_config(seed=-1)
+    cfg = small_config(seed=np.int64(3))
+    assert type(cfg.seed) is int and cfg.seed == 3
+
+
+def test_cli_negative_seed_is_a_usage_error(capsys):
+    code = main(["--m", "8", "--n", "64", "--kappa", "1e4", "--seed", "-1"])
+    assert code == 2
+    assert "usage error: seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_run_trial_fields_and_counts():
     row = run_trial(small_config())
     assert (row.build_applies, row.build_adjoint_applies) == (row.l + row.m, row.m)

@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,20 +110,47 @@ def test_sparse_identity_perms_is_block_sum():
 
 @pytest.mark.parametrize("block_count", [1, 2, 1000])
 def test_sparse_apply_matches_block_loop_reference(block_count):
-    # reference: accumulate the blocks one by one, and tile then gather for V*
+    # reference: scatter-add x entry by entry into its slot of V x's block
+    # sum (the order bincount sums in), and tile then gather for V*
     m = 8
     A = make_sparse_test(m, m * block_count, 1e6, seed=block_count)
     rng = np.random.default_rng(block_count)
     x = rng.standard_normal(m * block_count)
     y = rng.standard_normal(m)
-    z = x[A.col_perm]
+    slot = np.argsort(A.col_perm) % m
     w = np.zeros(m)
-    for b in range(block_count):
-        w += z[b * m : (b + 1) * m]
+    for i in range(m * block_count):
+        w[slot[i]] += x[i]
     ref_apply = A.stencil.apply(w)[np.argsort(A.row_perm)]
     ref_adjoint = np.tile(A.stencil.apply(y[A.row_perm]), block_count)[np.argsort(A.col_perm)]
-    assert np.array_equal(A.apply(x), ref_apply)
+    Ax = A.apply(x)
+    assert np.array_equal(Ax, ref_apply)
     assert np.array_equal(A.apply_adjoint(y), ref_adjoint)
+    # the block-by-block sum differs only by the two orders' summation error,
+    # amplified at most by B's largest absolute row sum 16+d
+    z = x[A.col_perm].reshape(block_count, m)
+    w_blocks = np.zeros(m)
+    for b in range(block_count):
+        w_blocks += z[b]
+    block_apply = A.stencil.apply(w_blocks)[np.argsort(A.row_perm)]
+    eps = np.finfo(float).eps
+    bound = 2 * block_count * eps * (16 + A.stencil.d) * np.abs(z).sum(axis=0).max()
+    assert np.abs(Ax - block_apply).max() <= bound
+
+
+def test_sparse_apply_allocates_no_length_n_array():
+    # V x is summed straight into its m slots; a gather of x[col_perm]
+    # would hold one length-n copy at the peak
+    m, n = 20, 20_000
+    A = make_sparse_test(m, n, 1e8, seed=40)
+    x = np.random.default_rng(41).standard_normal(n)
+    A.apply(x)  # any one-time setup happens outside the traced call
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    A.apply(x)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 0.1 * n * 8
 
 
 def test_densify_of_identity_perm_single_block_is_stencil():

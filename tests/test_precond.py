@@ -383,6 +383,16 @@ def test_build_memory_stays_far_below_full_g():
     assert peaks[1] - peaks[0] < n * 8
 
 
+def test_sparse_build_holds_one_length_n_array_at_a_time():
+    # the sketch holds the stream's column and the Gram build A* w; the
+    # operator's apply adds no length-n copy of its input, which would take
+    # the peak to about two length-n arrays
+    m, n, l = 20, 20_000, 24
+    A = make_sparse_test(m, n, 1e8, seed=32)
+    peak = min(traced_peak(build_preconditioner, A, l, UniformLaggedFibonacci(33)) for _ in range(3))
+    assert peak < 1.5 * n * 8
+
+
 def test_build_working_set_stays_near_three_sketch_sized_arrays():
     # the QR holds the sketch, its working copy and R (about 3.3 m l
     # doubles); the Gram build and the inverse hold at most three m-by-m
