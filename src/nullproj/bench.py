@@ -10,7 +10,6 @@ Also usable as a command line tool; see `main` or run `nullproj-bench -h`.
 """
 
 import argparse
-import operator
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -18,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .diagnostics import error_metrics
-from .errors import ConfigurationError, NullProjError
+from .errors import ConfigurationError, NullProjError, as_index
 from .linop import _check_sparse_family, make_dense_test, make_sparse_test
 from .precond import _check_sketch_width, build_preconditioner, default_sketch_width
 from .projector import ClassicalProjector, project, refine_lstsq, solve_lstsq
@@ -49,22 +48,13 @@ class TrialConfig:
     refine_iters: int = 0
 
     def __post_init__(self):
-        _check_sparse_family(self.m, self.n, self.kappa)
+        self.m, self.n = _check_sparse_family(self.m, self.n, self.kappa)
         if self.l is None:
             self.l = default_sketch_width(self.m, self.n)
         self.l = _check_sketch_width(self.l, self.m, self.n)
-        for name in ("trials", "seed", "refine_iters"):
-            value = getattr(self, name)
-            try:
-                setattr(self, name, operator.index(value))
-            except TypeError:
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
-        if self.refine_iters < 0:
-            raise ConfigurationError(f"refine_iters must be nonnegative, got {self.refine_iters}")
+        self.trials = as_index(self.trials, "trials", least=1)
+        self.seed = as_index(self.seed, "seed", least=0)
+        self.refine_iters = as_index(self.refine_iters, "refine_iters", least=0)
         if self.matrix_kind not in _FAMILIES:
             raise ConfigurationError(f"matrix_kind must be one of {tuple(_FAMILIES)}")
         if self.rng_kind not in _STREAMS:

@@ -51,6 +51,7 @@ from .errors import (
     FactorizationError,
     SingularFactorError,
     SizeCapError,
+    inverse_permutation,
 )
 
 ORACLE_CAP = 1_000_000  # max entries the dense oracles svd_dense and linop.densify accept
@@ -306,8 +307,8 @@ def solve_upper_adjoint(R, d):
 class PermutedFactor:
     """The factor M = R Pi of `qr_pivoted`, with R's block inverses and both solves.
 
-    Holds `R` and `perm` without copying them.  Construction checks them
-    once: `perm` must be an integer permutation of range(m)
+    Holds `R` and an `intp` `perm` without copying them.  Construction
+    checks them once: `perm` must be an integer permutation of range(m)
     (ConfigurationError) and `R` square (DimensionError) and finite
     (DomainError); then it inverts R's diagonal blocks, which raises
     SingularFactorError on a zero diagonal, so its solves make no LAPACK
@@ -316,9 +317,9 @@ class PermutedFactor:
 
     def __init__(self, R, perm):
         self.R = _as_factor(R)
-        self.perm = np.asarray(perm)
         m = self.R.shape[0]
-        if self.perm.dtype.kind not in "iu" or not np.array_equal(np.sort(self.perm), np.arange(m)):
+        self.perm = inverse_permutation(perm, "perm")[0]
+        if self.perm.size != m:
             raise ConfigurationError(f"perm must be an integer permutation of range({m})")
         if not np.isfinite(self.R).all():
             raise DomainError("R must be finite, got a NaN or infinite entry")

@@ -23,14 +23,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense_core import svd_dense
-from .errors import DomainError
+from .errors import DomainError, as_index
 from .linop import densify
 from .projector import _check_pair
 
 
-def _check_dims(l, m):
-    if not 1 <= m <= l:
-        raise DomainError(f"need l >= m >= 1, got l={l}, m={m}")
+def _check_params(l, m=None, alpha=None, beta=None):
+    """(l, m) as Python ints; DomainError unless l >= m >= 1, alpha > 1 and beta > 0 as given."""
+    l = as_index(l, "l")
+    if l < 1:
+        raise DomainError(f"l must be positive, got {l}")
+    if m is not None:
+        m = as_index(m, "m")
+        if not 1 <= m <= l:
+            raise DomainError(f"need l >= m >= 1, got l={l}, m={m}")
+    if alpha is not None and not alpha > 1.0:
+        raise DomainError(f"alpha must exceed 1, got {alpha}")
+    if beta is not None and not beta > 0.0:
+        raise DomainError(f"beta must be positive, got {beta}")
+    return l, m
 
 
 def _term_plus(l, alpha):
@@ -53,28 +64,19 @@ def _term_minus(l, m, beta):
 
 def pi_plus(l, alpha):
     """Probability floor for the top singular value bound sqrt(2l)*alpha."""
-    if not alpha > 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if not l >= 1:
-        raise DomainError(f"l must be positive, got {l}")
+    l, _ = _check_params(l, alpha=alpha)
     return 1.0 - _term_plus(l, alpha)
 
 
 def pi_minus(l, m, beta):
     """Probability floor for the bottom singular value bound 1/(sqrt(l)*beta)."""
-    _check_dims(l, m)
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    l, m = _check_params(l, m, beta=beta)
     return 1.0 - _term_minus(l, m, beta)
 
 
 def pi_zero(l, m, alpha, beta):
     """Probability floor for the condition bound; equals pi_plus + pi_minus - 1."""
-    if not alpha > 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    _check_dims(l, m)
+    l, m = _check_params(l, m, alpha, beta)
     return 1.0 - (_term_plus(l, alpha) + _term_minus(l, m, beta))
 
 
@@ -85,22 +87,17 @@ def pi_zero_floor(l, m, alpha, beta):
     l-m, which is what makes the fixed-gap parameter triples work for
     every m.
     """
+    l, m = _check_params(l, m, alpha, beta)
     if m < 2:
         raise DomainError(f"the simplified bound needs m >= 2, got m={m}")
     if not alpha >= 2.0:
         raise DomainError(f"the simplified bound needs alpha >= 2, got {alpha}")
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    _check_dims(l, m)
     return 1.0 - (_term_plus(l - m + 2, alpha) + _term_minus(l, m, beta))
 
 
 def cond_bound(l, alpha, beta):
     """The condition-number bound sqrt(2) * l * alpha * beta."""
-    if not alpha > 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    l, _ = _check_params(l, alpha=alpha, beta=beta)
     return np.sqrt(2.0) * l * alpha * beta
 
 

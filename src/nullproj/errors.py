@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one check of the integers a caller passes."""
+
+import operator
+
+import numpy as np
 
 
 class NullProjError(Exception):
@@ -10,7 +14,8 @@ class DimensionError(NullProjError):
 
 
 class ConfigurationError(NullProjError):
-    """Invalid construction parameters (bad sizes, kappa <= 1, l out of range...)."""
+    """Invalid construction parameters: bad sizes, kappa <= 1, l out of range, or a size, width,
+    column length, seed, count or index array not of Python or numpy integers (a float, a str)."""
 
 
 class DomainError(NullProjError):
@@ -37,3 +42,33 @@ class RankDeficientSketchError(NullProjError):
 
     Retriable: a fresh draw of G almost surely fixes it when A has full rank.
     """
+
+
+def as_index(value, name, least=None):
+    """`value` as a Python int; ConfigurationError naming it unless it is an integer >= least."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ConfigurationError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def as_index_array(values, name):
+    """`values` as a 1-D `intp` array, not copied when it is one; ConfigurationError naming it
+    unless its dtype is an integer one or it is empty.  The entries are not range-checked."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.dtype.kind not in "iu" and arr.size):
+        raise ConfigurationError(f"{name} must be 1-D integers, got {arr.ndim}-D {arr.dtype}")
+    return arr.astype(np.intp, copy=False)
+
+
+def inverse_permutation(perm, name):
+    """(`perm` as an `intp` array, its argsort); ConfigurationError unless it permutes its range."""
+    perm = as_index_array(perm, name)
+    inv = np.argsort(perm)
+    if not np.array_equal(perm[inv], np.arange(perm.size)):
+        raise ConfigurationError(f"{name} must be a permutation of range({perm.size})")
+    return perm, inv

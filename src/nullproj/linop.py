@@ -15,6 +15,7 @@ import numpy as np
 
 from .dense_core import ORACLE_CAP
 from .errors import ConfigurationError, DimensionError, DomainError, SizeCapError
+from .errors import as_index, as_index_array, inverse_permutation
 
 
 class LinearOperator:
@@ -32,8 +33,7 @@ class LinearOperator:
     """
 
     def __init__(self, m, n):
-        m = int(m)
-        n = int(n)
+        m, n = as_index(m, "m"), as_index(n, "n")
         if m < 1 or n < 1:
             raise ConfigurationError(f"operator dimensions must be positive, got {m}x{n}")
         if m > n:
@@ -126,7 +126,7 @@ class CirculantStencil:
     """
 
     def __init__(self, m, d):
-        m = int(m)
+        m = as_index(m, "m")
         if m < 4:
             raise ConfigurationError(f"stencil needs m >= 4, got m={m}")
         if not d > 0:  # also rejects NaN
@@ -166,22 +166,19 @@ class SparseTestMatrix(LinearOperator):
     """
 
     def __init__(self, stencil, row_perm, col_perm):
-        row_perm = np.asarray(row_perm, dtype=np.intp)
-        col_perm = np.asarray(col_perm, dtype=np.intp)
+        self.row_perm, self._row_perm_inv = inverse_permutation(row_perm, "row_perm")
+        self.col_perm, col_perm_inv = inverse_permutation(col_perm, "col_perm")
         m = stencil.m
-        n = col_perm.size
-        if row_perm.size != m:
+        n = self.col_perm.size
+        if self.row_perm.size != m:
             raise ConfigurationError("row permutation length must equal the stencil size")
         if n % m != 0:
             raise ConfigurationError(f"n={n} must be an exact multiple of m={m}")
         super().__init__(m, n)
         self.stencil = stencil
-        self.row_perm = row_perm
-        self.col_perm = col_perm
-        self._row_perm_inv = _inverse_permutation(row_perm, "row_perm")
         # entry i of x meets slot argsort(col_perm)[i] % m of the stencil's
         # input: [I I ... I] V x scatter-adds into it, V* tile(w) gathers from it
-        self._adjoint_gather = _inverse_permutation(col_perm, "col_perm") % m
+        self._adjoint_gather = col_perm_inv % m
 
     def _apply_impl(self, x):
         # [I I ... I] V x summed in entry order, with no length-n copy of x
@@ -192,14 +189,6 @@ class SparseTestMatrix(LinearOperator):
         t = y[self.row_perm]  # U* y
         w = self.stencil.apply(t)  # B is symmetric
         return w[self._adjoint_gather]  # V* [w w ... w]
-
-
-def _inverse_permutation(perm, name):
-    """argsort of the index array `perm`; ConfigurationError unless it permutes range(perm.size)."""
-    inv = np.argsort(perm)
-    if not np.array_equal(perm[inv], np.arange(perm.size)):
-        raise ConfigurationError(f"{name} must be a permutation of range({perm.size})")
-    return inv
 
 
 class DenseTestMatrix(LinearOperator):
@@ -261,8 +250,7 @@ class TripletMatrix(LinearOperator):
 
     def __init__(self, m, n, rows, cols, vals):
         super().__init__(m, n)
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
+        rows, cols = as_index_array(rows, "rows"), as_index_array(cols, "cols")
         vals = np.asarray(vals, dtype=float)
         if not (rows.size == cols.size == vals.size):
             raise ConfigurationError("triplet arrays must have equal length")
@@ -282,13 +270,15 @@ class TripletMatrix(LinearOperator):
 
 
 def _check_sparse_family(m, n, kappa):
-    """Raise ConfigurationError unless (m, n, kappa) names a sparse test operator."""
+    """(m, n) as Python ints; ConfigurationError unless (m, n, kappa) names a sparse test operator."""
+    m, n = as_index(m, "m"), as_index(n, "n")
     if m < 4 or m % 2 != 0:
         raise ConfigurationError(f"sparse test matrix needs even m >= 4, got m={m}")
     if n % m != 0:
         raise ConfigurationError(f"n={n} must be a multiple of m={m}")
     if not kappa > 1:  # also rejects NaN
         raise ConfigurationError(f"kappa must exceed 1, got {kappa}")
+    return m, n
 
 
 def _seeded_sparse_test(m, n, kappa, seed):
@@ -297,9 +287,7 @@ def _seeded_sparse_test(m, n, kappa, seed):
     Both test families start here, so a dense operator's rank-10 factors
     come from the same generator, right after its base's permutations.
     """
-    m = int(m)
-    n = int(n)
-    _check_sparse_family(m, n, kappa)
+    m, n = _check_sparse_family(m, n, kappa)
     rng = np.random.default_rng(seed)
     stencil = CirculantStencil(m, 16.0 / (kappa - 1.0))
     return SparseTestMatrix(stencil, rng.permutation(m), rng.permutation(n)), rng

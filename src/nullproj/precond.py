@@ -19,16 +19,16 @@ At large n the length-n arrays dominate instead, and a build holds one at a
 time: the stream's column in the sketch, then `A* w` in the Gram build,
 since the sparse operator's `A x` makes no length-n copy of x.  At
 (m, n) = (100, 1e5) a build peaks at about 1.02 MiB (tracemalloc), 1.3
-length-n arrays; when `A x` gathered a copy of x it peaked at 1.69 MiB.
+length-n arrays.
 """
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dense_core import PermutedFactor, _invert_spd, qr_pivoted
 from .errors import ConfigurationError, DimensionError, DomainError, RankDeficientSketchError
+from .errors import as_index
 from .linop import apply_gram
 
 SKETCH_ATTEMPTS = 3  # sketches a build tries before it reports a rank-deficient operator
@@ -40,7 +40,8 @@ class Preconditioner:
 
     `R` is upper-triangular m-by-m, `perm` the pivot index array (the
     permutation acts as z -> z[perm]), and `Y` the symmetric inverse of
-    the preconditioned Gram matrix.  Construction converts `R` and `Y` to
+    the preconditioned Gram matrix.  Construction takes `l`, `m` and `n` as
+    Python ints with m <= l <= n, converts `R` and `Y` to
     float arrays (a float ndarray is not copied), checks their shapes and
     that `Y` is finite, then derives `factor`, the
     `dense_core.PermutedFactor` of `R` and `perm`.  The factor holds
@@ -62,6 +63,8 @@ class Preconditioner:
     factor: PermutedFactor = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.m, self.n = as_index(self.m, "m"), as_index(self.n, "n")
+        self.l = _check_sketch_width(self.l, self.m, self.n)
         self.R, self.Y = np.asarray(self.R, dtype=float), np.asarray(self.Y, dtype=float)
         for name, arr in (("R", self.R), ("Y", self.Y)):
             if arr.shape != (self.m, self.m):
@@ -77,20 +80,15 @@ class Preconditioner:
 
 def default_sketch_width(m, n=None):
     """The usual sketch width m+4, clamped to n when the operator is that narrow."""
-    if m < 1:
-        raise ConfigurationError(f"m must be positive, got {m}")
-    width = m + 4
+    width = as_index(m, "m", least=1) + 4
     if n is not None:
-        width = min(width, n)
+        width = min(width, as_index(n, "n"))
     return width
 
 
 def _check_sketch_width(l, m, n):
     """The sketch width `l` as a Python int; ConfigurationError unless it is an integer in [m, n]."""
-    try:
-        l = operator.index(l)
-    except TypeError:
-        raise ConfigurationError(f"sketch width must be an integer, got {l!r}") from None
+    l = as_index(l, "sketch width")
     if not m <= l <= n:
         raise ConfigurationError(f"sketch width must satisfy m <= l <= n, got l={l} for {m}x{n}")
     return l

@@ -15,13 +15,12 @@ condition number and loses accuracy exactly the way the benchmark tables
 show.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dense_core import PermutedFactor, qr_pivoted
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import DimensionError, DomainError, as_index
 from .linop import apply_gram
 
 
@@ -88,12 +87,7 @@ def refine_lstsq(pre, A, b, h, iterations=1):
     per-iteration cost is one apply of A plus one of A*.
     """
     _check_pair(pre, A)
-    try:
-        iterations = operator.index(iterations)
-    except TypeError:
-        raise ConfigurationError(f"iterations must be an integer, got {iterations!r}") from None
-    if iterations < 0:
-        raise ConfigurationError(f"iterations must be nonnegative, got {iterations}")
+    iterations = as_index(iterations, "iterations", least=0)
     b = _check_vector(b, pre.n)
     h = _check_vector(np.array(h, dtype=float), pre.m, "h")
     for _ in range(iterations):

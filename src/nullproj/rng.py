@@ -33,7 +33,7 @@ one-pair-at-a-time polar method.
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import as_index
 
 _MASK64 = (1 << 64) - 1
 
@@ -153,7 +153,7 @@ class UniformLaggedFibonacci:
     """
 
     def __init__(self, seed):
-        state = int(seed) & _MASK64
+        state = as_index(seed, "seed") & _MASK64
         window = []
         for _ in range(_LAG_LONG):
             z, state = _splitmix64(state)
@@ -173,9 +173,7 @@ class UniformLaggedFibonacci:
         untouched in that case.  A negative `n` raises `ConfigurationError`
         and leaves the state untouched.
         """
-        n = int(n)
-        if n < 0:
-            raise ConfigurationError(f"column length must be nonnegative, got {n}")
+        n = as_index(n, "column length", least=0)
         frame = np.empty(_LAG_LONG + n)
         frame[:_LAG_LONG] = self._window
         done = _LAG_LONG
@@ -238,9 +236,7 @@ class GaussianStream:
         A negative `n` raises `ConfigurationError` and leaves the state
         untouched.
         """
-        n = int(n)
-        if n < 0:
-            raise ConfigurationError(f"column length must be nonnegative, got {n}")
+        n = as_index(n, "column length", least=0)
         frame = np.empty(n + 1)
         k = 0
         if self._spare is not None:
