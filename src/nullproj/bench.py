@@ -191,12 +191,21 @@ def parse_csv(text):
     if not lines or lines[0].split(",") != names:
         raise ConfigurationError("CSV header is missing or does not match the TrialRow fields")
     types = {f.name: f.type for f in fields(TrialRow)}
+
+    def convert(row, name, cell):
+        try:
+            return types[name](cell)
+        except ValueError:
+            raise ConfigurationError(
+                f"CSV row {row}: field {name} must be {types[name].__name__}, got {cell!r}"
+            ) from None
+
     rows = []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != len(names):
             raise ConfigurationError(f"CSV row has {len(cells)} cells, expected {len(names)}")
-        rows.append(TrialRow(**{name: types[name](cell) for name, cell in zip(names, cells)}))
+        rows.append(TrialRow(**{name: convert(row, name, cell) for name, cell in zip(names, cells)}))
     return rows
 
 

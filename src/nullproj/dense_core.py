@@ -11,8 +11,9 @@ LAPACK solve against the identity, and a solve is then a sweep of BLAS
 products, one with the already-solved part and one with the block's
 inverse per block row; no loop over rows runs in the interpreter.  The
 adjoint solve sweeps the other way on forward views of the same factor.
-A `PermutedFactor` held for many solves keeps its block inverses, so its
-solves make no LAPACK call.
+A `PermutedFactor` held for many solves keeps its block inverses and the
+views of them and of R that each block step reads, so its solves make no
+LAPACK call and slice nothing.
 
 Ownership: the substitution kernel overwrites the array it is given, and
 so do `PermutedFactor.solve` and the private `_invert_spd`, so a caller
@@ -51,6 +52,7 @@ from .errors import (
     FactorizationError,
     SingularFactorError,
     SizeCapError,
+    all_finite,
     inverse_permutation,
 )
 
@@ -259,28 +261,43 @@ def _check_rhs(x, m):
         raise DimensionError(f"right-hand side of shape {x.shape} does not match factor size {m}")
 
 
-def _substitute(R, inv, x, adjoint=False):
-    """Overwrite the float array x with R^-1 x, or R^-* x when `adjoint`; returns x.
+def _block_steps(R, inv, adjoint=False):
+    """The sweep that solves with R, or with R* when `adjoint`, as one step per block row.
 
-    `inv` is `invert_diagonal_blocks(R)`.  Back substitution runs bottom
-    to top, x[a:b] = D (x[a:b] - R[a:b, b:] x[b:]) with D the inverse of
-    block [a, b).  The adjoint is forward substitution top to bottom,
-    x[a:b] = D* (x[a:b] - R[:a, a:b]* x[:a]).  Every product reads a
-    forward view of R, which BLAS takes without a copy.
+    `inv` is `invert_diagonal_blocks(R)`.  A step (rows, solved, C, D) is
+    x[rows] = D (x[rows] - C x[solved]) with D the inverse of the block.
+    Back substitution runs bottom to top, x[a:b] = D (x[a:b] - R[a:b, b:] x[b:]);
+    the adjoint is forward substitution top to bottom,
+    x[a:b] = D* (x[a:b] - R[:a, a:b]* x[:a]).  C and D are views of R and
+    `inv`, and every product reads a forward view, which BLAS takes
+    without a copy.
     """
     m = R.shape[0]
-    _check_rhs(x, m)
     starts = range(0, m, _BASE_ROWS)
+    steps = []
     for a in starts if adjoint else reversed(starts):
         b = min(a + _BASE_ROWS, m)
         D = inv[a:b, : b - a]
         if adjoint:
-            x[a:b] -= R[:a, a:b].T @ x[:a]
-            x[a:b] = D.T @ x[a:b]
+            steps.append((slice(a, b), slice(0, a), R[:a, a:b].T, D.T))
         else:
-            x[a:b] -= R[a:b, b:] @ x[b:]
-            x[a:b] = D @ x[a:b]
+            steps.append((slice(a, b), slice(b, m), R[a:b, b:], D))
+    return tuple(steps)
+
+
+def _substitute(steps, x):
+    """Overwrite the float array x with the solve that `steps` sweep; returns x."""
+    for rows, solved, C, D in steps:
+        x[rows] -= C @ x[solved]
+        x[rows] = D @ x[rows]
     return x
+
+
+def _solve_once(R, x, adjoint=False):
+    """Overwrite x with R^-1 x, or R^-* x when `adjoint`, inverting R's blocks for this solve."""
+    steps = _block_steps(R, invert_diagonal_blocks(R), adjoint)
+    _check_rhs(x, R.shape[0])
+    return _substitute(steps, x)
 
 
 def solve_upper(R, y):
@@ -290,8 +307,7 @@ def solve_upper(R, y):
     diagonal blocks are read whole.  A one-off solve: it inverts R's
     diagonal blocks and sweeps once, on its own copy of y.
     """
-    R = _as_factor(R)
-    return _substitute(R, invert_diagonal_blocks(R), np.array(y, dtype=float))
+    return _solve_once(_as_factor(R), np.array(y, dtype=float))
 
 
 def solve_upper_adjoint(R, d):
@@ -300,8 +316,7 @@ def solve_upper_adjoint(R, d):
     R* is lower-triangular, so this is forward substitution with the
     transposed blocks of R, as in `solve_upper` a one-off solve on a copy of d.
     """
-    R = _as_factor(R)
-    return _substitute(R, invert_diagonal_blocks(R), np.array(d, dtype=float), adjoint=True)
+    return _solve_once(_as_factor(R), np.array(d, dtype=float), adjoint=True)
 
 
 class PermutedFactor:
@@ -321,10 +336,13 @@ class PermutedFactor:
         self.perm = inverse_permutation(perm, "perm")[0]
         if self.perm.size != m:
             raise ConfigurationError(f"perm must be an integer permutation of range({m})")
-        if not np.isfinite(self.R).all():
+        if not all_finite(self.R):
             raise DomainError("R must be finite, got a NaN or infinite entry")
         self.block_inverses = invert_diagonal_blocks(self.R)
         self.block_inverses.setflags(write=False)
+        # both sweeps' views of R and of the block inverses, made once for every solve
+        self._back = _block_steps(self.R, self.block_inverses)
+        self._forward = _block_steps(self.R, self.block_inverses, adjoint=True)
 
     def solve(self, y):
         """Return x with M x = y, that is R x[perm] = y; may overwrite the float array y.
@@ -332,7 +350,9 @@ class PermutedFactor:
         Back substitution in y, then a scatter through the permutation;
         accepts vector or matrix right-hand sides.
         """
-        g = _substitute(self.R, self.block_inverses, np.asarray(y, dtype=float))
+        g = np.asarray(y, dtype=float)
+        _check_rhs(g, self.R.shape[0])
+        _substitute(self._back, g)
         x = np.empty_like(g)
         x[self.perm] = g
         return x
@@ -344,7 +364,7 @@ class PermutedFactor:
         """
         d = np.asarray(d, dtype=float)
         _check_rhs(d, self.R.shape[0])  # before the gather, which would drop rows past m
-        return _substitute(self.R, self.block_inverses, d[self.perm], adjoint=True)
+        return _substitute(self._forward, d[self.perm])
 
 
 def invert_small(X):
@@ -368,7 +388,7 @@ def _invert_spd(X):
     """
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionError(f"invert_small expects a square matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
+    if not all_finite(X):
         raise DomainError("invert_small needs a finite matrix, got a NaN or infinite entry")
     m = X.shape[0]
     try:
@@ -377,7 +397,7 @@ def _invert_spd(X):
         raise FactorizationError(f"matrix of size {m} is not positive definite: {exc}") from exc
     X[...] = 0.0
     np.fill_diagonal(X, 1.0)
-    W = _substitute(L.T, invert_diagonal_blocks(L.T), X, adjoint=True)  # L W = I
+    W = _solve_once(L.T, X, adjoint=True)  # L W = I
     del L
     Y = W.T @ W
     # numpy happens to compute W.T @ W with a symmetric kernel (syrk), which
@@ -401,7 +421,7 @@ def svd_dense(M):
         raise SizeCapError(
             f"svd of a {M.shape[0]}x{M.shape[1]} matrix exceeds the cap of {ORACLE_CAP} entries"
         )
-    if not np.isfinite(M).all():
+    if not all_finite(M):
         raise DomainError("svd_dense needs a finite matrix, got a NaN or infinite entry")
     sigma = np.linalg.svd(M, compute_uv=False)
     smallest = sigma[-1]

@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and the one check of the integers a caller passes."""
+"""Exception types shared across the library, the one check of the integers a caller passes,
+and the one finiteness test of an array."""
 
 import operator
 
@@ -72,3 +73,21 @@ def inverse_permutation(perm, name):
     if not np.array_equal(perm[inv], np.arange(perm.size)):
         raise ConfigurationError(f"{name} must be a permutation of range({perm.size})")
     return perm, inv
+
+
+def all_finite(a):
+    """True unless the array `a` holds a NaN or infinite entry; allocates no mask.
+
+    The smallest and the largest entry, taken over every axis, are finite
+    exactly when every entry is: both reductions carry a NaN through, and an
+    infinity is an extreme.  Unlike a sum, they cannot overflow on large
+    finite entries.  The initial 0.0 lets an empty array pass.  A complex
+    array is read as its real and its imaginary part, both views.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        return all_finite(a.real) and all_finite(a.imag)
+    return bool(
+        np.isfinite(np.minimum.reduce(a, axis=None, initial=0.0))
+        and np.isfinite(np.maximum.reduce(a, axis=None, initial=0.0))
+    )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dense_core import ORACLE_CAP
 from .errors import ConfigurationError, DimensionError, DomainError, SizeCapError
-from .errors import as_index, as_index_array, inverse_permutation
+from .errors import all_finite, as_index, as_index_array, inverse_permutation
 
 
 class LinearOperator:
@@ -26,7 +26,10 @@ class LinearOperator:
     that holds the operator's output contract for every caller, setup,
     projection and oracle alike: an output whose shape is not (m,) for
     `A x` or (n,) for `A* y` raises `DimensionError`, and one with a NaN or
-    infinite entry raises `DomainError`.  Instances are immutable after
+    infinite entry raises `DomainError`.  The finiteness test is
+    `errors.all_finite`, which reads the output's smallest and largest
+    entries and allocates nothing, so the check adds no array to a
+    product's memory.  Instances are immutable after
     construction except for the two call counters, which `apply` and
     `apply_adjoint` update under a lock so concurrent calls from several
     threads stay exact.
@@ -75,7 +78,7 @@ class LinearOperator:
             raise DimensionError(
                 f"the operator's {product} must have shape ({size_out},), got shape {np.shape(out)}"
             )
-        if not np.isfinite(out).all():
+        if not all_finite(out):
             raise DomainError(f"the operator's {product} holds a NaN or infinite entry")
         return out
 

@@ -17,9 +17,10 @@ their solves and the inverse overwrite arrays the build owns: the Gram
 build's identity takes R^-1, and the Gram matrix X takes L^-1 and then Y.
 At large n the length-n arrays dominate instead, and a build holds one at a
 time: the stream's column in the sketch, then `A* w` in the Gram build,
-since the sparse operator's `A x` makes no length-n copy of x.  At
-(m, n) = (100, 1e5) a build peaks at about 1.02 MiB (tracemalloc), 1.3
-length-n arrays.
+since the sparse operator's `A x` makes no length-n copy of x and the
+check of each output allocates no length-n mask.  At (m, n) = (100, 1e5)
+a build peaks at about 0.93 MiB (tracemalloc): one length-n array of
+0.76 MiB plus m-sized state.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ import numpy as np
 
 from .dense_core import PermutedFactor, _invert_spd, qr_pivoted
 from .errors import ConfigurationError, DimensionError, DomainError, RankDeficientSketchError
-from .errors import as_index
+from .errors import all_finite, as_index
 from .linop import apply_gram
 
 SKETCH_ATTEMPTS = 3  # sketches a build tries before it reports a rank-deficient operator
@@ -69,7 +70,7 @@ class Preconditioner:
         for name, arr in (("R", self.R), ("Y", self.Y)):
             if arr.shape != (self.m, self.m):
                 raise DimensionError(f"{name} must be {self.m}x{self.m}, got shape {arr.shape}")
-        if not np.isfinite(self.Y).all():
+        if not all_finite(self.Y):
             raise DomainError("Y must be finite, got a NaN or infinite entry")
         self.factor = PermutedFactor(self.R, self.perm)
         # the factor holds this R and converts perm once; both then hold those arrays
@@ -156,7 +157,9 @@ def build_preconditioner(A, l, g):
     with two m-by-l arrays and R alive; the Gram build and the inverse
     then hold at most three m-by-m arrays each, R included, because the
     solves and the inverse run in place on arrays the build made (the
-    Gram matrix X is overwritten by Y).
+    Gram matrix X is overwritten by Y).  At large n the build holds one
+    length-n array at a time plus m-sized state: about 0.93 MiB at
+    (m, n) = (100, 1e5), of which the length-n array is 0.76 MiB.
     """
     m, n = A.shape
     l = _check_sketch_width(l, m, n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense_core import PermutedFactor, qr_pivoted
-from .errors import DimensionError, DomainError, as_index
+from .errors import DimensionError, DomainError, all_finite, as_index
 from .linop import apply_gram
 
 
@@ -49,7 +49,7 @@ def _check_vector(b, n, name="b"):
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise DimensionError(f"{name} must have length {n}, got shape {b.shape}")
-    if not np.isfinite(b).all():
+    if not all_finite(b):
         raise DomainError(f"{name} must be finite, got a NaN or infinite entry")
     return b
 

@@ -156,6 +156,16 @@ def test_parse_csv_refuses_a_row_the_config_refuses(name, cell):
         parse_csv(f"{header}\n{','.join(cells)}\n")
 
 
+@pytest.mark.parametrize("name, cell", [("m", "8.0"), ("n", "x"), ("kappa", "nan?")])
+def test_parse_csv_refuses_a_cell_of_the_wrong_type(name, cell):
+    row = run_trial(small_config(trials=1))
+    header, line = emit_csv([row]).splitlines()
+    cells = line.split(",")
+    cells[header.split(",").index(name)] = cell
+    with pytest.raises(ConfigurationError, match=f"^CSV row 2: field {name} must be"):
+        parse_csv(f"{header}\n{line}\n{','.join(cells)}\n")
+
+
 def test_markdown_column_order():
     row = run_trial(small_config(trials=1))
     md_err = emit_markdown([row], table="errors")

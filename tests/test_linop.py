@@ -153,6 +153,23 @@ def test_sparse_apply_allocates_no_length_n_array():
     assert peak < 0.1 * n * 8
 
 
+def test_sparse_adjoint_holds_one_length_n_array():
+    # A* y is the one length-n array; the output's finiteness check
+    # allocates no length-n mask.  Measured 1952 bytes above n*8 (m-sized
+    # temporaries); the 4096 allows about twice that.  An n-byte bool mask
+    # from np.isfinite(out) would add 100 kB.
+    m, n = 100, 100_000
+    A = make_sparse_test(m, n, 1e8, 0)
+    y = np.random.default_rng(42).standard_normal(m)
+    A.apply_adjoint(y)  # any one-time setup happens outside the traced call
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    A.apply_adjoint(y)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < n * 8 + 4096
+
+
 def test_densify_of_identity_perm_single_block_is_stencil():
     st = CirculantStencil(6, 2.0)
     A = SparseTestMatrix(st, np.arange(6), np.arange(6))
