@@ -1,5 +1,5 @@
 """Exception types shared across the library, the one check of the integers a caller passes,
-and the one finiteness test of an array."""
+the one refusal of complex data, and the one finiteness test of an array."""
 
 import operator
 
@@ -23,7 +23,8 @@ class DomainError(NullProjError):
     """A value lies outside its domain: a probability/bound formula's
     parameters, a vector to project that holds a NaN or infinite entry, an
     operator whose output does, or a matrix handed to the pivoted QR, the
-    small inverse or the SVD oracle that does."""
+    small inverse or the SVD oracle that does; or a complex vector handed
+    to an operator or a projection, or a complex operator output."""
 
 
 class SizeCapError(NullProjError):
@@ -75,19 +76,33 @@ def inverse_permutation(perm, name):
     return perm, inv
 
 
+def as_real(values, name):
+    """`values` as a float array, not copied when it is one; DomainError naming it if complex.
+
+    Converting a complex array to float would drop its imaginary part with
+    no more than a `ComplexWarning`, so it is refused before the conversion.
+    """
+    if np.iscomplexobj(values):
+        raise DomainError(f"{name} must be real, got a complex array")
+    return np.asarray(values, dtype=float)
+
+
 def all_finite(a):
     """True unless the array `a` holds a NaN or infinite entry; allocates no mask.
 
     The smallest and the largest entry, taken over every axis, are finite
     exactly when every entry is: both reductions carry a NaN through, and an
     infinity is an extreme.  Unlike a sum, they cannot overflow on large
-    finite entries.  The initial 0.0 lets an empty array pass.  A complex
-    array is read as its real and its imaginary part, both views.
+    finite entries.  An empty array and one of booleans or integers pass
+    without a reduction.  A complex array is read as its real and its
+    imaginary part, both views.
     """
     a = np.asarray(a)
-    if a.dtype.kind == "c":
+    kind = a.dtype.kind
+    if kind == "c":
         return all_finite(a.real) and all_finite(a.imag)
-    return bool(
-        np.isfinite(np.minimum.reduce(a, axis=None, initial=0.0))
-        and np.isfinite(np.maximum.reduce(a, axis=None, initial=0.0))
-    )
+    if kind in "biu" or not a.size:
+        return True
+    # the ufunc reductions called directly, over every axis (axis=None),
+    # skip the Python-level wrapper of ndarray.min and ndarray.max
+    return bool(-np.inf < np.minimum.reduce(a, None) and np.maximum.reduce(a, None) < np.inf)

@@ -2,11 +2,12 @@
 
 An operator here is a short, fat m-by-n map known only through `apply` and
 `apply_adjoint`.  Both entry points count their calls (thread-safely), so
-algorithm cost contracts can be asserted exactly, and both check the shape
-and finiteness of what the operator returns.  `densify` provides an
-uncounted dense snapshot for small instances, used by verification oracles;
-it runs each column through the same checked body as `apply`, so it holds
-the same output contract without touching the counters.
+algorithm cost contracts can be asserted exactly, and both refuse complex
+data and check the shape and finiteness of what the operator returns.
+`densify` provides an uncounted dense snapshot for small instances, used
+by verification oracles; it runs each column through the same checked
+body as `apply`, so it holds the same output contract without touching
+the counters.
 """
 
 import threading
@@ -15,7 +16,7 @@ import numpy as np
 
 from .dense_core import ORACLE_CAP
 from .errors import ConfigurationError, DimensionError, DomainError, SizeCapError
-from .errors import all_finite, as_index, as_index_array, inverse_permutation
+from .errors import all_finite, as_index, as_index_array, as_real, inverse_permutation
 
 
 class LinearOperator:
@@ -25,11 +26,12 @@ class LinearOperator:
     arrays.  `apply`, `apply_adjoint` and `densify` share one checked body
     that holds the operator's output contract for every caller, setup,
     projection and oracle alike: an output whose shape is not (m,) for
-    `A x` or (n,) for `A* y` raises `DimensionError`, and one with a NaN or
-    infinite entry raises `DomainError`.  The finiteness test is
-    `errors.all_finite`, which reads the output's smallest and largest
-    entries and allocates nothing, so the check adds no array to a
-    product's memory.  Instances are immutable after
+    `A x` or (n,) for `A* y` raises `DimensionError`, and a complex one, or
+    one with a NaN or infinite entry, raises `DomainError`, as does a
+    complex input; a real output is returned as a float array.  The
+    finiteness test is `errors.all_finite`, which reads the output's
+    smallest and largest entries and allocates nothing, so the check adds
+    no array to a product's memory.  Instances are immutable after
     construction except for the two call counters, which `apply` and
     `apply_adjoint` update under a lock so concurrent calls from several
     threads stay exact.
@@ -70,7 +72,7 @@ class LinearOperator:
         else:
             name, product, impl = "apply", "A x", self._apply_impl
             size_out, size_in = self.shape
-        v = np.asarray(v, dtype=float)
+        v = as_real(v, f"the input of {name}")
         if v.shape != (size_in,):
             raise DimensionError(f"{name} expects a vector of length {size_in}, got shape {v.shape}")
         out = impl(v)
@@ -78,6 +80,7 @@ class LinearOperator:
             raise DimensionError(
                 f"the operator's {product} must have shape ({size_out},), got shape {np.shape(out)}"
             )
+        out = as_real(out, f"the operator's {product}")
         if not all_finite(out):
             raise DomainError(f"the operator's {product} holds a NaN or infinite entry")
         return out

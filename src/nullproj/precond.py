@@ -51,7 +51,10 @@ class Preconditioner:
     entry of `R` `DomainError` and a zero on R's diagonal
     `SingularFactorError`.  It inverts R's diagonal blocks once, so that
     no projection makes a LAPACK call.  Instances are immutable (the
-    arrays are marked read-only) and safe to share across threads.
+    arrays are marked read-only) and safe to share across threads; the
+    one thing that changes is the factor's cache of fused vector-solve
+    steps, which the first projection builds under a lock, so
+    concurrent first projections build it once.
     """
 
     R: np.ndarray

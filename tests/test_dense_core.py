@@ -17,7 +17,13 @@ from nullproj import (
     solve_upper_adjoint,
     svd_dense,
 )
-from nullproj.dense_core import _BASE_ROWS, _PIVOT_TIE_RTOL, PermutedFactor, invert_diagonal_blocks
+from nullproj.dense_core import (
+    _BASE_ROWS,
+    _FUSED_ROWS,
+    _PIVOT_TIE_RTOL,
+    PermutedFactor,
+    invert_diagonal_blocks,
+)
 
 from helpers import substitute_by_rows
 
@@ -240,33 +246,109 @@ def test_solve_upper_matrix_rhs():
     assert np.linalg.norm(R @ G - Y) <= 1e-13 * np.linalg.norm(Y)
 
 
+# block and fused-step edges (32-33, 63-65, 128-129), several steps, and a
+# last step of one row (385)
 SOLVE_SIZES = sorted(
-    {1, 16, 17, 49, 128, 129, 200, 385} | {_BASE_ROWS, _BASE_ROWS + 1, 3 * _BASE_ROWS + 1}
+    {1, 16, 17, 49, 63, 64, 65, 128, 129, 200, 385}
+    | {_BASE_ROWS, _BASE_ROWS + 1, 3 * _BASE_ROWS + 1}
 )
+
+
+def solve_test_factors(m):
+    """A well-conditioned factor with mixed-sign diagonal, a graded one, three right-hand sides.
+
+    The graded factor scales the rows over 14 decades and the columns over
+    +-6; a base case that pivots (LU of a lower-triangular block) breaks the
+    componentwise bound on it.
+    """
+    rng = np.random.default_rng(1000 + m)
+    qr = np.linalg.qr(rng.standard_normal((m, m)))[1]
+    Y = rng.standard_normal((m, 3))
+    graded = qr * 10.0 ** rng.uniform(-7.0, 7.0, (m, 1)) * 10.0 ** rng.uniform(-6.0, 6.0, m)
+    return (qr, graded), Y
+
+
+def holds_componentwise_bound(T, x, y):
+    """The componentwise backward error of substitution, |T x - y| <= 4 m eps |T| |x|."""
+    m = T.shape[0]
+    return (np.abs(T @ x - y) <= 4 * m * np.finfo(float).eps * (np.abs(T) @ np.abs(x))).all()
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
 @pytest.mark.parametrize("m", SOLVE_SIZES)
 def test_blocked_solves_match_row_substitution(m, adjoint):
-    rng = np.random.default_rng(1000 + m)
-    qr = np.linalg.qr(rng.standard_normal((m, m)))[1]  # well-conditioned, mixed-sign diagonal
-    Y = rng.standard_normal((m, 3))
-    # graded: rows scaled over 14 decades, columns over +-6; a base case that
-    # pivots (LU of a lower-triangular block) breaks the componentwise bound here
-    graded = qr * 10.0 ** rng.uniform(-7.0, 7.0, (m, 1)) * 10.0 ** rng.uniform(-6.0, 6.0, m)
+    factors, Y = solve_test_factors(m)
     solve = solve_upper_adjoint if adjoint else solve_upper
-    eps = np.finfo(float).eps
 
-    for R in (qr, graded):
+    for R in factors:
         T = R.T if adjoint else R
         X = solve(R, Y)
         cols = np.column_stack([solve(R, Y[:, j]) for j in range(Y.shape[1])])
         ref = np.column_stack([substitute_by_rows(R, Y[:, j], adjoint) for j in range(Y.shape[1])])
         for got in (X, cols):
             assert got.shape == Y.shape
-            # componentwise backward error of substitution, |T x - y| <= c m eps |T| |x|
-            assert (np.abs(T @ got - Y) <= 4 * m * eps * (np.abs(T) @ np.abs(got))).all()
+            assert holds_componentwise_bound(T, got, Y)
             assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("m", SOLVE_SIZES)
+def test_factor_vector_solves_match_row_substitution(m, adjoint):
+    # a PermutedFactor solves a vector with its fused steps, the projection
+    # chain's path, and a matrix with the view sweep of the public solves
+    factors, Y = solve_test_factors(m)
+    rng = np.random.default_rng(6000 + m)
+    for R in factors:
+        T = R.T if adjoint else R
+        for perm in (np.arange(m), rng.permutation(m)):
+            factor = PermutedFactor(R, perm)
+            for y in Y.T:
+                if adjoint:
+                    x, rhs = factor.solve_adjoint(y), y[perm]  # R* x = y[perm]
+                else:
+                    x, rhs = factor.solve(y.copy())[perm], y  # R x[perm] = y
+                assert holds_componentwise_bound(T, x, rhs)
+                ref = substitute_by_rows(R, rhs, adjoint)
+                assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+def fused_doubles(m):
+    """Doubles in the back sweep's fused steps, rows a:c of width m-a.
+
+    The adjoint's rows a:c of width c hold as many at m = 400.
+    """
+    return sum((min(a + _FUSED_ROWS, m) - a) * (m - a) for a in range(0, m, _FUSED_ROWS))
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["back", "adjoint"])
+def test_first_vector_solve_builds_one_direction_of_fused_steps(adjoint):
+    # the first vector solve in a direction builds that direction's steps,
+    # 92,416 doubles at m = 400 (0.58 m^2), and keeps them; while it builds
+    # them it holds at most two products of a _BASE_ROWS-row sweep besides
+    # (1.18x the steps, measured); later solves and matrix solves keep nothing
+    m = 400
+    rng = np.random.default_rng(7000)
+    factor = PermutedFactor(np.linalg.qr(rng.standard_normal((m, m)))[1], rng.permutation(m))
+    solve = factor.solve_adjoint if adjoint else factor.solve
+    y = rng.standard_normal(m)
+    assert fused_doubles(m) == 92_416
+    fused = 8 * fused_doubles(m)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solve(np.ones((m, 3)))  # a matrix takes the view sweep, made for this solve
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve(y.copy())
+        held, peak = tracemalloc.get_traced_memory()
+        solve(y.copy())
+        again = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert before - start < 8 * m
+    assert fused <= held - before < fused + 8 * 1024  # the steps, their tuples and slices
+    assert peak - before < fused + 8 * 2 * _BASE_ROWS * m
+    assert abs(again - held) < 8 * m
 
 
 @pytest.mark.parametrize("solve", [solve_upper, solve_upper_adjoint])

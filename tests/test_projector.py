@@ -330,6 +330,42 @@ def test_concurrent_projections_share_one_preconditioner():
     assert (after[0] - before[0], after[1] - before[1]) == (len(bs), len(bs))
 
 
+def test_concurrent_first_projections_match_serial_ones_bitwise():
+    # The first vector solve in each direction builds the factor's fused
+    # steps.  Threads that all reach it at once, on a fresh preconditioner,
+    # must each get what a serial caller of an identical build gets.
+    import sys
+    import threading
+
+    A, fresh = build_pair(100, 1000, 1e8, seed=62)
+    twin = build_preconditioner(A, 104, UniformLaggedFibonacci(62 + 1000))
+    rng = np.random.default_rng(63)
+    bs = [rng.standard_normal(1000) for _ in range(8)]
+    serial = [project(twin, A, b) for b in bs]
+
+    results = [None] * len(bs)
+    start = threading.Barrier(len(bs))
+
+    def worker(i):
+        start.wait(timeout=30)
+        results[i] = project(fresh, A, bs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(bs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        for field in ("row_projection", "null_projection", "lstsq_solution"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
 def test_projections_after_a_build_make_no_lapack_solve(monkeypatch):
     # R's diagonal blocks are inverted once per build; every solve after
     # that is BLAS products only, on both the randomized and classical paths
