@@ -50,8 +50,9 @@ remaining column norms by each new row of R.  A downdate that cancels
 all but `_STALE` of a squared norm marks it stale: the panel ends there
 and the stale norms are computed again from their columns, so a pivot is
 never chosen from a norm that cancellation has emptied.  That matters
-because the factorization doubles as a rank detector.  The QR, the
-inverse and the SVD oracle refuse a NaN or infinite input with
+because the factorization doubles as a rank detector.  Every entry point
+refuses a complex input with `DomainError` before converting it to float.
+The QR, the inverse and the SVD oracle refuse a NaN or infinite input with
 `DomainError`; the triangular solves run on every projection, so they
 check only the right-hand side's length, and a `PermutedFactor` checks
 its R (finite, no zero on the diagonal) and its perm once, when it is made.
@@ -71,6 +72,7 @@ from .errors import (
     SingularFactorError,
     SizeCapError,
     all_finite,
+    as_real,
     inverse_permutation,
 )
 
@@ -164,7 +166,7 @@ def qr_pivoted(M):
     stale: the panel ends at that step, and the stale norms are computed
     again from their updated columns (Drmac and Bujanovic, ACM TOMS 2008).
     """
-    M = np.asarray(M, dtype=float)
+    M = as_real(M, "M")
     if M.ndim != 2:
         raise DimensionError(f"qr_pivoted expects a matrix, got ndim={M.ndim}")
     l, m = M.shape
@@ -244,7 +246,7 @@ def qr_pivoted(M):
 
 
 def _as_factor(R):
-    R = np.asarray(R, dtype=float)
+    R = as_real(R, "R")
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise DimensionError(f"triangular factor must be square, got shape {R.shape}")
     return R
@@ -363,7 +365,7 @@ def solve_upper(R, y):
     diagonal blocks are read whole.  A one-off solve: it inverts R's
     diagonal blocks and sweeps once, on its own copy of y.
     """
-    return _solve_once(_as_factor(R), np.array(y, dtype=float))
+    return _solve_once(_as_factor(R), np.array(as_real(y, "y")))
 
 
 def solve_upper_adjoint(R, d):
@@ -372,7 +374,7 @@ def solve_upper_adjoint(R, d):
     R* is lower-triangular, so this is forward substitution with the
     transposed blocks of R, as in `solve_upper` a one-off solve on a copy of d.
     """
-    return _solve_once(_as_factor(R), np.array(d, dtype=float), adjoint=True)
+    return _solve_once(_as_factor(R), np.array(as_real(d, "d")), adjoint=True)
 
 
 class PermutedFactor:
@@ -430,7 +432,7 @@ class PermutedFactor:
         Back substitution in y, then a scatter through the permutation;
         accepts vector or matrix right-hand sides.
         """
-        g = np.asarray(y, dtype=float)
+        g = as_real(y, "y")
         _check_rhs(g, self.R.shape[0])
         self._sweep(g, adjoint=False)
         x = np.empty_like(g)
@@ -442,7 +444,7 @@ class PermutedFactor:
 
         The gather d[perm] is already a fresh array, so the solve runs on it.
         """
-        d = np.asarray(d, dtype=float)
+        d = as_real(d, "d")
         _check_rhs(d, self.R.shape[0])  # before the gather, which would drop rows past m
         return self._sweep(d[self.perm], adjoint=True)
 
@@ -457,7 +459,7 @@ def invert_small(X):
     symmetrized, so Y == Y.T holds exactly.  A NaN or infinite entry
     raises DomainError.  X is left as it was: the inverse runs on a copy.
     """
-    return _invert_spd(np.array(X, dtype=float))
+    return _invert_spd(np.array(as_real(X, "X")))
 
 
 def _invert_spd(X):
@@ -494,7 +496,7 @@ def svd_dense(M):
     and a NaN or infinite entry with DomainError.  A zero smallest singular
     value yields an infinite condition number.
     """
-    M = np.asarray(M, dtype=float)
+    M = as_real(M, "M")
     if M.ndim != 2:
         raise DimensionError(f"svd_dense expects a matrix, got ndim={M.ndim}")
     if M.size > ORACLE_CAP:

@@ -4,6 +4,7 @@ An operator here is a short, fat m-by-n map known only through `apply` and
 `apply_adjoint`.  Both entry points count their calls (thread-safely), so
 algorithm cost contracts can be asserted exactly, and both refuse complex
 data and check the shape and finiteness of what the operator returns.
+The operators that wrap caller data refuse complex data on construction.
 `densify` provides an uncounted dense snapshot for small instances, used
 by verification oracles; it runs each column through the same checked
 body as `apply`, so it holds the same output contract without touching
@@ -17,6 +18,10 @@ import numpy as np
 from .dense_core import ORACLE_CAP
 from .errors import ConfigurationError, DimensionError, DomainError, SizeCapError
 from .errors import all_finite, as_index, as_index_array, as_real, inverse_permutation
+
+# entries of the dense family's A* y that one gather of its base's adjoint
+# adds at a time; bounds that gather's temporary whatever n is
+_ADJOINT_CHUNK = 8192
 
 
 class LinearOperator:
@@ -192,9 +197,12 @@ class SparseTestMatrix(LinearOperator):
         return self.stencil.apply(w)[self._row_perm_inv]
 
     def _apply_adjoint_impl(self, y):
-        t = y[self.row_perm]  # U* y
-        w = self.stencil.apply(t)  # B is symmetric
-        return w[self._adjoint_gather]  # V* [w w ... w]
+        w, gather = self._adjoint_slots(y)
+        return w[gather]  # V* [w w ... w]
+
+    def _adjoint_slots(self, y):
+        """(w, gather) with A* y = w[gather]: the stencil output w = B U* y and the slot map."""
+        return self.stencil.apply(y[self.row_perm]), self._adjoint_gather  # B is symmetric
 
 
 class DenseTestMatrix(LinearOperator):
@@ -202,14 +210,18 @@ class DenseTestMatrix(LinearOperator):
 
     Dense as a matrix, but applied in O(n + 10(m+n)) work by exploiting
     the split.  One apply of this operator counts as one apply, even
-    though it rides on the sparse base internally.
+    though it rides on the sparse base internally.  `A* y` holds one
+    length-n array: the rank-10 term is written into the fresh output by
+    one BLAS product, and the base's gather V* [w ... w] is added into it
+    `_ADJOINT_CHUNK` entries at a time.  The sum is the same two terms as
+    adding the base's whole A* y, bit for bit.  Complex `E` or `F` raises
+    `DomainError`.
     """
 
     RANK = 10
 
     def __init__(self, base, E, F):
-        E = np.asarray(E, dtype=float)
-        F = np.asarray(F, dtype=float)
+        E, F = as_real(E, "E"), as_real(F, "F")
         m, n = base.shape
         if E.shape != (m, self.RANK) or F.shape != (self.RANK, n):
             raise ConfigurationError(
@@ -226,19 +238,21 @@ class DenseTestMatrix(LinearOperator):
         return self.base._apply_impl(x) + self.scale * (self.E @ (self.F @ x))
 
     def _apply_adjoint_impl(self, y):
-        # both terms are fresh length-n arrays, so the update goes in place
-        out = self.base._apply_adjoint_impl(y)
-        low_rank = self.F.T @ (self.E.T @ y)
-        low_rank *= self.scale
-        out += low_rank
+        # the rank-10 term is the one fresh length-n array; the base's
+        # gather is added into it a bounded chunk at a time
+        out = self.F.T @ (self.E.T @ y)
+        out *= self.scale
+        w, gather = self.base._adjoint_slots(y)
+        for a in range(0, out.size, _ADJOINT_CHUNK):
+            out[a : a + _ADJOINT_CHUNK] += w[gather[a : a + _ADJOINT_CHUNK]]
         return out
 
 
 class MatrixOperator(LinearOperator):
-    """Wrap an explicit short, fat matrix as a counted operator."""
+    """Wrap an explicit short, fat matrix as a counted operator; a complex one is a DomainError."""
 
     def __init__(self, mat):
-        mat = np.asarray(mat, dtype=float)
+        mat = as_real(mat, "mat")
         if mat.ndim != 2:
             raise DimensionError(f"expected a 2-D array, got ndim={mat.ndim}")
         super().__init__(mat.shape[0], mat.shape[1])
@@ -252,12 +266,12 @@ class MatrixOperator(LinearOperator):
 
 
 class TripletMatrix(LinearOperator):
-    """Sparse operator stored as parallel (row, col, value) arrays."""
+    """Sparse operator stored as parallel (row, col, value) arrays; complex values are refused."""
 
     def __init__(self, m, n, rows, cols, vals):
         super().__init__(m, n)
         rows, cols = as_index_array(rows, "rows"), as_index_array(cols, "cols")
-        vals = np.asarray(vals, dtype=float)
+        vals = as_real(vals, "vals")
         if not (rows.size == cols.size == vals.size):
             raise ConfigurationError("triplet arrays must have equal length")
         if rows.size and (rows.min() < 0 or rows.max() >= m):

@@ -17,10 +17,14 @@ their solves and the inverse overwrite arrays the build owns: the Gram
 build's identity takes R^-1, and the Gram matrix X takes L^-1 and then Y.
 At large n the length-n arrays dominate instead, and a build holds one at a
 time: the stream's column in the sketch, then `A* w` in the Gram build,
-since the sparse operator's `A x` makes no length-n copy of x and the
-check of each output allocates no length-n mask.  At (m, n) = (100, 1e5)
-a build peaks at about 0.93 MiB (tracemalloc): one length-n array of
-0.76 MiB plus m-sized state.
+since the sparse operator's `A x` makes no length-n copy of x, the dense
+test family adds its base's adjoint into its one length-n output a chunk
+at a time, and the check of each output allocates no length-n mask.  At
+(m, n) = (100, 1e5) a sparse build peaks at about 0.93 MiB (tracemalloc):
+one length-n array of 0.76 MiB plus m-sized state.  A dense-family build
+on the Gaussian stream peaks at 1.06 length-n arrays at (20, 2e5), and at
+0.375 MiB at (100, 2e4), where `R`, the Gram matrix, `A* w` and one
+gather chunk are alive.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +33,7 @@ import numpy as np
 
 from .dense_core import PermutedFactor, _invert_spd, qr_pivoted
 from .errors import ConfigurationError, DimensionError, DomainError, RankDeficientSketchError
-from .errors import all_finite, as_index
+from .errors import all_finite, as_index, as_real
 from .linop import apply_gram
 
 SKETCH_ATTEMPTS = 3  # sketches a build tries before it reports a rank-deficient operator
@@ -43,7 +47,8 @@ class Preconditioner:
     permutation acts as z -> z[perm]), and `Y` the symmetric inverse of
     the preconditioned Gram matrix.  Construction takes `l`, `m` and `n` as
     Python ints with m <= l <= n, converts `R` and `Y` to
-    float arrays (a float ndarray is not copied), checks their shapes and
+    float arrays (a float ndarray is not copied; a complex one raises
+    `DomainError`), checks their shapes and
     that `Y` is finite, then derives `factor`, the
     `dense_core.PermutedFactor` of `R` and `perm`.  The factor holds
     those two arrays without a copy and checks them: a `perm` that is not
@@ -69,7 +74,7 @@ class Preconditioner:
     def __post_init__(self):
         self.m, self.n = as_index(self.m, "m"), as_index(self.n, "n")
         self.l = _check_sketch_width(self.l, self.m, self.n)
-        self.R, self.Y = np.asarray(self.R, dtype=float), np.asarray(self.Y, dtype=float)
+        self.R, self.Y = as_real(self.R, "R"), as_real(self.Y, "Y")
         for name, arr in (("R", self.R), ("Y", self.Y)):
             if arr.shape != (self.m, self.m):
                 raise DimensionError(f"{name} must be {self.m}x{self.m}, got shape {arr.shape}")
@@ -127,7 +132,7 @@ def build_gram(A, R, perm):
     Costs m applies of A and m of A*, with one length-n temporary.
     """
     m, n = A.shape
-    R = np.asarray(R, dtype=float)
+    R = as_real(R, "R")
     if R.shape != (m, m):
         raise ConfigurationError(f"R must be {m}x{m} for a {m}x{n} operator, got {R.shape}")
     W = apply_gram(A, PermutedFactor(R, perm).solve(np.eye(m)))

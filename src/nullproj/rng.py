@@ -26,8 +26,8 @@ slice of it.  The output is bitwise the value-at-a-time loop's, whatever
 column sizes are requested.
 
 The Gaussian stream draws its uniforms in chunks of bounded size and
-transforms each chunk with array operations into a frame one slot longer
-than the request; its values are the same as those of the
+transforms each chunk in place with array operations into a frame one
+slot longer than the request; its values are the same as those of the
 one-pair-at-a-time polar method.
 """
 
@@ -217,6 +217,8 @@ class GaussianStream:
     so every pair drawn is used.  The
     base stream therefore advances exactly as under the one-pair-at-a-time
     method, and the output does not depend on how it is split into columns.
+    Each chunk is transformed in place and freed before the next is drawn,
+    so a column costs about 88 KB beyond its frame, whatever its length.
 
     A `base` stream (any object with a uniform `fill_column`; by default
     `UniformLaggedFibonacci(seed)`) belongs to this stream from then on.
@@ -244,18 +246,33 @@ class GaussianStream:
             k = 1
         while k < n:
             pairs = min((n - k + 1) // 2, _CHUNK_PAIRS)
-            uv = self._base.fill_column(2 * pairs)
-            u = uv[0::2]
-            v = uv[1::2]
-            s = u * u + v * v
-            accepted = np.flatnonzero((0.0 < s) & (s < 1.0))
-            s = s[accepted]
-            factor = np.sqrt(-2.0 * np.log(s) / s)
-            # x and y interleave into the frame, whose last slot takes the
-            # second variate of a pair the request ends inside
-            dst = frame[k : k + 2 * accepted.size]
-            dst[0::2] = u[accepted] * factor
-            dst[1::2] = v[accepted] * factor
-            k += dst.size
+            # the chunk's arrays are the helper's locals, so they are freed
+            # before the next chunk is drawn
+            k += _polar_pairs(self._base.fill_column(2 * pairs), frame[k:])
         self._spare = frame[n] if k > n else None
         return frame[:n]
+
+
+def _polar_pairs(uv, dst):
+    """Write the variates of the accepted pairs (uv[0::2], uv[1::2]) to dst; returns their count.
+
+    x and y of each accepted pair interleave into dst, whose last slot in
+    the frame takes the second variate of a pair the request ends inside.
+    Each step runs in place on one array, in the order of
+    sqrt(-2 log(s) / s), so the values are those of that expression.
+    """
+    u, v = uv[0::2], uv[1::2]
+    s = u * u
+    s += v * v
+    accepted = np.flatnonzero((0.0 < s) & (s < 1.0))
+    s = s[accepted]
+    factor = np.log(s)
+    factor *= -2.0
+    factor /= s
+    np.sqrt(factor, out=factor)
+    dst = dst[: 2 * accepted.size]
+    # a ufunc writes the strided slots directly; np.take would buffer both
+    # a contiguous copy of u (or v) and one of its output
+    np.multiply(u[accepted], factor, out=dst[0::2])
+    np.multiply(v[accepted], factor, out=dst[1::2])
+    return dst.size

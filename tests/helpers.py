@@ -47,3 +47,13 @@ def substitute_by_rows(R, y, adjoint=False):
     for k in order:
         x[k] = (y[k] - T[k] @ x) / T[k, k]
     return x
+
+
+def dense_adjoint_two_arrays(A, y):
+    """A* y of a `DenseTestMatrix` as two length-n arrays summed: the base's A* y plus the
+    scaled rank-10 term, the formula its chunked adjoint must match bit for bit."""
+    out = A.base.apply_adjoint(y)
+    low_rank = A.F.T @ (A.E.T @ y)
+    low_rank *= A.scale
+    out += low_rank
+    return out

@@ -9,6 +9,7 @@ import pytest
 from nullproj import (
     CirculantStencil,
     ConfigurationError,
+    DenseTestMatrix,
     DimensionError,
     DomainError,
     LinearOperator,
@@ -23,7 +24,9 @@ from nullproj import (
     make_sparse_test,
     svd_dense,
 )
-from nullproj.linop import apply_gram
+from nullproj.linop import _ADJOINT_CHUNK, apply_gram
+
+from helpers import dense_adjoint_two_arrays
 
 
 def test_stencil_first_column_m5():
@@ -340,6 +343,33 @@ def test_dense_adjoint_is_bitwise_the_sum_of_its_terms(m, n):
     for y in np.random.default_rng(18).standard_normal((3, m)):
         want = A.base._apply_adjoint_impl(y) + A.scale * (A.F.T @ (A.E.T @ y))
         assert A.apply_adjoint(y).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [_ADJOINT_CHUNK - 1, _ADJOINT_CHUNK, _ADJOINT_CHUNK + 1])
+def test_dense_adjoint_is_bitwise_the_two_array_sum_around_its_chunk(n):
+    # one entry short of a whole chunk, exactly one, and one entry into a second;
+    # m is the smallest stencil size that divides n
+    m = next(d for d in range(4, n + 1) if n % d == 0)
+    rng = np.random.default_rng(n)
+    base = SparseTestMatrix(CirculantStencil(m, 0.5), rng.permutation(m), rng.permutation(n))
+    A = DenseTestMatrix(base, rng.standard_normal((m, 10)), rng.standard_normal((10, n)))
+    for y in rng.standard_normal((3, m)):
+        assert A.apply_adjoint(y).tobytes() == dense_adjoint_two_arrays(A, y).tobytes()
+
+
+def test_dense_adjoint_holds_one_length_n_array():
+    # the rank-10 term is the one length-n array and the base's gather is
+    # added into it a chunk at a time; gathering it whole holds two
+    m, n = 20, 200_000
+    A = make_dense_test(m, n, 1e8, seed=43)
+    y = np.random.default_rng(44).standard_normal(m)
+    A.apply_adjoint(y)  # any one-time setup happens outside the traced call
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    A.apply_adjoint(y)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 1.5 * n * 8
 
 
 def test_dimension_errors():

@@ -393,6 +393,16 @@ def test_sparse_build_holds_one_length_n_array_at_a_time():
     assert peak < 1.5 * n * 8
 
 
+def test_dense_build_holds_one_length_n_array_at_a_time():
+    # the dense family's A* w is its one length-n output, into which the
+    # base's gather goes a bounded chunk at a time; a whole gather beside
+    # the rank-10 term takes the Gram build to about two length-n arrays
+    m, n, l = 20, 200_000, 24
+    A = make_dense_test(m, n, 1e8, seed=34)
+    peak = min(traced_peak(build_preconditioner, A, l, GaussianStream(35)) for _ in range(2))
+    assert peak < 1.5 * n * 8
+
+
 def test_build_working_set_stays_near_three_sketch_sized_arrays():
     # the QR holds the sketch, its working copy and R (about 3.3 m l
     # doubles); the Gram build and the inverse hold at most three m-by-m

@@ -252,6 +252,21 @@ def test_uniform_fill_column_memory_is_bounded():
     assert peak < n * 8 + 64 * 1024
 
 
+def test_gaussian_fill_column_temporaries_are_bounded():
+    # each chunk is transformed in place and its arrays are freed before the
+    # next chunk is drawn: about 88 kB over the frame, against 128 kB with the
+    # last chunk's arrays alive through the next draw
+    n = 100_000
+    g = GaussianStream(8)
+    g.fill_column(n)  # any one-time setup happens outside the traced call
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    g.fill_column(n)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak - (n + 1) * 8 < 108_000
+
+
 def test_uniform_construction_and_first_column_memory_is_bounded():
     # the jump matrices are built at import, not on the first call
     n = 100_000
