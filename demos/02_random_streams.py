@@ -9,7 +9,10 @@ value-at-a-time loop.  The Gaussian stream rides on it through the polar
 method, taking uniforms a bounded chunk at a time and transforming each
 chunk with array operations.  Both are exact functions of their seed,
 however a stream is split into columns, which is what lets tests replay
-the full random matrix G column by column without ever storing it.
+the full random matrix G column by column without ever storing it, and
+lets a sketch draw G in blocks of several columns per request: each
+request pays a fixed cost for its lanes' starting windows, so a few large
+requests cost less per value than many small ones.
 """
 
 import time
@@ -48,3 +51,28 @@ t0 = time.perf_counter()
 GaussianStream(7).fill_column(200_000)
 dt = time.perf_counter() - t0
 print(f"gaussian throughput: {0.2 / dt:.1f}M values/s")
+
+# ----------------------------------------------------------------------
+# Request size: a sketch draws G in blocks of whole columns, one request
+# per block; the values do not depend on how the requests are split
+# ----------------------------------------------------------------------
+n, cols = 4000, 40
+by_column, by_block = UniformLaggedFibonacci(11), UniformLaggedFibonacci(11)
+columns = np.concatenate([by_column.fill_column(n) for _ in range(cols)])
+block = by_block.fill_column(cols * n)
+print(f"one {cols}-column request bitwise equal to {cols} columns: {np.array_equal(block, columns)}")
+
+
+def ns_per_value(draw):
+    """Fastest of five calls of `draw`, which draws `cols` columns, in ns per value."""
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        draw()
+        best = min(best, time.perf_counter() - t0)
+    return best / (cols * n) * 1e9
+
+
+small = ns_per_value(lambda: [by_column.fill_column(n) for _ in range(cols)])
+large = ns_per_value(lambda: by_block.fill_column(cols * n))
+print(f"cost per value: {small:.1f} ns in {n}-value requests, {large:.1f} ns in {cols}-column requests")

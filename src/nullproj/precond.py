@@ -1,25 +1,31 @@
 """Randomized preconditioner construction.
 
 Given a counted operator A (m-by-n, m <= n) and a random stream, this
-module forms the sketch S = A G column by column, takes a pivoted QR of
-S*, and precomputes everything a projection needs afterwards: the
-triangular factor R, the pivot permutation, and the inverse Y of the
-preconditioned Gram matrix.  The Gram build is the two solves of a
+module forms the sketch S = A G, drawing G in blocks of whole columns
+with one stream request per block, takes a pivoted QR of S*, and
+precomputes everything a projection needs afterwards: the triangular
+factor R, the pivot permutation, and the inverse Y of the preconditioned
+Gram matrix.  The Gram build is the two solves of a
 `dense_core.PermutedFactor` wrapped around `linop.apply_gram`.  The whole
-build costs exactly l+m applies of A and m applies of A*, and never
-allocates more than one length-n column of G at a time.
+build costs exactly l+m applies of A and m applies of A*, and never holds
+more of G than one block of at most m l values, one length-n column when
+n >= m l.  Few large requests cost the stream less per value than many
+small ones: at (m, n, l) = (400, 4000, 404) the sketch makes 11 requests
+of up to 40 columns in place of 404 of one.
 
 Working set: the QR of the sketch is the peak, narrowly, with the m-by-l
 sketch, the QR's m-by-l working copy and R alive (3.21 m^2 doubles at
-(m, l) = (400, 404)).  The Gram build and the inverse each hold at most
-three m-by-m arrays, R among them (3.16 m^2 doubles at m = 400), because
-their solves and the inverse overwrite arrays the build owns: the Gram
-build's identity takes R^-1, and the Gram matrix X takes L^-1 and then Y.
-At large n the length-n arrays dominate instead, and a build holds one at a
-time: the stream's column in the sketch, then `A* w` in the Gram build,
-since the sparse operator's `A x` makes no length-n copy of x, the dense
-test family adds its base's adjoint into its one length-n output a chunk
-at a time, and the check of each output allocates no length-n mask.  At
+(m, l) = (400, 404)).  The sketch phase holds less: S and one block,
+at most two m-by-l arrays, plus the stream's state.  The Gram build and
+the inverse each hold at most three m-by-m arrays, R among them (3.16 m^2
+doubles at m = 400), because their solves and the inverse overwrite
+arrays the build owns: the Gram build's identity takes R^-1, and the Gram
+matrix X takes L^-1 and then Y.  At large n the length-n arrays dominate
+instead, and a build holds one at a time: the stream's one-column block
+in the sketch, then `A* w` in the Gram build, since the sparse operator's
+`A x` makes no length-n copy of x, the dense test family adds its base's
+adjoint into its one length-n output a chunk at a time, and the check of
+each output allocates no length-n mask.  At
 (m, n) = (100, 1e5) a sparse build peaks at about 0.93 MiB (tracemalloc):
 one length-n array of 0.76 MiB plus m-sized state.  A dense-family build
 on the Gaussian stream peaks at 1.06 length-n arrays at (20, 2e5), and at
@@ -104,18 +110,40 @@ def _check_sketch_width(l, m, n):
 
 
 def build_sketch(A, l, g):
-    """Sketch S = A G, one generated column of G at a time.
+    """Sketch S = A G, drawing G in blocks of whole columns no larger than S.
 
-    Applies A exactly l times and holds only one length-n column plus the
-    m-by-l result, never the full n-by-l random matrix.  An apply that
-    returns a NaN or infinite entry raises `DomainError` from the operator
-    at once; no fresh sketch could mend it.
+    `g.fill_column(k)` must return the next `k` values of one sequence as
+    a 1-D array, the same values however the requests are split, since
+    one request may cover several columns: a block of
+    b = max(1, m l // n) columns is one `fill_column(b n)` (the last block
+    takes what is left of l), and its consecutive n-value slices are G's
+    columns in order.  So at n >= m l each request is one column.  A
+    stream whose output is not k values in a 1-D array raises
+    `DimensionError` naming the stream, before any apply on that block.
+
+    Applies A exactly l times and holds the m-by-l result, one block of at
+    most m l values and the stream's state, never the full n-by-l random
+    matrix.  An apply that returns a NaN or infinite entry raises
+    `DomainError` from the operator at once; no fresh sketch could mend it.
     """
     m, n = A.shape
     l = _check_sketch_width(l, m, n)
+    b = max(1, m * l // n)
     S = np.empty((m, l))
-    for k in range(l):
-        S[:, k] = A.apply(g.fill_column(n))
+    for start in range(0, l, b):
+        cols = min(b, l - start)
+        size = cols * n
+        block = g.fill_column(size)
+        if np.shape(block) != (size,):
+            raise DimensionError(
+                f"the stream {type(g).__name__}.fill_column({size}) must return {size} "
+                f"values in a 1-D array, got shape {np.shape(block)}"
+            )
+        # 1-D slices: a 2-D view's shape arrays would stay in numpy's
+        # dimension cache and count as held memory
+        for k in range(cols):
+            S[:, start + k] = A.apply(block[k * n : (k + 1) * n])
+        del block  # before the next draw, so one block is alive at a time
     return S
 
 
@@ -150,8 +178,11 @@ def build_preconditioner(A, l, g):
         Sketch width, an integer with m <= l <= n (m+4 is the usual
         choice); anything else raises `ConfigurationError`.
     g : stream
-        Random generator with a `fill_column` method (uniform lagged
-        Fibonacci and Gaussian streams both qualify).
+        Random generator whose `fill_column(k)` returns the next `k`
+        values of one sequence as a 1-D array.  A build may ask for
+        several columns of G in one request, so the values must not
+        depend on how requests are split (uniform lagged Fibonacci and
+        Gaussian streams both qualify); see `build_sketch`.
 
     A rank-deficient sketch is replaced by a fresh one, up to
     `SKETCH_ATTEMPTS` sketches in all; then `RankDeficientSketchError` is

@@ -15,7 +15,9 @@ power applied to the window now.  `fill_column` uses this to split a
 request into contiguous lanes, computes each lane's starting window with
 jump matrices built at import time, and then advances all lanes together
 with integer array subtractions, 24 values per lane at a time (the short
-lag, so no value in a 24-block depends on another).  The residues mod 2^53
+lag, so no value in a 24-block depends on another).  The lanes run two
+rounds of 48 values between slides of their windows, so each pair of
+rounds makes one copy into the column and one slide.  The residues mod 2^53
 ("classes") are held scaled by 2^11, so uint64 arithmetic, which wraps mod
 2^64, is exact on them, and read as int64 they are the values times 2^63,
 which convert to floats exactly.  Each class but one names a single value
@@ -45,12 +47,16 @@ _WARMUP = 10 * _LAG_LONG
 # a round advances every lane by two short-lag blocks; a request is split
 # into at most _LANES lanes of _ROWS << t values each, t <= _MAX_ROUNDS_LOG2,
 # and longer requests into several such groups, so the working memory is
-# one (55 + _ROWS)-by-_LANES buffer whatever the column length
+# one (55 + _SLIDE_ROWS)-by-_LANES buffer whatever the column length
 _LANES = 32
 _ROWS = 2 * _LAG_SHORT
 _MAX_ROUNDS_LOG2 = 6
 # values one round of all lanes produces
 _CHUNK = _LANES * _ROWS
+# rows the lanes advance between two slides of their windows: two rounds
+# halve the copy-outs and slides; three would take a 1e5 column's working
+# memory past 64 KiB
+_SLIDE_ROWS = 2 * _ROWS
 
 # classes are held as X 2^11 mod 2^64; read as int64 that is the value
 # times 2^63, class 2^52 reading as -1
@@ -103,13 +109,14 @@ def _run_group(start, region, t, lanes):
 
     Lane j starts j (_ROWS << t) values in; its window is a jump of lane
     j - s's, s the largest power of two not above j.  `region` may end
-    inside the last lane.  Each round copies its classes into `region` as
-    int64, exact as floats since they are multiples of 2^11; one multiply
-    at the end scales the group into [-1, 1].  Class-2^52 values are
-    written as -1.
+    inside the last lane.  Each step of two rounds (one in a lane of a
+    single round) copies its classes into `region` as int64, exact as
+    floats since they are multiples of 2^11; one multiply at the end
+    scales the group into [-1, 1].  Class-2^52 values are written as -1.
     """
     lane = _ROWS << t
-    buf = np.empty((_LAG_LONG + _ROWS, lanes), dtype=np.uint64)
+    step = min(lane, _SLIDE_ROWS)
+    buf = np.empty((_LAG_LONG + step, lanes), dtype=np.uint64)
     buf[:_LAG_LONG, 0] = _classes(start)
     s = 1
     while s < lanes:
@@ -121,19 +128,19 @@ def _run_group(start, region, t, lanes):
     whole = region[: full * lane].reshape(full, lane)
     part = region[full * lane :]
     new = buf[_LAG_LONG:].view(np.int64)
-    for r in range(0, lane, _ROWS):
-        for a in range(0, _ROWS, _LAG_SHORT):
+    for r in range(0, lane, step):
+        if r:
+            # only lanes of two rounds or more slide, so step > 55 and the
+            # copy does not overlap itself
+            buf[:_LAG_LONG] = buf[step:]
+        for a in range(0, step, _LAG_SHORT):
             b = a + _LAG_LONG - _LAG_SHORT
             c = a + _LAG_LONG
             np.subtract(buf[a : a + _LAG_SHORT], buf[b:c], out=buf[c : c + _LAG_SHORT])
-        np.copyto(whole[:, r : r + _ROWS].T, new[:, :full])
+        np.copyto(whole[:, r : r + step].T, new[:, :full])
         if r < part.size:
-            dst = part[r : r + _ROWS]
+            dst = part[r : r + step]
             np.copyto(dst, new[: dst.size, full])
-        # slide the windows in two copies that do not overlap, so numpy
-        # needs no temporary for them
-        buf[:_ROWS] = buf[_ROWS : 2 * _ROWS]
-        buf[_ROWS:_LAG_LONG] = buf[2 * _ROWS :]
     region *= _SCALE_OUT
 
 

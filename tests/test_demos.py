@@ -23,6 +23,7 @@ def test_random_streams_demo_runs():
     result = run_demo("02_random_streams.py")
     assert result.returncode == 0, result.stderr
     assert "bitwise equal to the original run: True" in result.stdout
+    assert "one 40-column request bitwise equal to 40 columns: True" in result.stdout
 
 
 @pytest.mark.parametrize(

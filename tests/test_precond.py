@@ -61,6 +61,73 @@ def test_sketch_counts_and_bounds():
         build_sketch(A, 31, UniformLaggedFibonacci(2))  # l > n
 
 
+class RecordingStream:
+    """Forwards to `base` and records the size of each `fill_column` request."""
+
+    def __init__(self, base):
+        self.base, self.requests = base, []
+
+    def fill_column(self, n):
+        self.requests.append(n)
+        return self.base.fill_column(n)
+
+
+@pytest.mark.parametrize("stream_cls", [UniformLaggedFibonacci, GaussianStream])
+def test_blocked_sketch_matches_a_column_by_column_loop_bitwise(stream_cls):
+    # b = 20 * 23 // 120 = 3 columns per request, and 3 does not divide l
+    m, n, l = 20, 120, 23
+    A = MatrixOperator(np.random.default_rng(40).standard_normal((m, n)))
+    g = RecordingStream(stream_cls(41))
+    S = build_sketch(A, l, g)
+    assert g.requests == [3 * n] * 7 + [2 * n]
+    ref = stream_cls(41)
+    expected = np.column_stack([A.apply(ref.fill_column(n)) for _ in range(l)])
+    assert np.array_equal(S.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "m, n, requests",
+    [(400, 4000, [40 * 4000] * 10 + [4 * 4000]), (10, 200, [200] * 14)],
+    ids=["blocks", "columns"],
+)
+def test_sketch_requests_blocks_no_larger_than_the_sketch(m, n, requests):
+    # ceil(l / b) requests of b = max(1, m l // n) columns, l n values in all;
+    # at n >= m l a block is one column
+    A = make_sparse_test(m, n, 100.0, seed=42)
+    g = RecordingStream(UniformLaggedFibonacci(43))
+    build_sketch(A, m + 4, g)
+    assert g.requests == requests
+    assert sum(requests) == (m + 4) * n
+    assert A.counts() == (m + 4, 0)
+
+
+class WrongLengthStream:
+    """A stream whose columns come back one value short, or as a 2-D array."""
+
+    def __init__(self, two_d):
+        self.two_d = two_d
+
+    def fill_column(self, n):
+        return np.ones((1, n)) if self.two_d else np.ones(n - 1)
+
+
+@pytest.mark.parametrize("two_d", [False, True], ids=["short", "2-D"])
+def test_a_stream_of_the_wrong_length_is_refused_before_any_apply(two_d):
+    A = make_sparse_test(4, 16, 10.0, seed=44)
+    with pytest.raises(DimensionError, match="WrongLengthStream"):
+        build_sketch(A, 5, WrongLengthStream(two_d))
+    assert A.counts() == (0, 0)
+
+
+def test_sketch_phase_holds_the_sketch_and_one_block():
+    # S and one block of b = 20 columns are about 2 m l doubles, plus the
+    # stream's state; a block still alive through the next draw adds one more
+    m, n, l = 200, 2000, 204
+    A = make_sparse_test(m, n, 1e8, seed=45)
+    peak = min(traced_peak(build_sketch, A, l, UniformLaggedFibonacci(46)) for _ in range(3))
+    assert peak < 2.3 * m * l * 8
+
+
 NON_INTEGER_WIDTHS = pytest.mark.parametrize(
     "l", [10.7, np.float64(12.0), "12"], ids=["float", "np.float64", "str"]
 )
@@ -294,6 +361,34 @@ def test_a_retried_sketch_builds_what_a_first_sketch_would(zeros, counts):
     A = make_sparse_test(m, n, 1e8, 0)
     pre = build_preconditioner(A, l, ZeroColumnsFirst(UniformLaggedFibonacci(1), zeros))
     assert pre.build_apply_counts == counts == A.counts()
+    for name in ("R", "perm", "Y"):
+        assert np.array_equal(getattr(pre, name), getattr(plain, name))
+
+
+class ZeroValuesFirst:
+    """Draws `zeros` zero values, then `base`'s values; the zeros do not advance `base`.
+
+    Its values do not depend on how requests are split, so a blocked sketch
+    sees the same G as a column-by-column one.
+    """
+
+    def __init__(self, base, zeros):
+        self.base, self.zeros = base, zeros
+
+    def fill_column(self, n):
+        z = min(n, self.zeros)
+        self.zeros -= z
+        return np.concatenate([np.zeros(z), self.base.fill_column(n - z)])
+
+
+def test_a_retried_blocked_sketch_builds_what_a_first_sketch_would():
+    # b = 40 * 44 // 400 = 4 columns per request; the first l n values make
+    # one all-zero sketch, which costs l applies and one retry
+    m, n, l = 40, 400, 44
+    plain = build_preconditioner(make_sparse_test(m, n, 1e8, 0), l, UniformLaggedFibonacci(1))
+    A = make_sparse_test(m, n, 1e8, 0)
+    pre = build_preconditioner(A, l, ZeroValuesFirst(UniformLaggedFibonacci(1), l * n))
+    assert pre.build_apply_counts == (2 * l + m, m) == A.counts()
     for name in ("R", "perm", "Y"):
         assert np.array_equal(getattr(pre, name), getattr(plain, name))
 

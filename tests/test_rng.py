@@ -154,6 +154,21 @@ def test_uniform_matches_reference_at_round_lane_and_group_boundaries(seed):
         assert g.next_uniform() == ref.next_uniform()
 
 
+def test_uniform_matches_reference_at_two_round_steps_and_one_round_lanes():
+    # lanes advance two rounds (2 _ROWS values) between slides; a request of
+    # at most _CHUNK values runs one-round lanes (t = 0), whose one slide
+    # overlaps, and (_LANES + 1) _ROWS ends one round into a two-round lane
+    ref = ScalarLaggedFibonacciReference(12)
+    g = UniformLaggedFibonacci(12)
+    two_rounds = [2 * _ROWS + d for d in (-1, 0, 1)]
+    one_round = [1, _ROWS - 1, _ROWS, 3 * _ROWS + 5, _CHUNK]
+    mid_step = [(_LANES + 1) * _ROWS + d for d in (-1, 0, 1)]
+    for n in two_rounds + one_round + mid_step:
+        expected = np.array([ref.next_uniform() for _ in range(n)])
+        assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64)), n
+        assert g.next_uniform() == ref.next_uniform()
+
+
 def test_gaussian_matches_scalar_polar_reference_at_lane_sizes():
     ref = ScalarPolarReference(9)
     base = UniformLaggedFibonacci(9)
