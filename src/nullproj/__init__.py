@@ -64,7 +64,7 @@ from .diagnostics import (
     pi_zero,
     pi_zero_floor,
 )
-from .bench import TrialConfig, TrialRow, emit_report, parse_csv, run_trial
+from .bench import TrialConfig, TrialRow, emit_report, run_trial
 
 __version__ = "0.1.0"
 
@@ -105,7 +105,6 @@ __all__ = [
     "make_dense_test",
     "make_sparse_test",
     "measured_condition",
-    "parse_csv",
     "pi_minus",
     "pi_plus",
     "pi_zero",

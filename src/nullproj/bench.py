@@ -2,9 +2,10 @@
 
 One trial builds a synthetic operator, times both setup phases and both
 per-vector projection phases, then takes the max of the four error metrics
-over `trials` random unit vectors.  Results serialize to CSV (full row,
-round-trippable) or to markdown tables in the usual column order
-(m, n, l, kappa, then the timing or error columns).
+over `trials` random unit vectors.  Results serialize to CSV or to
+markdown tables in the usual column order (m, n, l, kappa, then the timing
+or error columns).  The CSV holds the full row with floats written by
+`repr`, so the stdlib `csv` module and `float()` read it back exactly.
 
 Also usable as a command line tool; see `main` or run `nullproj-bench -h`.
 """
@@ -184,31 +185,6 @@ def emit_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text):
-    """Inverse of emit_csv; round-trips exactly (floats via repr)."""
-    lines = [line for line in text.strip().splitlines() if line]
-    names = [f.name for f in fields(TrialRow)]
-    if not lines or lines[0].split(",") != names:
-        raise ConfigurationError("CSV header is missing or does not match the TrialRow fields")
-    types = {f.name: f.type for f in fields(TrialRow)}
-
-    def convert(row, name, cell):
-        try:
-            return types[name](cell)
-        except ValueError:
-            raise ConfigurationError(
-                f"CSV row {row}: field {name} must be {types[name].__name__}, got {cell!r}"
-            ) from None
-
-    rows = []
-    for row, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise ConfigurationError(f"CSV row has {len(cells)} cells, expected {len(names)}")
-        rows.append(TrialRow(**{name: convert(row, name, cell) for name, cell in zip(names, cells)}))
-    return rows
-
-
 _MD_TABLES = {
     "timings": (
         ("s_pre", "s_pre"),
@@ -253,7 +229,8 @@ def emit_report(rows, format="csv", table="errors"):
 def main(argv=None):
     """CLI entry point; returns the process exit code.
 
-    0 on success, 2 on usage/configuration errors, 1 on numerical failure.
+    0 on success, 2 on usage/configuration errors and an unwritable `--out`,
+    1 on numerical failure.
     """
     parser = argparse.ArgumentParser(
         prog="nullproj-bench",
@@ -306,8 +283,12 @@ def main(argv=None):
         return 1
 
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write {out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -1,5 +1,6 @@
 """Exception types shared across the library, the one check of the integers a caller passes,
-the one refusal of complex data, and the one finiteness test of an array."""
+the one length check of a random stream's draw, the one refusal of complex data, and the one
+finiteness test of an array."""
 
 import operator
 
@@ -15,8 +16,9 @@ class DimensionError(NullProjError):
 
 
 class ConfigurationError(NullProjError):
-    """Invalid construction parameters: bad sizes, kappa <= 1, l out of range, or a size, width,
-    column length, seed, count or index array not of Python or numpy integers (a float, a str)."""
+    """Invalid construction parameters: bad sizes, kappa not a finite number above 1, l out of
+    range, or a size, width, column length, seed, count or index array not of Python or numpy
+    integers (a float, a str)."""
 
 
 class DomainError(NullProjError):
@@ -57,6 +59,17 @@ def as_index(value, name, least=None):
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ConfigurationError(f"{name} must be {bound}, got {value}")
     return value
+
+
+def checked_draw(values, k, stream):
+    """`values`, which `stream.fill_column(k)` returned; DimensionError naming the stream unless
+    they are `k` values in a 1-D array.  The test reads the shape, not the values."""
+    if np.shape(values) != (k,):
+        raise DimensionError(
+            f"the stream {type(stream).__name__}.fill_column({k}) must return {k} "
+            f"values in a 1-D array, got shape {np.shape(values)}"
+        )
+    return values
 
 
 def as_index_array(values, name):

@@ -296,8 +296,8 @@ def _check_sparse_family(m, n, kappa):
         raise ConfigurationError(f"sparse test matrix needs even m >= 4, got m={m}")
     if n % m != 0:
         raise ConfigurationError(f"n={n} must be a multiple of m={m}")
-    if not kappa > 1:  # also rejects NaN
-        raise ConfigurationError(f"kappa must exceed 1, got {kappa}")
+    if not 1 < kappa < np.inf:  # also rejects NaN
+        raise ConfigurationError(f"kappa must be finite and exceed 1, got {kappa}")
     return m, n
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .dense_core import PermutedFactor, _invert_spd, qr_pivoted
 from .errors import ConfigurationError, DimensionError, DomainError, RankDeficientSketchError
-from .errors import all_finite, as_index, as_real
+from .errors import all_finite, as_index, as_real, checked_draw
 from .linop import apply_gram
 
 SKETCH_ATTEMPTS = 3  # sketches a build tries before it reports a rank-deficient operator
@@ -133,12 +133,7 @@ def build_sketch(A, l, g):
     for start in range(0, l, b):
         cols = min(b, l - start)
         size = cols * n
-        block = g.fill_column(size)
-        if np.shape(block) != (size,):
-            raise DimensionError(
-                f"the stream {type(g).__name__}.fill_column({size}) must return {size} "
-                f"values in a 1-D array, got shape {np.shape(block)}"
-            )
+        block = checked_draw(g.fill_column(size), size, g)
         # 1-D slices: a 2-D view's shape arrays would stay in numpy's
         # dimension cache and count as held memory
         for k in range(cols):

@@ -35,7 +35,7 @@ one-pair-at-a-time polar method.
 
 import numpy as np
 
-from .errors import as_index
+from .errors import as_index, checked_draw
 
 _MASK64 = (1 << 64) - 1
 
@@ -155,8 +155,7 @@ class UniformLaggedFibonacci:
     a fold back into [-1, 1], `x[k] = x[k-55] - x[k-24]`;
     `fill_column` computes the same values in exact integer arithmetic mod
     2^53 on up to `_LANES` lanes at once (see the module docstring), so
-    its working memory is bounded whatever the column length, and a single
-    `next_uniform` costs one small lane call.
+    its working memory is bounded whatever the column length.
     """
 
     def __init__(self, seed):
@@ -168,10 +167,6 @@ class UniformLaggedFibonacci:
             window.append(2.0 * ((z >> 11) / 9007199254740992.0) - 1.0)
         self._window = np.array(window)
         self.fill_column(_WARMUP)
-
-    def next_uniform(self):
-        """Next value in [-1, 1]; advances the state by one step."""
-        return self.fill_column(1)[0]
 
     def fill_column(self, n):
         """Return the next `n` stream values as a float array.
@@ -228,16 +223,14 @@ class GaussianStream:
     so a column costs about 88 KB beyond its frame, whatever its length.
 
     A `base` stream (any object with a uniform `fill_column`; by default
-    `UniformLaggedFibonacci(seed)`) belongs to this stream from then on.
+    `UniformLaggedFibonacci(seed)`) belongs to this stream from then on.  A
+    base draw that is not the requested count of values in a 1-D array
+    raises `DimensionError` naming the base.
     """
 
     def __init__(self, seed, base=None):
         self._base = base if base is not None else UniformLaggedFibonacci(seed)
         self._spare = None
-
-    def next_gaussian(self):
-        """Next standard-normal variate; advances the state."""
-        return self.fill_column(1)[0]
 
     def fill_column(self, n):
         """Return the next `n` variates as a float array (empty for n = 0).
@@ -252,10 +245,10 @@ class GaussianStream:
             frame[0] = self._spare
             k = 1
         while k < n:
-            pairs = min((n - k + 1) // 2, _CHUNK_PAIRS)
+            size = 2 * min((n - k + 1) // 2, _CHUNK_PAIRS)
             # the chunk's arrays are the helper's locals, so they are freed
             # before the next chunk is drawn
-            k += _polar_pairs(self._base.fill_column(2 * pairs), frame[k:])
+            k += _polar_pairs(checked_draw(self._base.fill_column(size), size, self._base), frame[k:])
         self._spare = frame[n] if k > n else None
         return frame[:n]
 

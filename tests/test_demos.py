@@ -1,4 +1,6 @@
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +40,18 @@ def test_random_streams_demo_runs():
 def test_demo_runs(name):
     result = run_demo(name)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_names_resolve():
+    # every backticked dotted name the README gives, such as `nullproj.dense_core.ORACLE_CAP`,
+    # must import or be an attribute, so a deleted name fails here until the docs follow it
+    names = set(re.findall(r"`(nullproj(?:\.\w+)+)", (ROOT / "README.md").read_text()))
+    assert names
+    for name in sorted(names):
+        parts = name.split(".")
+        obj = importlib.import_module(parts[0])
+        for i, part in enumerate(parts[1:], start=2):
+            try:
+                obj = getattr(obj, part)
+            except AttributeError:
+                obj = importlib.import_module(".".join(parts[:i]))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nullproj import ConfigurationError, GaussianStream, UniformLaggedFibonacci
+from nullproj import ConfigurationError, DimensionError, GaussianStream, UniformLaggedFibonacci
 from nullproj.rng import _CHUNK, _JUMPS, _LANES, _MAX_ROUNDS_LOG2, _ROWS
 
 N_BIG = 100_000
@@ -98,8 +98,8 @@ def test_uniform_moments():
 def test_uniform_determinism_bitwise():
     a = UniformLaggedFibonacci(12345)
     b = UniformLaggedFibonacci(12345)
-    va = [a.next_uniform() for _ in range(1000)]
-    vb = [b.next_uniform() for _ in range(1000)]
+    va = [a.fill_column(1)[0] for _ in range(1000)]
+    vb = [b.fill_column(1)[0] for _ in range(1000)]
     assert va == vb
 
 
@@ -122,13 +122,13 @@ def test_fill_column_zero_returns_empty():
     out = g.fill_column(0)
     assert out.shape == (0,)
     # state untouched: next draw equals a fresh generator's first draw
-    assert g.next_uniform() == UniformLaggedFibonacci(7).next_uniform()
+    assert g.fill_column(1)[0] == UniformLaggedFibonacci(7).fill_column(1)[0]
 
 
 def test_fill_column_55_equals_singles():
     col = UniformLaggedFibonacci(99).fill_column(55)
     g = UniformLaggedFibonacci(99)
-    singles = np.array([g.next_uniform() for _ in range(55)])
+    singles = np.array([g.fill_column(1)[0] for _ in range(55)])
     assert np.array_equal(col, singles)
 
 
@@ -140,7 +140,7 @@ def test_uniform_matches_scalar_reference_bitwise(seed):
     for n in (1, 2, 54, 55, 56, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 100_000):
         expected = np.array([ref.next_uniform() for _ in range(n)])
         assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64))
-        assert g.next_uniform() == ref.next_uniform()
+        assert g.fill_column(1)[0] == ref.next_uniform()
 
 
 @pytest.mark.parametrize("seed", [3, 2**62 + 5])
@@ -151,7 +151,7 @@ def test_uniform_matches_reference_at_round_lane_and_group_boundaries(seed):
     for n in sizes + [1, 54, 55, 56, 4000, 4096, 20001, N_BIG]:
         expected = np.array([ref.next_uniform() for _ in range(n)])
         assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64)), n
-        assert g.next_uniform() == ref.next_uniform()
+        assert g.fill_column(1)[0] == ref.next_uniform()
 
 
 def test_uniform_matches_reference_at_two_round_steps_and_one_round_lanes():
@@ -166,7 +166,7 @@ def test_uniform_matches_reference_at_two_round_steps_and_one_round_lanes():
     for n in two_rounds + one_round + mid_step:
         expected = np.array([ref.next_uniform() for _ in range(n)])
         assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64)), n
-        assert g.next_uniform() == ref.next_uniform()
+        assert g.fill_column(1)[0] == ref.next_uniform()
 
 
 def test_gaussian_matches_scalar_polar_reference_at_lane_sizes():
@@ -176,7 +176,7 @@ def test_gaussian_matches_scalar_polar_reference_at_lane_sizes():
     for n in (1, 54, 55, 56, 4000, 4096, 20001, N_BIG):
         expected = np.array([ref.next_gaussian() for _ in range(n)])
         assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64)), n
-        assert base.next_uniform() == ref._base.next_uniform()
+        assert base.fill_column(1)[0] == ref._base.next_uniform()
 
 
 def window_of(ref):
@@ -304,6 +304,24 @@ def test_fill_column_negative_raises_and_keeps_state(stream_cls):
     assert np.array_equal(np.concatenate([first, g.fill_column(10)]), flat)
 
 
+class WrongShapeBase:
+    """A uniform base whose draws come back one value short, one value long, or as a 2-D array."""
+
+    def __init__(self, wrong):
+        self.wrong = wrong
+
+    def fill_column(self, n):
+        shape = {"short": n - 1, "long": n + 1, "2-D": (1, n)}[self.wrong]
+        return np.full(shape, 0.5)
+
+
+@pytest.mark.parametrize("wrong", ["short", "long", "2-D"])
+def test_gaussian_stream_refuses_a_base_draw_of_the_wrong_shape(wrong):
+    g = GaussianStream(0, base=WrongShapeBase(wrong))
+    with pytest.raises(DimensionError, match=r"WrongShapeBase\.fill_column\(10\)"):
+        g.fill_column(10)
+
+
 def test_uniform_ks():
     xs = UniformLaggedFibonacci(3).fill_column(N_BIG)
     assert ks_statistic(xs, lambda x: (x + 1.0) / 2.0) <= 0.01
@@ -324,7 +342,7 @@ def test_gaussian_central_mass():
 def test_gaussian_determinism_bitwise():
     a = GaussianStream(777)
     b = GaussianStream(777)
-    assert [a.next_gaussian() for _ in range(1000)] == [b.next_gaussian() for _ in range(1000)]
+    assert [a.fill_column(1)[0] for _ in range(1000)] == [b.fill_column(1)[0] for _ in range(1000)]
 
 
 @pytest.mark.parametrize("seed", [0, 777, 2**63 - 1])
@@ -337,14 +355,14 @@ def test_gaussian_matches_scalar_polar_reference_bitwise(seed):
         expected = np.array([ref.next_gaussian() for _ in range(n)])
         assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64))
         # the base stream is never drawn ahead of the reference's
-        assert base.next_uniform() == ref._base.next_uniform()
+        assert base.fill_column(1)[0] == ref._base.next_uniform()
 
 
 def test_gaussian_fill_column_matches_flat_stream():
     # the single draws land once on a held spare and once on a fresh pair
     flat = GaussianStream(7).fill_column(321 + 1 + 320 + 1 + 321)
     g = GaussianStream(7)
-    parts = [g.fill_column(321), [g.next_gaussian()], g.fill_column(320), [g.next_gaussian()]]
+    parts = [g.fill_column(321), [g.fill_column(1)[0]], g.fill_column(320), [g.fill_column(1)[0]]]
     parts.append(g.fill_column(321))
     assert np.array_equal(np.concatenate(parts), flat)
 
