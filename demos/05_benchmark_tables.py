@@ -5,11 +5,13 @@ s_pro) and randomized setup/projection (t_pre, t_pro), then report the
 worst annihilation (delta) and idempotence (epsilon) errors over many
 random unit vectors, everything divided by kappa.
 
-The same harness drives the CLI:  nullproj-bench --m 100 --n 3000
---kappa 1e8 --format md --table errors
+The same harness and the same two writers, `emit_markdown` and `emit_csv`,
+drive the CLI:  nullproj-bench --m 100 --n 3000 --kappa 1e8 --format md
+--table errors
 """
 
-from nullproj import TrialConfig, emit_report, run_trial
+from nullproj import TrialConfig, run_trial
+from nullproj.bench import emit_csv, emit_markdown
 
 # a kappa sweep at fixed desk-scale dimensions, 25 vectors per row
 rows = [
@@ -18,11 +20,11 @@ rows = [
 ]
 
 print("error table (worst case over 25 unit vectors per row):\n")
-print(emit_report(rows, "md", "errors"))
+print(emit_markdown(rows, "errors"))
 print("timing table (seconds):\n")
-print(emit_report(rows, "md", "timings"))
+print(emit_markdown(rows, "timings"))
 
-# the CSV form round-trips exactly and carries every field, including the
-# measured apply counts
+# the CSV form, written by the stdlib csv writer, round-trips exactly and
+# carries every field, including the measured apply counts
 print("full CSV record of the first row:\n")
-print(emit_report(rows[:1], "csv"))
+print(emit_csv(rows[:1]))

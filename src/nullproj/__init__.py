@@ -64,7 +64,7 @@ from .diagnostics import (
     pi_zero,
     pi_zero_floor,
 )
-from .bench import TrialConfig, TrialRow, emit_report, run_trial
+from .bench import TrialConfig, TrialRow, run_trial
 
 __version__ = "0.1.0"
 
@@ -98,7 +98,6 @@ __all__ = [
     "cond_bound",
     "default_sketch_width",
     "densify",
-    "emit_report",
     "error_metrics",
     "invert_small",
     "load_triplet_operator",

@@ -4,13 +4,15 @@ One trial builds a synthetic operator, times both setup phases and both
 per-vector projection phases, then takes the max of the four error metrics
 over `trials` random unit vectors.  Results serialize to CSV or to
 markdown tables in the usual column order (m, n, l, kappa, then the timing
-or error columns).  The CSV holds the full row with floats written by
-`repr`, so the stdlib `csv` module and `float()` read it back exactly.
+or error columns).  The CSV holds the full row, written by the stdlib `csv`
+writer, so the `csv` module and `float()` read it back exactly.
 
 Also usable as a command line tool; see `main` or run `nullproj-bench -h`.
 """
 
 import argparse
+import csv
+import io
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -49,7 +51,7 @@ class TrialConfig:
     refine_iters: int = 0
 
     def __post_init__(self):
-        self.m, self.n = _check_sparse_family(self.m, self.n, self.kappa)
+        self.m, self.n, self.kappa = _check_sparse_family(self.m, self.n, self.kappa)
         if self.l is None:
             self.l = default_sketch_width(self.m, self.n)
         self.l = _check_sketch_width(self.l, self.m, self.n)
@@ -172,17 +174,14 @@ def run_trial(config):
     )
 
 
-def _csv_cell(value):
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def emit_csv(rows):
     """Full-fidelity CSV: header of TrialRow field names, one line per row."""
     names = [f.name for f in fields(TrialRow)]
-    lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(getattr(row, name)) for name in names))
-    return "\n".join(lines) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([getattr(row, name) for name in names] for row in rows)
+    return buffer.getvalue()
 
 
 _MD_TABLES = {
@@ -213,17 +212,6 @@ def emit_markdown(rows, table="errors"):
         cells += [f"{getattr(row, name):.2e}" for name, _ in columns]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
-
-
-def emit_report(rows, format="csv", table="errors"):
-    """Serialize rows as 'csv' or 'md' text."""
-    if not rows:
-        raise ConfigurationError("no rows to report")
-    if format == "csv":
-        return emit_csv(rows)
-    if format == "md":
-        return emit_markdown(rows, table)
-    raise ConfigurationError(f"unknown report format {format!r}")
 
 
 def main(argv=None):
@@ -277,7 +265,7 @@ def main(argv=None):
 
     try:
         row = run_trial(config)
-        text = emit_report([row], format, table)
+        text = emit_csv([row]) if format == "csv" else emit_markdown([row], table)
     except NullProjError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,8 @@ body as `apply`, so it holds the same output contract without touching
 the counters.
 """
 
+import numbers
+import sys
 import threading
 
 import numpy as np
@@ -290,15 +292,16 @@ class TripletMatrix(LinearOperator):
 
 
 def _check_sparse_family(m, n, kappa):
-    """(m, n) as Python ints; ConfigurationError unless (m, n, kappa) names a sparse test operator."""
+    """(m, n) as Python ints and kappa as a Python float; ConfigurationError unless
+    (m, n, kappa) names a sparse test operator."""
     m, n = as_index(m, "m"), as_index(n, "n")
     if m < 4 or m % 2 != 0:
         raise ConfigurationError(f"sparse test matrix needs even m >= 4, got m={m}")
     if n % m != 0:
         raise ConfigurationError(f"n={n} must be a multiple of m={m}")
-    if not 1 < kappa < np.inf:  # also rejects NaN
-        raise ConfigurationError(f"kappa must be finite and exceed 1, got {kappa}")
-    return m, n
+    if not isinstance(kappa, numbers.Real) or not 1 < kappa <= sys.float_info.max:  # and NaN
+        raise ConfigurationError(f"kappa must be a finite real number above 1, got {kappa!r}")
+    return m, n, float(kappa)
 
 
 def _seeded_sparse_test(m, n, kappa, seed):
@@ -307,7 +310,7 @@ def _seeded_sparse_test(m, n, kappa, seed):
     Both test families start here, so a dense operator's rank-10 factors
     come from the same generator, right after its base's permutations.
     """
-    m, n = _check_sparse_family(m, n, kappa)
+    m, n, kappa = _check_sparse_family(m, n, kappa)
     rng = np.random.default_rng(seed)
     stencil = CirculantStencil(m, 16.0 / (kappa - 1.0))
     return SparseTestMatrix(stencil, rng.permutation(m), rng.permutation(n)), rng

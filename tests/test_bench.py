@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nullproj import ConfigurationError, LinearOperator, NullProjError, TrialConfig, TrialRow, run_trial
-from nullproj.bench import emit_csv, emit_markdown, emit_report, main
+from nullproj.bench import emit_csv, emit_markdown, main
 
 
 def small_config(**overrides):
@@ -27,6 +27,9 @@ def test_config_defaults_and_validation():
         TrialConfig(m=8, n=64, kappa=float("nan"))
     with pytest.raises(ConfigurationError, match="kappa"):
         TrialConfig(m=8, n=64, kappa=float("inf"))
+    for kappa in ("1e4", None, 1j):
+        with pytest.raises(ConfigurationError, match="kappa"):
+            TrialConfig(m=8, n=64, kappa=kappa)
     with pytest.raises(ConfigurationError):
         TrialConfig(m=8, n=64, kappa=10.0, trials=0)
     with pytest.raises(ConfigurationError):
@@ -142,8 +145,9 @@ def read_csv(text):
 
 def test_csv_round_trip():
     rows = [run_trial(small_config(trials=1)), run_trial(small_config(trials=1, seed=9))]
+    rows.append(run_trial(small_config(trials=1, kappa=np.float64(100.0))))
     text = emit_csv(rows)
-    assert text.count("\n") == 3  # header + 2 rows
+    assert text.count("\n") == 4  # header + 3 rows
     records = read_csv(text)
     assert len(records) == len(rows)
     for row, record in zip(rows, records):
@@ -151,10 +155,39 @@ def test_csv_round_trip():
         for f in fields(TrialRow):
             value, cell = getattr(row, f.name), record[f.name]
             assert type(value) is f.type
-            # repr'd floats read back exactly; int and str cells are their str
+            # floats, a numpy kappa's too, read back exactly; int and str cells are their str
             assert (float(cell) == value) if f.type is float else (cell == str(value))
     single = emit_csv(rows[:1])
     assert len(single.strip().splitlines()) == 2
+
+
+def test_emit_csv_writes_the_expected_bytes():
+    # readers of the CLI's CSV depend on this text: shortest round-trip floats, a numpy
+    # scalar written as its number, "\n" line ends
+    row = TrialRow(
+        m=8,
+        n=64,
+        kappa=1e16,
+        s_pre=0.1,
+        s_pro=1e-300,
+        t_pre=5e-324,
+        t_pro=np.float64(0.25),
+        delta_norm_over_kappa=2.5e-17,
+        epsilon_norm_over_kappa=1.0,
+        delta_rand_over_kappa=0.0,
+        epsilon_rand_over_kappa=1e-13,
+        build_applies=20,
+        build_adjoint_applies=8,
+        project_applies=1,
+        project_adjoint_applies=1,
+    )
+    assert emit_csv([row]) == (
+        "m,n,l,kappa,matrix_kind,rng_kind,trials,seed,refine_iters,s_pre,s_pro,t_pre,t_pro,"
+        "delta_norm_over_kappa,epsilon_norm_over_kappa,delta_rand_over_kappa,"
+        "epsilon_rand_over_kappa,build_applies,build_adjoint_applies,project_applies,"
+        "project_adjoint_applies\n"
+        "8,64,12,1e+16,sparse,lfg,100,0,0,0.1,1e-300,5e-324,0.25,2.5e-17,1.0,0.0,1e-13,20,8,1,1\n"
+    )
 
 
 def test_markdown_column_order():
@@ -179,18 +212,8 @@ def test_markdown_column_order():
         "t_pre",
         "t_pro",
     ]
-
-
-def test_emit_report_dispatch():
-    row = run_trial(small_config(trials=1))
-    assert emit_report([row], "csv").startswith("m,n,l,kappa")
-    assert emit_report([row], "md", "errors").startswith("| m |")
     with pytest.raises(ConfigurationError):
-        emit_report([row], "yaml")
-    with pytest.raises(ConfigurationError):
-        emit_report([], "csv")
-    with pytest.raises(ConfigurationError):
-        emit_report([row], "md", "energies")
+        emit_markdown([row], table="energies")
 
 
 def test_cli_success(tmp_path, capsys):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,17 @@ def test_readme_names_resolve():
                 obj = getattr(obj, part)
             except AttributeError:
                 obj = importlib.import_module(".".join(parts[:i]))
+
+
+def test_root_names_match_all():
+    # the root's import list and `__all__` are two hand-kept copies of the same names
+    nullproj = importlib.import_module("nullproj")
+    exported = nullproj.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(nullproj, name)] == []
+    public = [
+        name
+        for name, obj in vars(nullproj).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    ]
+    assert sorted(set(public) - set(exported)) == []

@@ -279,6 +279,9 @@ def test_make_sparse_test_validation():
         make_sparse_test(8, 16, 0.5, seed=0)  # kappa <= 1
     with pytest.raises(ConfigurationError, match="kappa"):
         make_sparse_test(8, 16, float("inf"), seed=0)  # d = 16/(kappa-1) would be 0
+    for kappa in ("1e4", None, 1j, 10**400):  # the last would overflow float()
+        with pytest.raises(ConfigurationError, match="kappa"):
+            make_sparse_test(8, 16, kappa, seed=0)
     with pytest.raises(ConfigurationError):
         make_sparse_test(5, 20, 1e4, seed=0)  # odd m: kappa would not be exact
     with pytest.raises(ConfigurationError):
