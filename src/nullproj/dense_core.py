@@ -21,26 +21,28 @@ on the right-hand side:
   nothing beyond the block inverses, and a build is the same, bit for
   bit, whatever a vector solve does.
 - A vector, as in every projection, takes fused steps: rows a:c of
-  `_FUSED_ROWS` hold the matching rows of R's (or R*'s) partitioned
-  inverse composed with the off-diagonal part of R, so each step is one
-  product x[a:c] = Z x[span], 7 per sweep at m = 400 instead of 26
-  products and 26 slice updates.  Each Z is the matrix sweep run on
-  [I | -R[a:c, c:]] (or its adjoint form), so LAPACK still inverts only
-  the `_BASE_ROWS` blocks.  A factor builds each direction's steps the
-  first time it solves a vector in that direction and keeps them, about
-  0.58 m^2 doubles per direction at m = 400.  The one-off public solves
-  keep the view sweep for vectors too, since they would build the steps
-  for one use.
+  `_FUSED_ROWS` hold Z = R[a:c, a:c]^-1 [I | -R[a:c, c:]], the matching
+  rows of R's partitioned inverse composed with the off-diagonal part of
+  R, so each step is one product, 7 per sweep at m = 400 instead of 26
+  products and 26 slice updates.  The back solve runs them bottom to top,
+  x[a:c] = Z x[a:], and the adjoint solve top to bottom on Z transposed.
+  Each Z is the matrix sweep run on [I | -R[a:c, c:]], so LAPACK still
+  inverts only the `_BASE_ROWS` blocks.  A factor builds the steps at its
+  first vector solve and keeps them, about 0.58 m^2 doubles at m = 400.
+  The one-off public solves keep the view sweep for vectors too, since
+  they would build the steps for one use.
 
 Ownership: the substitution kernel overwrites the array it is given, and
-so do `PermutedFactor.solve` and the private `_invert_spd`, so a caller
-that owns a fresh array, such as the Gram build's identity, the chain's
-`Y @ ...` or the Gram matrix, hands it over without a copy.
+so do `PermutedFactor.solve` and the private `_invert_spd` and
+`_qr_pivoted_rows`, so a caller that owns a fresh array, such as the
+Gram build's identity, the chain's `Y @ ...`, the Gram matrix or the
+sketch, hands it over without a copy.
 `PermutedFactor.solve_adjoint` never writes its input, because its
 gather d[perm] is already a fresh array, and the public functions
-(`solve_upper`, `solve_upper_adjoint`, `invert_small`) copy their input
-once at their boundary, so the caller's arrays are never written and may
-be read-only.  A `PermutedFactor` holds R and perm without copying them.
+(`qr_pivoted`, `solve_upper`, `solve_upper_adjoint`, `invert_small`) copy
+their input once at their boundary, so the caller's arrays are never
+written and may be read-only.  A `PermutedFactor` holds R and perm
+without copying them.
 
 The QR factors `_PANEL` columns at a time and updates the rest of the
 matrix with one matrix product per panel; it keeps its Householder
@@ -165,6 +167,7 @@ def qr_pivoted(M):
     One that falls below `_STALE` of its value when last computed is
     stale: the panel ends at that step, and the stale norms are computed
     again from their updated columns (Drmac and Bujanovic, ACM TOMS 2008).
+    M is left as it was: the QR runs on a copy.
     """
     M = as_real(M, "M")
     if M.ndim != 2:
@@ -172,18 +175,28 @@ def qr_pivoted(M):
     l, m = M.shape
     if l < m:
         raise DimensionError(f"qr_pivoted needs at least as many rows as columns, got {l}x{m}")
+    return _qr_pivoted_rows(np.array(M.T, order="C"))
 
+
+def _qr_pivoted_rows(W):
+    """`qr_pivoted` of M = W* for a C-ordered m-by-l float array W that it overwrites.
+
+    W holds M's columns as its rows (LAPACK's column-major layout), so the
+    pivot column, the reflector and the panel update read contiguous
+    rows; a sketch S = A G already has that layout, so a build hands it
+    over without a copy.  W ends up holding the Householder vectors.
+    """
+    m = W.shape[0]
     # Factor M scaled by a power of two that puts its largest magnitude in
     # [0.5, 1), so no squared column norm overflows, and none underflows
     # unless its column lies about 1e154 below that magnitude.  The scaling
     # is exact: R is scaled back exactly, and perm and Q are those of M.
-    top = np.abs(M).max(initial=0.0)
+    # max(W.max(), -W.min()) is that magnitude with no m-by-l temporary.
+    top = max(W.max(initial=0.0), -W.min(initial=0.0))
     if not np.isfinite(top):
         raise DomainError("qr_pivoted needs a finite matrix, got a NaN or infinite entry")
     e = int(np.frexp(top)[1])
-    # W holds M's columns as its rows (LAPACK's column-major layout), so
-    # the pivot column, the reflector and the panel update read contiguous rows.
-    W = np.ldexp(M.T, -e, order="C")
+    np.ldexp(W, -e, out=W)
     perm = np.arange(m)
     tau = np.zeros(m)
     sq = np.einsum("ij,ij->i", W, W)  # squared norms of the remaining rows of each column
@@ -316,38 +329,29 @@ def _substitute(steps, x):
     return x
 
 
-def _fused_steps(R, inv, adjoint=False):
-    """The sweep of `_block_steps` for a vector, one product per `_FUSED_ROWS` rows.
+def _fused_steps(R, inv):
+    """The back sweep of `_block_steps` for a vector, one product per `_FUSED_ROWS` rows.
 
-    A step (rows, span, Z) is x[rows] = Z x[span], with x[rows] still
-    holding the right-hand side and the rest of x[span] already solved.
-    Back substitution runs bottom to top, with rows a:c, span a:m and
-    Z = R[a:c, a:c]^-1 [I | -R[a:c, c:]]; the adjoint runs top to bottom,
-    with span 0:c and Z = R[a:c, a:c]^-* [-R[:a, a:c]* | I], the matching
-    rows of R*'s partitioned inverse.  Each Z is the `_block_steps` matrix
-    sweep of R[a:c, a:c] on that right-hand side, so the step reads only
-    the inverses of `invert_diagonal_blocks`.  The steps hold about
-    0.58 m^2 doubles at m = 400 (92,416), in arrays made here and
-    marked read-only.
+    A step (rows, span, Z) has rows a:c, span a:m and
+    Z = R[a:c, a:c]^-1 [I | -R[a:c, c:]], so run bottom to top,
+    x[rows] = Z x[span] is back substitution.  Run top to bottom on the
+    same Z, t = x[rows] Z is forward substitution with R*, right-looking:
+    t[:c-a] is the solved block and t[c-a:] the update of x[c:].  Each Z
+    is the `_block_steps` matrix sweep of R[a:c, a:c] on [I | -R[a:c, c:]],
+    so the step reads only the inverses of `invert_diagonal_blocks`.  The
+    steps hold about 0.58 m^2 doubles at m = 400 (92,416), in arrays made
+    here and marked read-only.
     """
     m = R.shape[0]
-    starts = range(0, m, _FUSED_ROWS)
     steps = []
-    for a in starts if adjoint else reversed(starts):
+    for a in reversed(range(0, m, _FUSED_ROWS)):
         c = min(a + _FUSED_ROWS, m)
-        if adjoint:
-            span = slice(0, c)
-            Z = np.zeros((c - a, c))
-            np.negative(R[:a, a:c].T, out=Z[:, :a])
-            np.fill_diagonal(Z[:, a:], 1.0)
-        else:
-            span = slice(a, m)
-            Z = np.zeros((c - a, m - a))
-            np.fill_diagonal(Z, 1.0)
-            np.negative(R[a:c, c:], out=Z[:, c - a :])
-        _substitute(_block_steps(R[a:c, a:c], inv[a:c], adjoint), Z)
+        Z = np.zeros((c - a, m - a))
+        np.fill_diagonal(Z, 1.0)
+        np.negative(R[a:c, c:], out=Z[:, c - a :])
+        _substitute(_block_steps(R[a:c, a:c], inv[a:c]), Z)
         Z.setflags(write=False)
-        steps.append((slice(a, c), span, Z))
+        steps.append((slice(a, c), slice(a, m), Z))
     return tuple(steps)
 
 
@@ -393,9 +397,9 @@ class PermutedFactor:
     runs where the build's memory peaks, so a build holds no more than
     R's block inverses.  A vector, the projection chain's case, takes the
     fused steps of `_fused_steps`, one product per `_FUSED_ROWS` rows,
-    which each direction builds the first time a vector is solved in it
-    (under a lock, so concurrent first solves build them once) and keeps:
-    about 0.58 m^2 doubles per direction.
+    which both directions share: the first vector solve in either builds
+    them (under a lock, so concurrent first solves build them once), and
+    the factor keeps them, about 0.58 m^2 doubles.
     """
 
     def __init__(self, R, perm):
@@ -408,22 +412,30 @@ class PermutedFactor:
             raise DomainError("R must be finite, got a NaN or infinite entry")
         self.block_inverses = invert_diagonal_blocks(self.R)
         self.block_inverses.setflags(write=False)
-        self._fused = [None, None]  # the back and the adjoint sweep's fused steps, once built
+        self._fused = None  # the fused steps both vector solves run, once built
         self._fuse_lock = threading.Lock()
 
     def _sweep(self, x, adjoint):
         """Overwrite x with R^-1 x, or R^-* x when `adjoint`; returns x."""
         if x.ndim > 1:
             return _substitute(_block_steps(self.R, self.block_inverses, adjoint), x)
-        steps = self._fused[adjoint]
+        steps = self._fused
         if steps is None:
             with self._fuse_lock:
-                steps = self._fused[adjoint]
+                steps = self._fused
                 if steps is None:
-                    steps = _fused_steps(self.R, self.block_inverses, adjoint)
-                    self._fused[adjoint] = steps
-        for rows, span, Z in steps:
-            x[rows] = Z @ x[span]
+                    steps = self._fused = _fused_steps(self.R, self.block_inverses)
+        if not adjoint:
+            for rows, span, Z in steps:
+                x[rows] = Z @ x[span]
+            return x
+        for rows, span, Z in reversed(steps):
+            t = x[rows] @ Z  # the solved block, then the update of the rows below it
+            if rows.stop == x.size:  # the last step has no rows below it
+                x[rows] = t
+            else:
+                x[rows] = 0.0  # so one add stores the block and updates the rows below
+                x[span] += t
         return x
 
     def solve(self, y):

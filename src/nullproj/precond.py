@@ -13,19 +13,19 @@ n >= m l.  Few large requests cost the stream less per value than many
 small ones: at (m, n, l) = (400, 4000, 404) the sketch makes 11 requests
 of up to 40 columns in place of 404 of one.
 
-Working set: the QR of the sketch is the peak, narrowly, with the m-by-l
-sketch, the QR's m-by-l working copy and R alive (3.21 m^2 doubles at
-(m, l) = (400, 404)).  The sketch phase holds less: S and one block,
-at most two m-by-l arrays, plus the stream's state.  The Gram build and
-the inverse each hold at most three m-by-m arrays, R among them (3.16 m^2
-doubles at m = 400), because their solves and the inverse overwrite
-arrays the build owns: the Gram build's identity takes R^-1, and the Gram
-matrix X takes L^-1 and then Y.  At large n the length-n arrays dominate
-instead, and a build holds one at a time: the stream's one-column block
-in the sketch, then `A* w` in the Gram build, since the sparse operator's
-`A x` makes no length-n copy of x, the dense test family adds its base's
-adjoint into its one length-n output a chunk at a time, and the check of
-each output allocates no length-n mask.  At
+Working set: the Gram build and the inverse are the peak.  Each holds at
+most three m-by-m arrays, R among them (3.17 m^2 doubles at m = 400),
+because their solves and the inverse overwrite arrays the build owns:
+the Gram build's identity takes R^-1, and the Gram matrix X takes L^-1
+and then Y.  The sketch phase holds S and one block, at most two m-by-l
+arrays, plus the stream's state.  The QR runs in S itself, which
+already has the layout of its working array, so it holds S, R and one
+panel update (2.18 m l doubles at (m, l) = (400, 404)).  At large n the
+length-n arrays dominate instead, and a build holds one at a time: the
+stream's one-column block in the sketch, then `A* w` in the Gram build,
+since the sparse operator's `A x` makes no length-n copy of x, the dense
+test family adds its base's adjoint into its one length-n output a chunk
+at a time, and the check of each output allocates no length-n mask.  At
 (m, n) = (100, 1e5) a sparse build peaks at about 0.93 MiB (tracemalloc):
 one length-n array of 0.76 MiB plus m-sized state.  A dense-family build
 on the Gaussian stream peaks at 1.06 length-n arrays at (20, 2e5), and at
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_core import PermutedFactor, _invert_spd, qr_pivoted
+from .dense_core import PermutedFactor, _invert_spd, _qr_pivoted_rows
 from .errors import ConfigurationError, DimensionError, DomainError, RankDeficientSketchError
 from .errors import all_finite, as_index, as_real, checked_draw
 from .linop import apply_gram
@@ -185,13 +185,13 @@ def build_preconditioner(A, l, g):
     whose `build_apply_counts` records the (A, A*) applies spent, (l+m, m)
     on the standard single-attempt path.
     Only R and the permutation outlive the attempt that produced them:
-    the sketch and the QR's Householder reflectors (an l-by-m array) are
-    freed before the Gram build, so neither adds to the memory the Gram
-    matrix and its inverse need.  The build's memory peaks in the QR,
-    with two m-by-l arrays and R alive; the Gram build and the inverse
-    then hold at most three m-by-m arrays each, R included, because the
-    solves and the inverse run in place on arrays the build made (the
-    Gram matrix X is overwritten by Y).  At large n the build holds one
+    the sketch, which the QR overwrites with its Householder reflectors,
+    is freed before the Gram build, so it adds nothing to the memory the
+    Gram matrix and its inverse need.  The build's memory peaks in the
+    Gram build and the inverse, which hold at most three m-by-m arrays
+    each, R included, because the solves and the inverse run in place on
+    arrays the build made (the Gram matrix X is overwritten by Y); the QR
+    holds the sketch, R and one panel update.  At large n the build holds one
     length-n array at a time plus m-sized state: about 0.93 MiB at
     (m, n) = (100, 1e5), of which the length-n array is 0.76 MiB.
     """
@@ -200,7 +200,7 @@ def build_preconditioner(A, l, g):
     before = A.counts()
     eps = np.finfo(float).eps
     for _ in range(SKETCH_ATTEMPTS):
-        qr = qr_pivoted(build_sketch(A, l, g).T)
+        qr = _qr_pivoted_rows(build_sketch(A, l, g))  # the QR of S*, run in S itself
         R, perm = qr.R, qr.perm
         del qr
         diag = np.abs(np.diag(R))

@@ -9,9 +9,9 @@ inverses of R's diagonal blocks, taken once at construction (a
 partitioned inverse, never an inverse of R or of anything Gram-like), so
 no projection calls LAPACK.  The chain's right-hand sides are vectors, so
 each triangular solve is one BLAS product per 64 rows with the factor's
-fused steps, which the first projection in each direction builds and
-every later one reuses (`dense_core` says how).  `solve` may overwrite
-its input, so the chain hands it the fresh `Y @ ...` product.
+fused steps, which both solves share: the first projection builds them
+and every later one reuses them (`dense_core` says how).  `solve` may
+overwrite its input, so the chain hands it the fresh `Y @ ...` product.
 The classical normal-equations path is kept as a baseline: it squares the
 condition number and loses accuracy exactly the way the benchmark tables
 show.

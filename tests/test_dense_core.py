@@ -313,19 +313,20 @@ def test_factor_vector_solves_match_row_substitution(m, adjoint):
 
 
 def fused_doubles(m):
-    """Doubles in the back sweep's fused steps, rows a:c of width m-a.
+    """Doubles in a factor's fused steps, rows a:c of width m-a.
 
-    The adjoint's rows a:c of width c hold as many at m = 400.
+    The back solve runs them as they are and the adjoint solve transposed.
     """
     return sum((min(a + _FUSED_ROWS, m) - a) * (m - a) for a in range(0, m, _FUSED_ROWS))
 
 
 @pytest.mark.parametrize("adjoint", [False, True], ids=["back", "adjoint"])
 def test_first_vector_solve_builds_one_direction_of_fused_steps(adjoint):
-    # the first vector solve in a direction builds that direction's steps,
-    # 92,416 doubles at m = 400 (0.58 m^2), and keeps them; while it builds
-    # them it holds at most two products of a _BASE_ROWS-row sweep besides
-    # (1.18x the steps, measured); later solves and matrix solves keep nothing
+    # the first vector solve, in either direction, builds the factor's fused
+    # steps, 92,416 doubles at m = 400 (0.58 m^2), and keeps them; while it
+    # builds them it holds at most two products of a _BASE_ROWS-row sweep
+    # besides (1.18x the steps, measured); later solves and matrix solves
+    # keep nothing
     m = 400
     rng = np.random.default_rng(7000)
     factor = PermutedFactor(np.linalg.qr(rng.standard_normal((m, m)))[1], rng.permutation(m))
@@ -349,6 +350,33 @@ def test_first_vector_solve_builds_one_direction_of_fused_steps(adjoint):
     assert fused <= held - before < fused + 8 * 1024  # the steps, their tuples and slices
     assert peak - before < fused + 8 * 2 * _BASE_ROWS * m
     assert abs(again - held) < 8 * m
+
+
+@pytest.mark.parametrize("first", ["back", "adjoint"])
+def test_both_vector_solve_directions_share_one_set_of_fused_steps(first):
+    # the adjoint vector solve runs the back solve's steps transposed, so
+    # after a first vector solve in each direction, in either order, the
+    # factor holds one set of steps (two would be 2 x 739,328 bytes), and
+    # the second direction's first solve allocates only m-sized arrays
+    m = 400
+    rng = np.random.default_rng(7100)
+    factor = PermutedFactor(np.linalg.qr(rng.standard_normal((m, m)))[1], rng.permutation(m))
+    y = rng.standard_normal(m)
+    solves = [lambda: factor.solve(y.copy()), lambda: factor.solve_adjoint(y)]
+    if first == "adjoint":
+        solves.reverse()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solves[0]()
+        built = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solves[1]()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - start <= 8 * fused_doubles(m) + 8 * 1024
+    assert peak - built < 8 * 5 * m  # 2.1-3.4 m measured: the right-hand side and step products
 
 
 @pytest.mark.parametrize("solve", [solve_upper, solve_upper_adjoint])
