@@ -33,7 +33,6 @@ from .linop import (
 )
 from .rng import GaussianStream, UniformLaggedFibonacci
 from .dense_core import (
-    PivotedQR,
     invert_small,
     qr_pivoted,
     solve_upper,
@@ -81,7 +80,6 @@ __all__ = [
     "LinearOperator",
     "MatrixOperator",
     "NullProjError",
-    "PivotedQR",
     "Preconditioner",
     "ProjectionResult",
     "RankDeficientSketchError",

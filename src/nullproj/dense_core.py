@@ -8,33 +8,33 @@ These run on matrices whose side is the short dimension m of the operator.
 Both triangular solves run on one partitioned inverse of the factor
 (Higham, SISC 1995): each diagonal block of at most `_BASE_ROWS` rows is
 inverted once, by one LAPACK solve against the identity, and a solve is
-then a sweep of BLAS products, one with the already-solved part and one
-with the block's inverse per block row; no loop over rows runs in the
-interpreter.  The adjoint solve sweeps the other way on forward views of
-the same factor.  A `PermutedFactor` held for many solves keeps its block
-inverses, so its solves make no LAPACK call.  Which sweep it runs depends
-on the right-hand side:
+then the block sweep of `_substitute`: per block row, one BLAS product
+with the already-solved part and one with the block's inverse; no loop
+over rows runs in the interpreter.  The adjoint solve sweeps the
+other way on forward views of the same factor.  A `PermutedFactor` held
+for many solves keeps its block inverses, so its solves make no LAPACK
+call.  Which sweep it runs depends on the right-hand side:
 
-- A matrix, as every solve inside a build is, takes that view sweep, two
-  products and two slice updates per block row, with views made for the
-  solve.  A build's memory peaks where these solves run, so they hold
-  nothing beyond the block inverses, and a build is the same, bit for
-  bit, whatever a vector solve does.
+- A matrix, as every solve inside a build is, takes the block sweep, two
+  products and two slice updates per block row.  A build's memory peaks
+  where these solves run, so they hold nothing beyond the block
+  inverses, and a build is the same, bit for bit, whatever a vector
+  solve does.
 - A vector, as in every projection, takes fused steps: rows a:c of
   `_FUSED_ROWS` hold Z = R[a:c, a:c]^-1 [I | -R[a:c, c:]], the matching
   rows of R's partitioned inverse composed with the off-diagonal part of
   R, so each step is one product, 7 per sweep at m = 400 instead of 26
   products and 26 slice updates.  The back solve runs them bottom to top,
   x[a:c] = Z x[a:], and the adjoint solve top to bottom on Z transposed.
-  Each Z is the matrix sweep run on [I | -R[a:c, c:]], so LAPACK still
+  Each Z is the block sweep run on [I | -R[a:c, c:]], so LAPACK still
   inverts only the `_BASE_ROWS` blocks.  A factor builds the steps at its
   first vector solve and keeps them, about 0.58 m^2 doubles at m = 400.
-  The one-off public solves keep the view sweep for vectors too, since
+  The one-off public solves keep the block sweep for vectors too, since
   they would build the steps for one use.
 
-Ownership: the substitution kernel overwrites the array it is given, and
-so do `PermutedFactor.solve` and the private `_invert_spd` and
-`_qr_pivoted_rows`, so a caller that owns a fresh array, such as the
+Ownership: the substitution kernel `_substitute` overwrites the array it
+is given, and so do `PermutedFactor.solve` and the private `_invert_spd`
+and `_qr_pivoted_rows`, so a caller that owns a fresh array, such as the
 Gram build's identity, the chain's `Y @ ...`, the Gram matrix or the
 sketch, hands it over without a copy.
 `PermutedFactor.solve_adjoint` never writes its input, because its
@@ -297,47 +297,40 @@ def _check_rhs(x, m):
         raise DimensionError(f"right-hand side of shape {x.shape} does not match factor size {m}")
 
 
-def _block_steps(R, inv, adjoint=False):
-    """The sweep that solves with R, or with R* when `adjoint`, as one step per block row.
+def _substitute(R, inv, x, adjoint=False):
+    """Overwrite the float array x with R^-1 x, or R^-* x when `adjoint`; returns x.
 
-    `inv` is `invert_diagonal_blocks(R)`.  A step (rows, solved, C, D) is
-    x[rows] = D (x[rows] - C x[solved]) with D the inverse of the block.
-    Back substitution runs bottom to top, x[a:b] = D (x[a:b] - R[a:b, b:] x[b:]);
+    `inv` is `invert_diagonal_blocks(R)`, and x a vector or a matrix.  One
+    block row of `_BASE_ROWS` at a time: back substitution runs bottom to
+    top, x[a:b] = D (x[a:b] - R[a:b, b:] x[b:]) with D the block's inverse;
     the adjoint is forward substitution top to bottom,
-    x[a:b] = D* (x[a:b] - R[:a, a:b]* x[:a]).  C and D are views of R and
-    `inv`, and every product reads a forward view, which BLAS takes
-    without a copy.
+    x[a:b] = D* (x[a:b] - R[:a, a:b]* x[:a]), left-looking, so it allocates
+    nothing larger than the block row.  Every product reads a forward view
+    of R or `inv`, which BLAS takes without a copy.
     """
     m = R.shape[0]
     starts = range(0, m, _BASE_ROWS)
-    steps = []
     for a in starts if adjoint else reversed(starts):
         b = min(a + _BASE_ROWS, m)
         D = inv[a:b, : b - a]
         if adjoint:
-            steps.append((slice(a, b), slice(0, a), R[:a, a:b].T, D.T))
+            C, solved, D = R[:a, a:b].T, x[:a], D.T
         else:
-            steps.append((slice(a, b), slice(b, m), R[a:b, b:], D))
-    return tuple(steps)
-
-
-def _substitute(steps, x):
-    """Overwrite the float array x with the solve that `steps` sweep; returns x."""
-    for rows, solved, C, D in steps:
-        x[rows] -= C @ x[solved]
-        x[rows] = D @ x[rows]
+            C, solved = R[a:b, b:], x[b:]
+        x[a:b] -= C @ solved
+        x[a:b] = D @ x[a:b]
     return x
 
 
 def _fused_steps(R, inv):
-    """The back sweep of `_block_steps` for a vector, one product per `_FUSED_ROWS` rows.
+    """The back sweep of `_substitute` for a vector, one product per `_FUSED_ROWS` rows.
 
     A step (rows, span, Z) has rows a:c, span a:m and
     Z = R[a:c, a:c]^-1 [I | -R[a:c, c:]], so run bottom to top,
     x[rows] = Z x[span] is back substitution.  Run top to bottom on the
     same Z, t = x[rows] Z is forward substitution with R*, right-looking:
     t[:c-a] is the solved block and t[c-a:] the update of x[c:].  Each Z
-    is the `_block_steps` matrix sweep of R[a:c, a:c] on [I | -R[a:c, c:]],
+    is the `_substitute` block sweep of R[a:c, a:c] on [I | -R[a:c, c:]],
     so the step reads only the inverses of `invert_diagonal_blocks`.  The
     steps hold about 0.58 m^2 doubles at m = 400 (92,416), in arrays made
     here and marked read-only.
@@ -349,7 +342,7 @@ def _fused_steps(R, inv):
         Z = np.zeros((c - a, m - a))
         np.fill_diagonal(Z, 1.0)
         np.negative(R[a:c, c:], out=Z[:, c - a :])
-        _substitute(_block_steps(R[a:c, a:c], inv[a:c]), Z)
+        _substitute(R[a:c, a:c], inv[a:c], Z)
         Z.setflags(write=False)
         steps.append((slice(a, c), slice(a, m), Z))
     return tuple(steps)
@@ -357,9 +350,9 @@ def _fused_steps(R, inv):
 
 def _solve_once(R, x, adjoint=False):
     """Overwrite x with R^-1 x, or R^-* x when `adjoint`, inverting R's blocks for this solve."""
-    steps = _block_steps(R, invert_diagonal_blocks(R), adjoint)
+    inv = invert_diagonal_blocks(R)
     _check_rhs(x, R.shape[0])
-    return _substitute(steps, x)
+    return _substitute(R, inv, x, adjoint)
 
 
 def solve_upper(R, y):
@@ -392,7 +385,7 @@ class PermutedFactor:
     call and check nothing but the right-hand side's length.
 
     Which sweep runs depends on the right-hand side's `ndim`.  A matrix
-    takes the view sweep of `_block_steps`, made for that solve: every
+    takes the block sweep of `_substitute`, which holds nothing: every
     solve inside a build (the Gram build's identity and `W`) is one, and
     runs where the build's memory peaks, so a build holds no more than
     R's block inverses.  A vector, the projection chain's case, takes the
@@ -418,7 +411,7 @@ class PermutedFactor:
     def _sweep(self, x, adjoint):
         """Overwrite x with R^-1 x, or R^-* x when `adjoint`; returns x."""
         if x.ndim > 1:
-            return _substitute(_block_steps(self.R, self.block_inverses, adjoint), x)
+            return _substitute(self.R, self.block_inverses, x, adjoint)
         steps = self._fused
         if steps is None:
             with self._fuse_lock:

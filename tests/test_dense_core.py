@@ -295,7 +295,7 @@ def test_blocked_solves_match_row_substitution(m, adjoint):
 @pytest.mark.parametrize("m", SOLVE_SIZES)
 def test_factor_vector_solves_match_row_substitution(m, adjoint):
     # a PermutedFactor solves a vector with its fused steps, the projection
-    # chain's path, and a matrix with the view sweep of the public solves
+    # chain's path, and a matrix with the block sweep of the public solves
     factors, Y = solve_test_factors(m)
     rng = np.random.default_rng(6000 + m)
     for R in factors:
@@ -310,6 +310,22 @@ def test_factor_vector_solves_match_row_substitution(m, adjoint):
                 assert holds_componentwise_bound(T, x, rhs)
                 ref = substitute_by_rows(R, rhs, adjoint)
                 assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("m", SOLVE_SIZES)
+def test_every_block_inverse_sweep_is_one_kernel(m):
+    # a factor's matrix solves, the one-off public solves and invert_small's
+    # L^-1 all sweep with one kernel, so they agree bit for bit
+    factors, Y = solve_test_factors(m)
+    for R in factors:
+        factor = PermutedFactor(R, np.arange(m))
+        assert np.array_equal(factor.solve(Y.copy()), solve_upper(R, Y))
+        assert np.array_equal(factor.solve_adjoint(Y), solve_upper_adjoint(R, Y))
+    M = np.random.default_rng(6500 + m).standard_normal((m, m))
+    X = M.T @ M + m * np.eye(m)
+    W = solve_upper_adjoint(np.linalg.cholesky(X).T, np.eye(m))
+    inverse = W.T @ W
+    assert np.array_equal(invert_small(X), (inverse + inverse.T) / 2.0)
 
 
 def fused_doubles(m):
@@ -337,7 +353,7 @@ def test_first_vector_solve_builds_one_direction_of_fused_steps(adjoint):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        solve(np.ones((m, 3)))  # a matrix takes the view sweep, made for this solve
+        solve(np.ones((m, 3)))  # a matrix takes the block sweep, which holds nothing
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         solve(y.copy())
