@@ -5,9 +5,9 @@ s_pro) and randomized setup/projection (t_pre, t_pro), then report the
 worst annihilation (delta) and idempotence (epsilon) errors over many
 random unit vectors, everything divided by kappa.
 
-The same harness and the same two writers, `emit_markdown` and `emit_csv`,
-drive the CLI:  nullproj-bench --m 100 --n 3000 --kappa 1e8 --format md
---table errors
+The same harness and the same two writers, `emit_markdown` (the timing
+table, then the error table) and `emit_csv`, drive the CLI:
+nullproj-bench --m 100 --n 3000 --kappa 1e8 --format md
 """
 
 from nullproj import TrialConfig, run_trial
@@ -19,10 +19,8 @@ rows = [
     for kappa in (1e4, 1e6, 1e8, 1e10, 1e12)
 ]
 
-print("error table (worst case over 25 unit vectors per row):\n")
-print(emit_markdown(rows, "errors"))
-print("timing table (seconds):\n")
-print(emit_markdown(rows, "timings"))
+print("timing table (seconds), then error table (worst case over 25 unit vectors per row):\n")
+print(emit_markdown(rows))
 
 # the CSV form, written by the stdlib csv writer, round-trips exactly and
 # carries every field, including the measured apply counts

@@ -2,9 +2,9 @@
 
 One trial builds a synthetic operator, times both setup phases and both
 per-vector projection phases, then takes the max of the four error metrics
-over `trials` random unit vectors.  Results serialize to CSV or to
-markdown tables in the usual column order (m, n, l, kappa, then the timing
-or error columns).  The CSV holds the full row, written by the stdlib `csv`
+over `trials` random unit vectors.  Results serialize to CSV or to two
+markdown tables, timings then errors, in the usual column order (m, n, l,
+kappa, then data).  The CSV holds the full row, written by the stdlib `csv`
 writer, so the `csv` module and `float()` read it back exactly.
 
 Also usable as a command line tool; see `main` or run `nullproj-bench -h`.
@@ -200,18 +200,18 @@ _MD_TABLES = {
 }
 
 
-def emit_markdown(rows, table="errors"):
-    """Markdown table with the usual column order: m, n, l, kappa, then data."""
-    if table not in _MD_TABLES:
-        raise ConfigurationError(f"table must be one of {tuple(_MD_TABLES)}, got {table!r}")
-    columns = _MD_TABLES[table]
-    header = ["m", "n", "l", "kappa"] + [label for _, label in columns]
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for row in rows:
-        cells = [str(row.m), str(row.n), str(row.l), f"{row.kappa:.0e}"]
-        cells += [f"{getattr(row, name):.2e}" for name, _ in columns]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
+def emit_markdown(rows):
+    """The timings table, a blank line, then the errors table; columns m, n, l, kappa, then data."""
+    tables = []
+    for columns in _MD_TABLES.values():
+        header = ["m", "n", "l", "kappa"] + [label for _, label in columns]
+        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        for row in rows:
+            cells = [str(row.m), str(row.n), str(row.l), f"{row.kappa:.0e}"]
+            cells += [f"{getattr(row, name):.2e}" for name, _ in columns]
+            lines.append("| " + " | ".join(cells) + " |")
+        tables.append("\n".join(lines) + "\n")
+    return "\n".join(tables)
 
 
 def main(argv=None):
@@ -222,7 +222,12 @@ def main(argv=None):
     """
     parser = argparse.ArgumentParser(
         prog="nullproj-bench",
-        description="Benchmark classical vs randomized null-space projection on synthetic matrices.",
+        description=(
+            "Benchmark classical vs randomized null-space projection on synthetic matrices. "
+            "Timings time one cold call per phase, or take the median of 3 calls when the "
+            f"first takes under {_FAST_PHASE * 1000:.0f} ms, and run every classical phase "
+            "before the randomized ones, not interleaved."
+        ),
     )
     # the trial flags set only what is given, so the defaults are TrialConfig's
     trial = parser.add_argument_group("trial configuration", argument_default=argparse.SUPPRESS)
@@ -242,20 +247,10 @@ def main(argv=None):
         help="refinement iterations per projection",
     )
     output = parser.add_argument_group("output")
-    output.add_argument(
-        "--table",
-        choices=_MD_TABLES,
-        default="errors",
-        help=(
-            "markdown table; timings time one cold call per phase, or take the median of 3 "
-            f"calls when the first takes under {_FAST_PHASE * 1000:.0f} ms, and run every "
-            "classical phase before the randomized ones, not interleaved"
-        ),
-    )
-    output.add_argument("--format", choices=("csv", "md"), default="csv")
+    output.add_argument("--format", choices=("csv", "md"), default="csv", help="md: two tables")
     output.add_argument("--out", default=None, help="output file (default stdout)")
     args = vars(parser.parse_args(argv))
-    table, format, out = args.pop("table"), args.pop("format"), args.pop("out")
+    format, out = args.pop("format"), args.pop("out")
 
     try:
         config = TrialConfig(**args)
@@ -265,7 +260,7 @@ def main(argv=None):
 
     try:
         row = run_trial(config)
-        text = emit_csv([row]) if format == "csv" else emit_markdown([row], table)
+        text = emit_csv([row]) if format == "csv" else emit_markdown([row])
     except NullProjError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -350,8 +350,8 @@ def _fused_steps(R, inv):
 
 def _solve_once(R, x, adjoint=False):
     """Overwrite x with R^-1 x, or R^-* x when `adjoint`, inverting R's blocks for this solve."""
-    inv = invert_diagonal_blocks(R)
     _check_rhs(x, R.shape[0])
+    inv = invert_diagonal_blocks(R)
     return _substitute(R, inv, x, adjoint)
 
 

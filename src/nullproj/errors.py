@@ -106,20 +106,15 @@ def as_real(values, name):
 
 
 def all_finite(a):
-    """True unless the array `a` holds a NaN or infinite entry; allocates no mask.
+    """True unless the float array `a` holds a NaN or infinite entry; allocates no mask.
 
     The smallest and the largest entry, taken over every axis, are finite
     exactly when every entry is: both reductions carry a NaN through, and an
     infinity is an extreme.  Unlike a sum, they cannot overflow on large
-    finite entries.  An empty array and one of booleans or integers pass
-    without a reduction.  A complex array is read as its real and its
-    imaginary part, both views.
+    finite entries.  An empty array passes without a reduction.  Callers
+    pass what `as_real` returns, so complex data is refused there.
     """
-    a = np.asarray(a)
-    kind = a.dtype.kind
-    if kind == "c":
-        return all_finite(a.real) and all_finite(a.imag)
-    if kind in "biu" or not a.size:
+    if not a.size:
         return True
     # the ufunc reductions called directly, over every axis (axis=None),
     # skip the Python-level wrapper of ndarray.min and ndarray.max

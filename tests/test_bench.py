@@ -1,6 +1,8 @@
 import csv
 import io
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,7 +194,7 @@ def test_emit_csv_writes_the_expected_bytes():
 
 def test_markdown_column_order():
     row = run_trial(small_config(trials=1))
-    md_err = emit_markdown([row], table="errors")
+    md_time, md_err = emit_markdown([row]).split("\n\n")
     header = md_err.splitlines()[0]
     cols = [c.strip() for c in header.strip("|").split("|")]
     assert cols == [
@@ -205,15 +207,12 @@ def test_markdown_column_order():
         "delta_rand/kappa",
         "eps_rand/kappa",
     ]
-    md_time = emit_markdown([row], table="timings")
     assert [c.strip() for c in md_time.splitlines()[0].strip("|").split("|")][4:] == [
         "s_pre",
         "s_pro",
         "t_pre",
         "t_pro",
     ]
-    with pytest.raises(ConfigurationError):
-        emit_markdown([row], table="energies")
 
 
 def test_cli_success(tmp_path, capsys):
@@ -236,7 +235,21 @@ def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
 def test_cli_stdout_markdown(capsys):
     code = main(["--m", "8", "--n", "32", "--kappa", "100", "--trials", "1", "--format", "md"])
     assert code == 0
-    assert capsys.readouterr().out.startswith("| m |")
+    timings, errors = capsys.readouterr().out.split("\n\n")
+    assert timings.startswith("| m |") and "| t_pro |" in timings
+    assert errors.startswith("| m |") and "| eps_rand/kappa |" in errors
+    with pytest.raises(SystemExit) as exc:
+        main(["--m", "8", "--n", "32", "--kappa", "100", "--format", "md", "--table", "errors"])
+    assert exc.value.code == 2
+
+
+def test_readme_flags_match_the_cli(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Flags:") :].split("\n\n")[0]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    printed = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+    assert set(re.findall(r"--[a-z]+", paragraph)) == printed
 
 
 def test_cli_usage_error_exit_2(capsys):

@@ -418,6 +418,28 @@ def test_vector_solve_hands_whole_blocks_to_lapack(solve, monkeypatch):
     assert np.linalg.norm(T @ x - y) <= 1e-12 * np.linalg.norm(y)
 
 
+@pytest.mark.parametrize("zero_diagonal", [False, True])
+@pytest.mark.parametrize("solve", [solve_upper, solve_upper_adjoint])
+def test_wrong_length_rhs_is_refused_before_any_block_inversion(solve, zero_diagonal, monkeypatch):
+    # the right-hand side is checked first, so a wrong length costs no LAPACK
+    # call and is reported as such even when R itself is singular
+    m = 400
+    R = np.linalg.qr(np.random.default_rng(3000).standard_normal((m, m)))[1]
+    if zero_diagonal:
+        R[m // 2, m // 2] = 0.0
+    calls = []
+    lapack_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(a.shape[0])
+        return lapack_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    with pytest.raises(DimensionError):
+        solve(R, np.ones(m + 1))
+    assert calls == []
+
+
 def test_lapack_solves_only_in_the_block_inversion():
     # Every triangular solve sweeps BLAS products over block inverses that
     # invert_diagonal_blocks takes once per factor; a second LAPACK solve

@@ -131,15 +131,6 @@ def test_all_finite_cannot_overflow(extreme):
     assert all_finite(np.full((5, 5), extreme))
 
 
-@pytest.mark.parametrize("entry", [complex(0, np.inf), complex(-np.inf, 1), complex(1, np.nan)])
-def test_all_finite_reads_both_parts_of_a_complex_array(entry):
-    # complex entries compare by real part first, so an infinite imaginary
-    # part need not be an extreme of the whole
-    arr = np.array([1 + 1j, entry, -1 - 1j])
-    assert not all_finite(arr)
-    assert all_finite(np.array([1 + 1j, 1.7e308j, -1 - 1j]))
-
-
 def test_finiteness_rule_has_one_owner():
     # Only errors.all_finite tests a whole array for NaN or infinite entries:
     # np.isfinite(x).all() or .any(), or np.all/np.any of np.isfinite(x),
