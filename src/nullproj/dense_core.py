@@ -2,7 +2,9 @@
 
 `PermutedFactor` owns the pivoted factor M = R Pi of `qr_pivoted`: its
 checks, its block inverses and both permuted solves, so no caller indexes
-with the permutation or handles the block inverses itself.
+with the permutation or handles the block inverses itself.  The Gram
+build, which runs both permuted solves around the operator's applies, is
+`_preconditioned_gram` here for the same reason.
 
 These run on matrices whose side is the short dimension m of the operator.
 Both triangular solves run on one partitioned inverse of the factor
@@ -15,11 +17,11 @@ other way on forward views of the same factor.  A `PermutedFactor` held
 for many solves keeps its block inverses, so its solves make no LAPACK
 call.  Which sweep it runs depends on the right-hand side:
 
-- A matrix, as every solve inside a build is, takes the block sweep, two
-  products and two slice updates per block row.  A build's memory peaks
-  where these solves run, so they hold nothing beyond the block
-  inverses, and a build is the same, bit for bit, whatever a vector
-  solve does.
+- A matrix takes the block sweep, two products and two slice updates
+  per block row, which holds nothing beyond the block inverses and one
+  block row's products.  Every solve inside a build is this sweep, run
+  by the Gram build in place on its one m-by-m array, so a build is the
+  same, bit for bit, whatever a vector solve does.
 - A vector, as in every projection, takes fused steps: rows a:c of
   `_FUSED_ROWS` hold Z = R[a:c, a:c]^-1 [I | -R[a:c, c:]], the matching
   rows of R's partitioned inverse composed with the off-diagonal part of
@@ -35,8 +37,10 @@ call.  Which sweep it runs depends on the right-hand side:
 Ownership: the substitution kernel `_substitute` overwrites the array it
 is given, and so do `PermutedFactor.solve` and the private `_invert_spd`
 and `_qr_pivoted_rows`, so a caller that owns a fresh array, such as the
-Gram build's identity, the chain's `Y @ ...`, the Gram matrix or the
-sketch, hands it over without a copy.
+chain's `Y @ ...`, the Gram matrix or the sketch, hands it over without
+a copy.  `_preconditioned_gram` makes one m-by-m array, the identity,
+sweeps, permutes and applies inside it, and returns it as the Gram
+matrix, which `_invert_spd` then turns into Y.
 `PermutedFactor.solve_adjoint` never writes its input, because its
 gather d[perm] is already a fresh array, and the public functions
 (`qr_pivoted`, `solve_upper`, `solve_upper_adjoint`, `invert_small`) copy
@@ -385,14 +389,13 @@ class PermutedFactor:
     call and check nothing but the right-hand side's length.
 
     Which sweep runs depends on the right-hand side's `ndim`.  A matrix
-    takes the block sweep of `_substitute`, which holds nothing: every
-    solve inside a build (the Gram build's identity and `W`) is one, and
-    runs where the build's memory peaks, so a build holds no more than
-    R's block inverses.  A vector, the projection chain's case, takes the
-    fused steps of `_fused_steps`, one product per `_FUSED_ROWS` rows,
-    which both directions share: the first vector solve in either builds
-    them (under a lock, so concurrent first solves build them once), and
-    the factor keeps them, about 0.58 m^2 doubles.
+    takes the block sweep of `_substitute`, which holds nothing beyond one
+    block row's products; the Gram build runs the same sweep in place on
+    its own array (`_preconditioned_gram`).  A vector, the projection
+    chain's case, takes the fused steps of `_fused_steps`, one product per
+    `_FUSED_ROWS` rows, which both directions share: the first vector
+    solve in either builds them (under a lock, so concurrent first solves
+    build them once), and the factor keeps them, about 0.58 m^2 doubles.
     """
 
     def __init__(self, R, perm):
@@ -454,15 +457,46 @@ class PermutedFactor:
         return self._sweep(d[self.perm], adjoint=True)
 
 
+def _preconditioned_gram(R, perm, gram_column):
+    """X = P^-1 A A* P^-* for the factor P* = R Pi of `PermutedFactor`, in one m-by-m array.
+
+    `gram_column(w)` returns A A* w for a length-m float vector w, which it
+    must leave as it was.  `PermutedFactor(R, perm)` checks R and perm
+    before any apply, so a malformed one costs none.  Then:
+
+    - the identity is swept to W = R^-1 in place;
+    - column j of P^-* is W's column j scattered through perm, done inside
+      that column, and A A* of it, gathered by perm, takes its place:
+      column j of Pi A A* P^-*;
+    - the adjoint sweep applies R^-* to all of W in place.
+
+    So the build holds R and W and no third m-by-m array.  R's block
+    inverses are taken before the applies and again after them, not held
+    through them, where a build with large n peaks.
+    """
+    factor = PermutedFactor(R, perm)
+    R, perm = factor.R, factor.perm
+    W = _substitute(R, factor.block_inverses, np.eye(R.shape[0]))
+    del factor
+    for j in range(W.shape[1]):
+        w = W[:, j]
+        w[perm] = w  # numpy reads the overlapping right side through a copy
+        W[:, j] = gram_column(w)[perm]
+    return _substitute(R, invert_diagonal_blocks(R), W, adjoint=True)
+
+
 def invert_small(X):
     """Invert a small symmetric positive definite matrix.
 
-    One path: the Cholesky factor X = L L*, W = L^-1 from one triangular
-    solve, and Y = W* W.  The preconditioned Gram matrix this is built for
-    is well conditioned by construction, so an X that is not numerically
-    SPD means a broken build and raises FactorizationError.  The result is
-    symmetrized, so Y == Y.T holds exactly.  A NaN or infinite entry
-    raises DomainError.  X is left as it was: the inverse runs on a copy.
+    One path, blocked and in place on a copy of X: the Cholesky factor
+    X = L L*, W = L^-1 and Y = W* W, each one `_BASE_ROWS`-wide block
+    column at a time (see `_invert_spd`).  Only X's lower triangle is
+    read.  The preconditioned Gram matrix this is built for is well
+    conditioned by construction, so an X that is not numerically SPD means
+    a broken build and raises FactorizationError, whichever pivot block
+    fails.  Y's upper triangle mirrors its lower one, so Y == Y.T holds
+    exactly.  A NaN or infinite entry raises DomainError.  X is left as it
+    was: the inverse runs on a copy.
     """
     return _invert_spd(np.array(as_real(X, "X")))
 
@@ -470,28 +504,57 @@ def invert_small(X):
 def _invert_spd(X):
     """`invert_small` for a float array X that it overwrites: X ends up holding Y.
 
-    X is dead once its Cholesky factor exists, so it takes W = L^-1 and
-    then Y; besides X, at most one m-by-m array (L, then W* W) is alive.
+    The blocked scheme of LAPACK's potrf, trtri and lauum (Du Croz and
+    Higham, IMA J. Numer. Anal. 1992), one block column a:b at a time:
+
+    - X = L L*, left-looking: the block column takes the update from L's
+      finished columns, `np.linalg.cholesky` factors its diagonal block,
+      so a block that is not SPD raises, and the rows below it are
+      multiplied by that block's inverse transposed;
+    - W = L^-1, last block column first: W[b:, a:b] = -W[b:, b:] L[b:, a:b] W[a:b, a:b];
+    - Y = W* W, first block column first, whose W no later column reads;
+    - Y's block row a:b mirrors its block column, so Y == Y.T exactly.
+
+    The diagonal blocks' inverses come from `invert_diagonal_blocks`, once
+    each, and the second step frees each one as it uses it.  L, W and Y's
+    lower half each take X's lower triangle, with zeros above it, so every
+    temporary is the size of one block column.
     """
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionError(f"invert_small expects a square matrix, got shape {X.shape}")
     if not all_finite(X):
         raise DomainError("invert_small needs a finite matrix, got a NaN or infinite entry")
     m = X.shape[0]
-    try:
-        L = np.linalg.cholesky(X)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"matrix of size {m} is not positive definite: {exc}") from exc
-    X[...] = 0.0
-    np.fill_diagonal(X, 1.0)
-    W = _solve_once(L.T, X, adjoint=True)  # L W = I
-    del L
-    Y = W.T @ W
-    # numpy happens to compute W.T @ W with a symmetric kernel (syrk), which
-    # makes it exactly symmetric, but nothing documents that
-    np.add(Y, Y.T, out=W)
-    W /= 2.0
-    return W
+    starts = range(0, m, _BASE_ROWS)
+    inverses = []  # per block column: the inverse of L[a:b, a:b]*
+    for a in starts:
+        b = min(a + _BASE_ROWS, m)
+        left = X[a:, :a] @ X[a:b, :a].T  # the finished columns' share of the block column
+        # subtracted in the temporary: a ufunc on two 2-D strided views
+        # takes two iteration buffers of 64 KiB each
+        X[a:, a:b] = np.subtract(X[a:, a:b], left, out=left)
+        del left
+        try:
+            X[a:b, a:b] = np.linalg.cholesky(X[a:b, a:b])
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(
+                f"matrix of size {m} is not positive definite (pivot block at row {a}): {exc}"
+            ) from exc
+        inverses.append(invert_diagonal_blocks(X[a:b, a:b].T))
+        X[b:, a:b] = X[b:, a:b] @ inverses[-1]
+        X[a:b, b:] = 0.0
+    for a in reversed(starts):
+        b = min(a + _BASE_ROWS, m)
+        D = inverses.pop().T  # L[a:b, a:b]^-1
+        np.matmul(X[b:, b:] @ X[b:, a:b], -D, out=X[b:, a:b])  # one temporary, not two
+        X[a:b, a:b] = D
+    for a in starts:
+        b = min(a + _BASE_ROWS, m)
+        diag = X[a:, a:b].T @ X[a:, a:b]
+        X[b:, a:b] = X[b:, b:].T @ X[b:, a:b]
+        X[a:b, a:b] = np.tril(diag) + np.tril(diag, -1).T
+        X[a:b, b:] = X[b:, a:b].T
+    return X
 
 
 def svd_dense(M):

@@ -5,22 +5,25 @@ module forms the sketch S = A G, drawing G in blocks of whole columns
 with one stream request per block, takes a pivoted QR of S*, and
 precomputes everything a projection needs afterwards: the triangular
 factor R, the pivot permutation, and the inverse Y of the preconditioned
-Gram matrix.  The Gram build is the two solves of a
-`dense_core.PermutedFactor` wrapped around `linop.apply_gram`.  The whole
+Gram matrix.  The Gram build is `dense_core._preconditioned_gram`: the
+two permuted solves of the factor R Pi, run in place around m applies of
+A A*, one column at a time.  The whole
 build costs exactly l+m applies of A and m applies of A*, and never holds
 more of G than one block of at most m l values, one length-n column when
 n >= m l.  Few large requests cost the stream less per value than many
 small ones: at (m, n, l) = (400, 4000, 404) the sketch makes 11 requests
 of up to 40 columns in place of 404 of one.
 
-Working set: the Gram build and the inverse are the peak.  Each holds at
-most three m-by-m arrays, R among them (3.17 m^2 doubles at m = 400),
-because their solves and the inverse overwrite arrays the build owns:
-the Gram build's identity takes R^-1, and the Gram matrix X takes L^-1
-and then Y.  The sketch phase holds S and one block, at most two m-by-l
-arrays, plus the stream's state.  The QR runs in S itself, which
-already has the layout of its working array, so it holds S, R and one
-panel update (2.18 m l doubles at (m, l) = (400, 404)).  At large n the
+Working set: the Gram build and the inverse each hold two m-by-m arrays,
+R and the Gram matrix, plus temporaries of one 32-column block column
+(at most 2.17 m^2 doubles at m = 400), because both run in place on the
+one array the Gram build makes: its identity takes R^-1, then column by
+column the permuted applies of A A*, then R^-*, and the Gram matrix X
+takes L, L^-1 and then Y.  The sketch phase holds S and one block, at
+most two m-by-l arrays, plus the stream's state.  The QR runs in S
+itself, which already has the layout of its working array, so it holds
+S, R and one panel update (2.18 m l doubles at (m, l) = (400, 404)): at
+large m and small n, the build's peak.  At large n the
 length-n arrays dominate instead, and a build holds one at a time: the
 stream's one-column block in the sketch, then `A* w` in the Gram build,
 since the sparse operator's `A x` makes no length-n copy of x, the dense
@@ -37,10 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_core import PermutedFactor, _invert_spd, _qr_pivoted_rows
+from .dense_core import PermutedFactor, _invert_spd, _preconditioned_gram, _qr_pivoted_rows
 from .errors import ConfigurationError, DimensionError, DomainError, RankDeficientSketchError
 from .errors import all_finite, as_index, as_real, checked_draw
-from .linop import apply_gram
 
 SKETCH_ATTEMPTS = 3  # sketches a build tries before it reports a rank-deficient operator
 
@@ -145,21 +147,19 @@ def build_sketch(A, l, g):
 def build_gram(A, R, perm):
     """Preconditioned Gram matrix X = P^-1 A A* (P*)^-1 with P = Pi* R*.
 
-    P* = R Pi, so (P*)^-1 is `PermutedFactor.solve` against the identity,
-    which it overwrites on the way; `apply_gram` overwrites its columns
-    with A A* (P*)^-1, and `PermutedFactor.solve_adjoint` applies P^-1
-    from the left.  Each solve makes its own factor, the first before any
-    apply, so a malformed `perm` raises `ConfigurationError` with no apply
-    spent, and R's block inverses are not held through the applies, where
-    a build with large n peaks.
-    Costs m applies of A and m of A*, with one length-n temporary.
+    P* = R Pi, so (P*)^-1 is R^-1 followed by a scatter through the
+    permutation, and P^-1 a gather followed by R^-*;
+    `dense_core._preconditioned_gram` runs both around the applies in one
+    m-by-m array, one column at a time.  R and perm are checked before
+    any apply, so a malformed `perm` raises `ConfigurationError`, and a
+    NaN or infinite entry of R `DomainError`, with no apply spent.  Costs
+    m applies of A and m of A*, with one length-n temporary.
     """
     m, n = A.shape
     R = as_real(R, "R")
     if R.shape != (m, m):
         raise ConfigurationError(f"R must be {m}x{m} for a {m}x{n} operator, got {R.shape}")
-    W = apply_gram(A, PermutedFactor(R, perm).solve(np.eye(m)))
-    return PermutedFactor(R, perm).solve_adjoint(W)
+    return _preconditioned_gram(R, perm, lambda w: A.apply(A.apply_adjoint(w)))
 
 
 def build_preconditioner(A, l, g):
@@ -187,13 +187,15 @@ def build_preconditioner(A, l, g):
     Only R and the permutation outlive the attempt that produced them:
     the sketch, which the QR overwrites with its Householder reflectors,
     is freed before the Gram build, so it adds nothing to the memory the
-    Gram matrix and its inverse need.  The build's memory peaks in the
-    Gram build and the inverse, which hold at most three m-by-m arrays
-    each, R included, because the solves and the inverse run in place on
-    arrays the build made (the Gram matrix X is overwritten by Y); the QR
-    holds the sketch, R and one panel update.  At large n the build holds one
-    length-n array at a time plus m-sized state: about 0.93 MiB at
-    (m, n) = (100, 1e5), of which the length-n array is 0.76 MiB.
+    Gram matrix and its inverse need.  The Gram build and the inverse
+    hold two m-by-m arrays, R and the Gram matrix, plus block-column
+    temporaries, because both run in place on the one array the Gram
+    build makes (the Gram matrix X is overwritten by Y); the QR holds
+    the sketch, R and one panel update, and is the peak at large m and
+    small n: about 2.69 MiB at (m, n, l) = (400, 4000, 404).  At large
+    n the build holds one length-n array at a time plus m-sized state:
+    about 0.93 MiB at (m, n) = (100, 1e5), of which the length-n array
+    is 0.76 MiB.
     """
     m, n = A.shape
     l = _check_sketch_width(l, m, n)

@@ -524,14 +524,15 @@ def test_build_factors_its_sketch_in_place(monkeypatch):
 
 
 def test_build_working_set_stays_near_three_sketch_sized_arrays():
-    # the Gram build and the inverse hold at most three m-by-m arrays
-    # (about 3.3 m l doubles), since their solves and the inverse overwrite
-    # arrays the build owns; one throwaway m-by-m copy in either phase
-    # passes 3.6 m l; the QR, run in the sketch, holds about 2.3 m l
+    # the Gram build and the inverse hold two m-by-m arrays, R and the Gram
+    # matrix, and block-column temporaries, since both run in place on
+    # arrays the build owns; the QR, run in the sketch, holds about 2.3 m l
+    # and is the peak (2.34 m l measured); one throwaway m-by-m copy in the
+    # Gram build or the inverse passes 2.6 m l
     m, n, l = 200, 2000, 204
     A = make_sparse_test(m, n, 1e8, seed=30)
     peak = min(traced_peak(build_preconditioner, A, l, UniformLaggedFibonacci(31)) for _ in range(3))
-    assert peak < 3.6 * m * l * 8
+    assert peak < 2.6 * m * l * 8
 
 
 def test_dense_build_holds_few_length_n_vectors():
@@ -553,6 +554,29 @@ def test_build_gram_refuses_a_bad_permutation_before_any_apply(perm):
     R = qr_pivoted(np.random.default_rng(24).standard_normal((10, 6))).R
     with pytest.raises(ConfigurationError, match="perm"):
         build_gram(A, R, perm)
+    assert A.counts() == (0, 0)
+
+
+def test_build_gram_costs_exactly_m_applies_each_way():
+    # three block columns of R, so the in-place sweeps cross block edges;
+    # one apply of A and one of A* per column, none to check R or perm
+    m, n = 70, 280
+    A = make_sparse_test(m, n, 1e4, seed=25)
+    qr = qr_pivoted(build_sketch(A, m + 4, UniformLaggedFibonacci(26)).T)
+    before = A.counts()
+    X = build_gram(A, qr.R, qr.perm)
+    after = A.counts()
+    assert (after[0] - before[0], after[1] - before[1]) == (m, m)
+    assert X.shape == (m, m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_gram_refuses_a_nonfinite_factor_before_any_apply(bad):
+    A = make_sparse_test(6, 24, 100.0, seed=23)
+    R = qr_pivoted(np.random.default_rng(24).standard_normal((10, 6))).R
+    R[1, 4] = bad
+    with pytest.raises(DomainError, match="R must be finite"):
+        build_gram(A, R, np.arange(6))
     assert A.counts() == (0, 0)
 
 
