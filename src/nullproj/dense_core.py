@@ -254,7 +254,11 @@ def _qr_pivoted_rows(W):
             floor[stale] = _STALE * sq[stale]
         k = c
 
-    R = np.triu(W[:, :m].T)
+    # R is W's leading block transposed with its strict lower triangle
+    # zeroed in place; np.triu would hold an m-by-m mask and a temporary
+    R = W[:, :m].T.copy()
+    for i in range(1, m):
+        R[i, :i] = 0.0
     np.ldexp(R, e, out=R)
     # sign convention: flip rows of R (and matching Q columns) so diag(R) >= 0
     flip = np.diag(R) < 0.0

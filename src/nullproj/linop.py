@@ -22,8 +22,8 @@ from .errors import ConfigurationError, DimensionError, DomainError, SizeCapErro
 from .errors import all_finite, as_index, as_index_array, as_real, inverse_permutation
 
 # entries of the dense family's A* y that one gather of its base's adjoint
-# adds at a time; bounds that gather's temporary whatever n is
-_ADJOINT_CHUNK = 8192
+# adds at a time; bounds that gather's temporary (32 KiB) whatever n is
+_ADJOINT_CHUNK = 4096
 
 
 class LinearOperator:
@@ -215,9 +215,9 @@ class DenseTestMatrix(LinearOperator):
     though it rides on the sparse base internally.  `A* y` holds one
     length-n array: the rank-10 term is written into the fresh output by
     one BLAS product, and the base's gather V* [w ... w] is added into it
-    `_ADJOINT_CHUNK` entries at a time.  The sum is the same two terms as
-    adding the base's whole A* y, bit for bit.  Complex `E` or `F` raises
-    `DomainError`.
+    `_ADJOINT_CHUNK` entries at a time, so no more than one chunk of it
+    is alive.  The sum is the same two terms as adding the base's whole
+    A* y, bit for bit.  Complex `E` or `F` raises `DomainError`.
     """
 
     RANK = 10

@@ -22,18 +22,19 @@ column the permuted applies of A A*, then R^-*, and the Gram matrix X
 takes L, L^-1 and then Y.  The sketch phase holds S and one block, at
 most two m-by-l arrays, plus the stream's state.  The QR runs in S
 itself, which already has the layout of its working array, so it holds
-S, R and one panel update (2.18 m l doubles at (m, l) = (400, 404)): at
-large m and small n, the build's peak.  At large n the
+S, R and one panel update (2.04 m l doubles at (m, l) = (400, 404)).
+At large m and small n the Gram build is the build's peak, about
+2.65 MiB at (m, n, l) = (400, 4000, 404).  At large n the
 length-n arrays dominate instead, and a build holds one at a time: the
 stream's one-column block in the sketch, then `A* w` in the Gram build,
 since the sparse operator's `A x` makes no length-n copy of x, the dense
-test family adds its base's adjoint into its one length-n output a chunk
-at a time, and the check of each output allocates no length-n mask.  At
-(m, n) = (100, 1e5) a sparse build peaks at about 0.93 MiB (tracemalloc):
-one length-n array of 0.76 MiB plus m-sized state.  A dense-family build
-on the Gaussian stream peaks at 1.06 length-n arrays at (20, 2e5), and at
-0.375 MiB at (100, 2e4), where `R`, the Gram matrix, `A* w` and one
-gather chunk are alive.
+test family adds its base's adjoint into its one length-n output
+32 KiB at a time, and the check of each output allocates no length-n
+mask.  At (m, n) = (100, 1e5) a sparse build peaks at about 0.93 MiB
+(tracemalloc): one length-n array of 0.76 MiB plus m-sized state.  A
+dense-family build on the Gaussian stream peaks at 1.06 length-n arrays
+at (20, 2e5), in the sketch, and at 0.345 MiB at (100, 2e4), in the Gram
+build, where `R`, the Gram matrix, `A* w` and one gather chunk are alive.
 """
 
 from dataclasses import dataclass, field
@@ -190,9 +191,10 @@ def build_preconditioner(A, l, g):
     Gram matrix and its inverse need.  The Gram build and the inverse
     hold two m-by-m arrays, R and the Gram matrix, plus block-column
     temporaries, because both run in place on the one array the Gram
-    build makes (the Gram matrix X is overwritten by Y); the QR holds
-    the sketch, R and one panel update, and is the peak at large m and
-    small n: about 2.69 MiB at (m, n, l) = (400, 4000, 404).  At large
+    build makes (the Gram matrix X is overwritten by Y), and the Gram
+    build is the peak at large m and small n: about 2.65 MiB at
+    (m, n, l) = (400, 4000, 404), where the QR, which holds the sketch,
+    R and one panel update, reaches about 2.52 MiB.  At large
     n the build holds one length-n array at a time plus m-sized state:
     about 0.93 MiB at (m, n) = (100, 1e5), of which the length-n array
     is 0.76 MiB.

@@ -340,20 +340,24 @@ def test_dense_adjoint_matches_transposed_dense():
     assert np.allclose(A.apply_adjoint(y), Ad.T @ y, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("m,n", [(8, 32), (100, 20000)])
+@pytest.mark.parametrize("m,n", [(8, 32), (100, 4000), (64, 4096), (100, 20000)])
 def test_dense_adjoint_is_bitwise_the_sum_of_its_terms(m, n):
-    # the rank-10 term is added in place into the base's output; the
-    # reference is the same sum written as one expression
+    # the base's gather is added into the rank-10 term a chunk at a time,
+    # for n below, equal to and a non-multiple of the chunk; the reference
+    # is the same sum written as one expression
     A = make_dense_test(m, n, 1e4, seed=17)
     for y in np.random.default_rng(18).standard_normal((3, m)):
         want = A.base._apply_adjoint_impl(y) + A.scale * (A.F.T @ (A.E.T @ y))
         assert A.apply_adjoint(y).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n", [_ADJOINT_CHUNK - 1, _ADJOINT_CHUNK, _ADJOINT_CHUNK + 1])
+@pytest.mark.parametrize(
+    "n", [k * _ADJOINT_CHUNK + d for k in (1, 2) for d in (-1, 0, 1)]
+)
 def test_dense_adjoint_is_bitwise_the_two_array_sum_around_its_chunk(n):
-    # one entry short of a whole chunk, exactly one, and one entry into a second;
-    # m is the smallest stencil size that divides n
+    # one entry short of one and of two whole chunks, exactly one and two,
+    # and one entry into a second and a third; m is the smallest stencil
+    # size that divides n
     m = next(d for d in range(4, n + 1) if n % d == 0)
     rng = np.random.default_rng(n)
     base = SparseTestMatrix(CirculantStencil(m, 0.5), rng.permutation(m), rng.permutation(n))
@@ -375,6 +379,23 @@ def test_dense_adjoint_holds_one_length_n_array():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 1.5 * n * 8
+
+
+def test_dense_adjoint_holds_its_output_and_one_chunk():
+    # beyond its output the gather holds one chunk of _ADJOINT_CHUNK entries
+    # at a time, at most 32 KiB: about 34.3 KB measured, against 67.1 KB
+    # with the 8192-entry chunk
+    assert 8 * _ADJOINT_CHUNK <= 32 * 1024
+    m, n = 100, 20_000
+    A = make_dense_test(m, n, 1e12, seed=45)
+    y = np.random.default_rng(46).standard_normal(m)
+    A.apply_adjoint(y)  # any one-time setup happens outside the traced call
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    A.apply_adjoint(y)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 8 * n + 8 * _ADJOINT_CHUNK + 4096
 
 
 def test_dimension_errors():
