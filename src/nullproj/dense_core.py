@@ -4,7 +4,7 @@
 checks, its block inverses and both permuted solves, so no caller indexes
 with the permutation or handles the block inverses itself.  The Gram
 build, which runs both permuted solves around the operator's applies, is
-`_preconditioned_gram` here for the same reason.
+`build_gram` here for the same reason.
 
 These run on matrices whose side is the short dimension m of the operator.
 Both triangular solves run on one partitioned inverse of the factor
@@ -15,32 +15,29 @@ with the already-solved part and one with the block's inverse; no loop
 over rows runs in the interpreter.  The adjoint solve sweeps the
 other way on forward views of the same factor.  A `PermutedFactor` held
 for many solves keeps its block inverses, so its solves make no LAPACK
-call.  Which sweep it runs depends on the right-hand side:
+call.  The block sweep holds nothing beyond the block inverses and one
+block row's products.  The one-off public solves run it, since they
+would build fused steps for one use, and so does `build_gram`, in place
+on its one m-by-m array, so a build holds no fused steps.
 
-- A matrix takes the block sweep, two products and two slice updates
-  per block row, which holds nothing beyond the block inverses and one
-  block row's products.  Every solve inside a build is this sweep, run
-  by the Gram build in place on its one m-by-m array, so a build is the
-  same, bit for bit, whatever a vector solve does.
-- A vector, as in every projection, takes fused steps: rows a:c of
-  `_FUSED_ROWS` hold Z = R[a:c, a:c]^-1 [I | -R[a:c, c:]], the matching
-  rows of R's partitioned inverse composed with the off-diagonal part of
-  R, so each step is one product, 7 per sweep at m = 400 instead of 26
-  products and 26 slice updates.  The back solve runs them bottom to top,
-  x[a:c] = Z x[a:], and the adjoint solve top to bottom on Z transposed.
-  Each Z is the block sweep run on [I | -R[a:c, c:]], so LAPACK still
-  inverts only the `_BASE_ROWS` blocks.  A factor builds the steps at its
-  first vector solve and keeps them, about 0.58 m^2 doubles at m = 400.
-  The one-off public solves keep the block sweep for vectors too, since
-  they would build the steps for one use.
+A `PermutedFactor` solves every right-hand side, vector or matrix, in
+fused steps: rows a:c of `_FUSED_ROWS` hold
+Z = R[a:c, a:c]^-1 [I | -R[a:c, c:]], the matching rows of R's
+partitioned inverse composed with the off-diagonal part of R, so each
+step is one product, 7 per sweep at m = 400 instead of 26 products and
+26 slice updates.  The back solve runs them bottom to top,
+x[a:c] = Z x[a:], and the adjoint solve top to bottom on Z transposed.
+Each Z is the block sweep run on [I | -R[a:c, c:]], so LAPACK still
+inverts only the `_BASE_ROWS` blocks.  A factor builds the steps at its
+first solve and keeps them, about 0.58 m^2 doubles at m = 400.
 
 Ownership: the substitution kernel `_substitute` overwrites the array it
 is given, and so do `PermutedFactor.solve` and the private `_invert_spd`
 and `_qr_pivoted_rows`, so a caller that owns a fresh array, such as the
 chain's `Y @ ...`, the Gram matrix or the sketch, hands it over without
-a copy.  `_preconditioned_gram` makes one m-by-m array, the identity,
-sweeps, permutes and applies inside it, and returns it as the Gram
-matrix, which `_invert_spd` then turns into Y.
+a copy.  `build_gram` makes one m-by-m array, the identity, sweeps,
+permutes and applies inside it, and returns it as the Gram matrix, which
+`_invert_spd` then turns into Y.
 `PermutedFactor.solve_adjoint` never writes its input, because its
 gather d[perm] is already a fresh array, and the public functions
 (`qr_pivoted`, `solve_upper`, `solve_upper_adjoint`, `invert_small`) copy
@@ -60,8 +57,9 @@ because the factorization doubles as a rank detector.  Every entry point
 refuses a complex input with `DomainError` before converting it to float.
 The QR, the inverse and the SVD oracle refuse a NaN or infinite input with
 `DomainError`; the triangular solves run on every projection, so they
-check only the right-hand side's length, and a `PermutedFactor` checks
-its R (finite, no zero on the diagonal) and its perm once, when it is made.
+check only that the right-hand side is a vector or a matrix of m rows
+(`DimensionError`), and a `PermutedFactor` checks its R (finite, no zero
+on the diagonal) and its perm once, when it is made.
 """
 
 import threading
@@ -187,7 +185,8 @@ def _qr_pivoted_rows(W):
 
     W holds M's columns as its rows (LAPACK's column-major layout), so the
     pivot column, the reflector and the panel update read contiguous
-    rows; a sketch S = A G already has that layout, so a build hands it
+    rows; a sketch S = A G already has that layout, and so does the
+    classical setup's A A*, written one row at a time, so both are handed
     over without a copy.  W ends up holding the Householder vectors.
     """
     m = W.shape[0]
@@ -301,8 +300,10 @@ def invert_diagonal_blocks(R):
 
 
 def _check_rhs(x, m):
-    if x.shape[:1] != (m,):
-        raise DimensionError(f"right-hand side of shape {x.shape} does not match factor size {m}")
+    if x.ndim not in (1, 2) or x.shape[0] != m:
+        raise DimensionError(
+            f"right-hand side of shape {x.shape} is not a vector or matrix of factor size {m}"
+        )
 
 
 def _substitute(R, inv, x, adjoint=False):
@@ -331,13 +332,14 @@ def _substitute(R, inv, x, adjoint=False):
 
 
 def _fused_steps(R, inv):
-    """The back sweep of `_substitute` for a vector, one product per `_FUSED_ROWS` rows.
+    """The back sweep of `_substitute`, one product per `_FUSED_ROWS` rows.
 
     A step (rows, span, Z) has rows a:c, span a:m and
     Z = R[a:c, a:c]^-1 [I | -R[a:c, c:]], so run bottom to top,
-    x[rows] = Z x[span] is back substitution.  Run top to bottom on the
-    same Z, t = x[rows] Z is forward substitution with R*, right-looking:
-    t[:c-a] is the solved block and t[c-a:] the update of x[c:].  Each Z
+    x[rows] = Z x[span] is back substitution, for a vector or a matrix x.
+    Run top to bottom on the same Z, t = (x[rows]* Z)* is forward
+    substitution with R*, right-looking: t[:c-a] is the solved block and
+    t[c-a:] the update of x[c:]; for a vector it is x[rows] Z.  Each Z
     is the `_substitute` block sweep of R[a:c, a:c] on [I | -R[a:c, c:]],
     so the step reads only the inverses of `invert_diagonal_blocks`.  The
     steps hold about 0.58 m^2 doubles at m = 400 (92,416), in arrays made
@@ -390,16 +392,16 @@ class PermutedFactor:
     (ConfigurationError) and `R` square (DimensionError) and finite
     (DomainError); then it inverts R's diagonal blocks, which raises
     SingularFactorError on a zero diagonal, so its solves make no LAPACK
-    call and check nothing but the right-hand side's length.
+    call and check nothing but the right-hand side's shape.
 
-    Which sweep runs depends on the right-hand side's `ndim`.  A matrix
-    takes the block sweep of `_substitute`, which holds nothing beyond one
-    block row's products; the Gram build runs the same sweep in place on
-    its own array (`_preconditioned_gram`).  A vector, the projection
-    chain's case, takes the fused steps of `_fused_steps`, one product per
-    `_FUSED_ROWS` rows, which both directions share: the first vector
-    solve in either builds them (under a lock, so concurrent first solves
-    build them once), and the factor keeps them, about 0.58 m^2 doubles.
+    Both solves run every right-hand side, vector or matrix, through the
+    fused steps of `_fused_steps`, one product per `_FUSED_ROWS` rows,
+    which the two directions share: the first solve in either builds them
+    (under a lock, so concurrent first solves build them once), and the
+    factor keeps them, about 0.58 m^2 doubles.  A build never solves
+    through its factor: `build_gram` runs the block sweep of `_substitute`
+    in place on its own array, so a fresh preconditioner's factor holds
+    no steps until its first projection.
     """
 
     def __init__(self, R, perm):
@@ -412,13 +414,11 @@ class PermutedFactor:
             raise DomainError("R must be finite, got a NaN or infinite entry")
         self.block_inverses = invert_diagonal_blocks(self.R)
         self.block_inverses.setflags(write=False)
-        self._fused = None  # the fused steps both vector solves run, once built
+        self._fused = None  # the fused steps both solves run, once built
         self._fuse_lock = threading.Lock()
 
     def _sweep(self, x, adjoint):
         """Overwrite x with R^-1 x, or R^-* x when `adjoint`; returns x."""
-        if x.ndim > 1:
-            return _substitute(self.R, self.block_inverses, x, adjoint)
         steps = self._fused
         if steps is None:
             with self._fuse_lock:
@@ -430,8 +430,8 @@ class PermutedFactor:
                 x[rows] = Z @ x[span]
             return x
         for rows, span, Z in reversed(steps):
-            t = x[rows] @ Z  # the solved block, then the update of the rows below it
-            if rows.stop == x.size:  # the last step has no rows below it
+            t = (x[rows].T @ Z).T  # the solved block, then the update of the rows below it
+            if rows.stop == len(x):  # the last step has no rows below it
                 x[rows] = t
             else:
                 x[rows] = 0.0  # so one add stores the block and updates the rows below
@@ -461,12 +461,16 @@ class PermutedFactor:
         return self._sweep(d[self.perm], adjoint=True)
 
 
-def _preconditioned_gram(R, perm, gram_column):
-    """X = P^-1 A A* P^-* for the factor P* = R Pi of `PermutedFactor`, in one m-by-m array.
+def build_gram(A, R, perm):
+    """Preconditioned Gram matrix X = P^-1 A A* (P*)^-1 with P = Pi* R*, in one m-by-m array.
 
-    `gram_column(w)` returns A A* w for a length-m float vector w, which it
-    must leave as it was.  `PermutedFactor(R, perm)` checks R and perm
-    before any apply, so a malformed one costs none.  Then:
+    P* = R Pi is the factor of `PermutedFactor`, so (P*)^-1 is R^-1
+    followed by a scatter through the permutation, and P^-1 a gather
+    followed by R^-*.  R must be m-by-m for the m-by-n operator A
+    (ConfigurationError), and `PermutedFactor(R, perm)` checks R and perm
+    before any apply, so a malformed `perm` raises `ConfigurationError`,
+    and a NaN or infinite entry of R `DomainError`, with no apply spent.
+    Then:
 
     - the identity is swept to W = R^-1 in place;
     - column j of P^-* is W's column j scattered through perm, done inside
@@ -476,16 +480,21 @@ def _preconditioned_gram(R, perm, gram_column):
 
     So the build holds R and W and no third m-by-m array.  R's block
     inverses are taken before the applies and again after them, not held
-    through them, where a build with large n peaks.
+    through them, where a build with large n peaks.  Costs m applies of A
+    and m of A*, with one length-n temporary.
     """
+    m, n = A.shape
+    R = as_real(R, "R")
+    if R.shape != (m, m):
+        raise ConfigurationError(f"R must be {m}x{m} for a {m}x{n} operator, got {R.shape}")
     factor = PermutedFactor(R, perm)
     R, perm = factor.R, factor.perm
-    W = _substitute(R, factor.block_inverses, np.eye(R.shape[0]))
+    W = _substitute(R, factor.block_inverses, np.eye(m))
     del factor
-    for j in range(W.shape[1]):
+    for j in range(m):
         w = W[:, j]
         w[perm] = w  # numpy reads the overlapping right side through a copy
-        W[:, j] = gram_column(w)[perm]
+        W[:, j] = A.apply(A.apply_adjoint(w))[perm]
     return _substitute(R, invert_diagonal_blocks(R), W, adjoint=True)
 
 
@@ -564,13 +573,14 @@ def _invert_spd(X):
 def svd_dense(M):
     """Singular values (nonincreasing) and l2 condition number of a dense matrix.
 
-    Verification oracle only; refuses inputs above `ORACLE_CAP` entries,
-    and a NaN or infinite entry with DomainError.  A zero smallest singular
-    value yields an infinite condition number.
+    Verification oracle only; refuses a matrix with no rows or no columns
+    with DimensionError, inputs above `ORACLE_CAP` entries, and a NaN or
+    infinite entry with DomainError.  A zero smallest singular value
+    yields an infinite condition number.
     """
     M = as_real(M, "M")
-    if M.ndim != 2:
-        raise DimensionError(f"svd_dense expects a matrix, got ndim={M.ndim}")
+    if M.ndim != 2 or M.size == 0:
+        raise DimensionError(f"svd_dense expects a nonempty matrix, got shape {M.shape}")
     if M.size > ORACLE_CAP:
         raise SizeCapError(
             f"svd of a {M.shape[0]}x{M.shape[1]} matrix exceeds the cap of {ORACLE_CAP} entries"

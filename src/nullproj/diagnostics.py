@@ -106,7 +106,9 @@ def measured_condition(pre, A):
 
     Densifies A (at most `dense_core.ORACLE_CAP` entries), forms P^-1 A with
     `pre.factor.solve_adjoint`, which leaves the dense copy of A alone,
-    and returns sigma_max / sigma_min.
+    and returns sigma_max / sigma_min.  The solve runs on the factor's
+    fused steps, so it builds them on `pre.factor`, as a first
+    projection would, and later projections reuse them.
     """
     _check_pair(pre, A)
     preconditioned = pre.factor.solve_adjoint(densify(A))

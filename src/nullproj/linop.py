@@ -99,16 +99,6 @@ class LinearOperator:
         raise NotImplementedError
 
 
-def apply_gram(A, W):
-    """Overwrite each column w of the m-by-k float array W with A A* w; returns W.
-
-    Costs exactly k applies of A and k of A*, with one length-n temporary.
-    """
-    for k in range(W.shape[1]):
-        W[:, k] = A.apply(A.apply_adjoint(W[:, k]))
-    return W
-
-
 def densify(op):
     """Uncounted dense m-by-n snapshot of `op`, column by column; at most `ORACLE_CAP` entries.
 

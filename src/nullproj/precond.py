@@ -5,14 +5,14 @@ module forms the sketch S = A G, drawing G in blocks of whole columns
 with one stream request per block, takes a pivoted QR of S*, and
 precomputes everything a projection needs afterwards: the triangular
 factor R, the pivot permutation, and the inverse Y of the preconditioned
-Gram matrix.  The Gram build is `dense_core._preconditioned_gram`: the
-two permuted solves of the factor R Pi, run in place around m applies of
-A A*, one column at a time.  The whole
-build costs exactly l+m applies of A and m applies of A*, and never holds
-more of G than one block of at most m l values, one length-n column when
-n >= m l.  Few large requests cost the stream less per value than many
-small ones: at (m, n, l) = (400, 4000, 404) the sketch makes 11 requests
-of up to 40 columns in place of 404 of one.
+Gram matrix.  The Gram build is `dense_core.build_gram`: the two
+permuted solves of the factor R Pi, run in place around m applies of
+A A*, one column at a time.  The whole build costs exactly l+m applies
+of A and m applies of A*, and never holds more of G than one block of
+at most m l values, one length-n column when n >= m l.  Few large
+requests cost the stream less per value than many small ones: at
+(m, n, l) = (400, 4000, 404) the sketch makes 11 requests of up to 40
+columns in place of 404 of one.
 
 Working set: the Gram build and the inverse each hold two m-by-m arrays,
 R and the Gram matrix, plus temporaries of one 32-column block column
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_core import PermutedFactor, _invert_spd, _preconditioned_gram, _qr_pivoted_rows
+from .dense_core import PermutedFactor, _invert_spd, _qr_pivoted_rows, build_gram
 from .errors import ConfigurationError, DimensionError, DomainError, RankDeficientSketchError
 from .errors import all_finite, as_index, as_real, checked_draw
 
@@ -66,8 +66,8 @@ class Preconditioner:
     `SingularFactorError`.  It inverts R's diagonal blocks once, so that
     no projection makes a LAPACK call.  Instances are immutable (the
     arrays are marked read-only) and safe to share across threads; the
-    one thing that changes is the factor's cache of fused vector-solve
-    steps, which the first projection builds under a lock, so
+    one thing that changes is the factor's cache of fused solve steps,
+    which the first projection builds under a lock, so
     concurrent first projections build it once.
     """
 
@@ -97,10 +97,13 @@ class Preconditioner:
 
 
 def default_sketch_width(m, n=None):
-    """The usual sketch width m+4, clamped to n when the operator is that narrow."""
+    """The usual sketch width m+4, clamped to n when the operator is that narrow.
+
+    m and n must be integers of at least 1 (ConfigurationError).
+    """
     width = as_index(m, "m", least=1) + 4
     if n is not None:
-        width = min(width, as_index(n, "n"))
+        width = min(width, as_index(n, "n", least=1))
     return width
 
 
@@ -143,24 +146,6 @@ def build_sketch(A, l, g):
             S[:, start + k] = A.apply(block[k * n : (k + 1) * n])
         del block  # before the next draw, so one block is alive at a time
     return S
-
-
-def build_gram(A, R, perm):
-    """Preconditioned Gram matrix X = P^-1 A A* (P*)^-1 with P = Pi* R*.
-
-    P* = R Pi, so (P*)^-1 is R^-1 followed by a scatter through the
-    permutation, and P^-1 a gather followed by R^-*;
-    `dense_core._preconditioned_gram` runs both around the applies in one
-    m-by-m array, one column at a time.  R and perm are checked before
-    any apply, so a malformed `perm` raises `ConfigurationError`, and a
-    NaN or infinite entry of R `DomainError`, with no apply spent.  Costs
-    m applies of A and m of A*, with one length-n temporary.
-    """
-    m, n = A.shape
-    R = as_real(R, "R")
-    if R.shape != (m, m):
-        raise ConfigurationError(f"R must be {m}x{m} for a {m}x{n} operator, got {R.shape}")
-    return _preconditioned_gram(R, perm, lambda w: A.apply(A.apply_adjoint(w)))
 
 
 def build_preconditioner(A, l, g):

@@ -7,11 +7,11 @@ permutation), and one apply of A*.  Both permuted solves are methods of
 `pre.factor`, the `dense_core.PermutedFactor` that owns R, perm and the
 inverses of R's diagonal blocks, taken once at construction (a
 partitioned inverse, never an inverse of R or of anything Gram-like), so
-no projection calls LAPACK.  The chain's right-hand sides are vectors, so
-each triangular solve is one BLAS product per 64 rows with the factor's
-fused steps, which both solves share: the first projection builds them
-and every later one reuses them (`dense_core` says how).  `solve` may
-overwrite its input, so the chain hands it the fresh `Y @ ...` product.
+no projection calls LAPACK.  Each triangular solve is one BLAS product
+per 64 rows with the factor's fused steps, which both solves share: the
+first projection builds them and every later one reuses them
+(`dense_core` says how).  `solve` may overwrite its input, so the chain
+hands it the fresh `Y @ ...` product.
 The classical normal-equations path is kept as a baseline: it squares the
 condition number and loses accuracy exactly the way the benchmark tables
 show.
@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_core import PermutedFactor, qr_pivoted
+from .dense_core import PermutedFactor, _qr_pivoted_rows
 from .errors import DimensionError, DomainError, all_finite, as_index, as_real
-from .linop import apply_gram
 
 
 @dataclass
@@ -102,17 +101,21 @@ class ClassicalProjector:
     """Normal-equations baseline: cache A A* and its pivoted QR, then project.
 
     Setup applies A* to each unit vector and A to the result (m applies
-    of each) and makes the `PermutedFactor` of the QR once; afterwards
-    every projection costs one apply of A, one of A*, a matvec with Q* and
-    one triangular solve.  Deliberately reproduces the unstable classical
-    scheme, so expect garbage when kappa(A)^2 passes 1/eps; an exactly
-    singular A A*, such as from a zero row of A, raises
-    `SingularFactorError`.  A NaN or infinite operator output raises
+    of each), writing column k of A A* over row k of one identity, which
+    the pivoted QR then factors in place, and makes the `PermutedFactor`
+    of the QR once; afterwards every projection costs one apply of A, one
+    of A*, a matvec with Q* and one triangular solve.  Deliberately
+    reproduces the unstable classical scheme, so expect garbage when
+    kappa(A)^2 passes 1/eps; an exactly singular A A*, such as from a
+    zero row of A, raises `SingularFactorError`.  A NaN or infinite operator output raises
     `DomainError` from the apply that returned it.
     """
 
     def __init__(self, A):
-        qr = qr_pivoted(apply_gram(A, np.eye(A.shape[0])))
+        G = np.eye(A.shape[0])
+        for k, e in enumerate(G):
+            G[k] = A.apply(A.apply_adjoint(e))  # e is row k, read before it is written
+        qr = _qr_pivoted_rows(G)
         self.A = A
         self._factor = PermutedFactor(qr.R, qr.perm)
         self._Q = qr.Q  # formed now, so setup rather than the first projection pays for it

@@ -39,10 +39,10 @@ def unit_vectors(n, count, seed):
 
 
 def substitute_by_rows(R, y, adjoint=False):
-    """Reference solve of R x = y (or R* x = y), one row at a time, no blocking."""
+    """Reference solve of R x = y (or R* x = y), y a vector or matrix, one row at a time."""
     T = R.T if adjoint else R
     m = R.shape[0]
-    x = np.zeros(m)
+    x = np.zeros(np.shape(y))
     order = range(m) if adjoint else range(m - 1, -1, -1)
     for k in order:
         x[k] = (y[k] - T[k] @ x) / T[k, k]

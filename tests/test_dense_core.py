@@ -294,19 +294,20 @@ def test_blocked_solves_match_row_substitution(m, adjoint):
 @pytest.mark.parametrize("adjoint", [False, True])
 @pytest.mark.parametrize("m", SOLVE_SIZES)
 def test_factor_vector_solves_match_row_substitution(m, adjoint):
-    # a PermutedFactor solves a vector with its fused steps, the projection
-    # chain's path, and a matrix with the block sweep of the public solves
+    # a PermutedFactor solves every right-hand side with its fused steps,
+    # the projection chain's vectors and a whole matrix alike
     factors, Y = solve_test_factors(m)
     rng = np.random.default_rng(6000 + m)
     for R in factors:
         T = R.T if adjoint else R
         for perm in (np.arange(m), rng.permutation(m)):
             factor = PermutedFactor(R, perm)
-            for y in Y.T:
+            for y in (*Y.T, Y):
                 if adjoint:
                     x, rhs = factor.solve_adjoint(y), y[perm]  # R* x = y[perm]
                 else:
                     x, rhs = factor.solve(y.copy())[perm], y  # R x[perm] = y
+                assert x.shape == y.shape
                 assert holds_componentwise_bound(T, x, rhs)
                 ref = substitute_by_rows(R, rhs, adjoint)
                 assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
@@ -314,15 +315,10 @@ def test_factor_vector_solves_match_row_substitution(m, adjoint):
 
 @pytest.mark.parametrize("m", SOLVE_SIZES)
 def test_every_block_inverse_sweep_is_one_kernel(m):
-    # a factor's matrix solves and the one-off public solves sweep with one
-    # kernel, so they agree bit for bit; invert_small runs its own blocked
-    # in-place sweeps, so it is held to accuracy (3.1 eps measured at
-    # m = 385) and exact symmetry instead
-    factors, Y = solve_test_factors(m)
-    for R in factors:
-        factor = PermutedFactor(R, np.arange(m))
-        assert np.array_equal(factor.solve(Y.copy()), solve_upper(R, Y))
-        assert np.array_equal(factor.solve_adjoint(Y), solve_upper_adjoint(R, Y))
+    # the one-off public solves, build_gram and a factor's fused steps all
+    # sweep with _substitute; invert_small runs its own blocked in-place
+    # sweeps, so it is held to accuracy (3.1 eps measured at m = 385) and
+    # exact symmetry
     M = np.random.default_rng(6500 + m).standard_normal((m, m))
     X = M.T @ M + m * np.eye(m)
     inverse = invert_small(X)
@@ -344,8 +340,7 @@ def test_first_vector_solve_builds_one_direction_of_fused_steps(adjoint):
     # the first vector solve, in either direction, builds the factor's fused
     # steps, 92,416 doubles at m = 400 (0.58 m^2), and keeps them; while it
     # builds them it holds at most two products of a _BASE_ROWS-row sweep
-    # besides (1.18x the steps, measured); later solves and matrix solves
-    # keep nothing
+    # besides (1.18x the steps, measured); later solves keep nothing
     m = 400
     rng = np.random.default_rng(7000)
     factor = PermutedFactor(np.linalg.qr(rng.standard_normal((m, m)))[1], rng.permutation(m))
@@ -355,8 +350,6 @@ def test_first_vector_solve_builds_one_direction_of_fused_steps(adjoint):
     fused = 8 * fused_doubles(m)
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
-        solve(np.ones((m, 3)))  # a matrix takes the block sweep, which holds nothing
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         solve(y.copy())
@@ -365,7 +358,6 @@ def test_first_vector_solve_builds_one_direction_of_fused_steps(adjoint):
         again = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert before - start < 8 * m
     assert fused <= held - before < fused + 8 * 1024  # the steps, their tuples and slices
     assert peak - before < fused + 8 * 2 * _BASE_ROWS * m
     assert abs(again - held) < 8 * m
@@ -549,7 +541,8 @@ def test_permuted_factor_holds_its_arrays_and_leaves_d_alone():
     assert factor.R is R and factor.perm is perm
     d = read_only(rng.standard_normal((m, 3)))
     kept = d.copy()
-    assert np.array_equal(factor.solve_adjoint(d), solve_upper_adjoint(R, d[perm]))
+    ref = np.linalg.solve(R[:, np.argsort(perm)].T, d)  # M* e = d
+    assert np.linalg.norm(factor.solve_adjoint(d) - ref) <= 1e-11 * np.linalg.norm(ref)
     assert np.array_equal(d, kept)
 
 
@@ -560,6 +553,23 @@ def test_permuted_solves_refuse_a_wrong_length_right_hand_side(rows):
     for solve in (factor.solve, factor.solve_adjoint):
         with pytest.raises(DimensionError, match="factor size 7"):
             solve(np.ones((rows, 2)))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        solve_upper,
+        solve_upper_adjoint,
+        lambda R, x: PermutedFactor(R, np.arange(2)).solve(x),
+        lambda R, x: PermutedFactor(R, np.arange(2)).solve_adjoint(x),
+    ],
+    ids=["solve_upper", "solve_upper_adjoint", "factor.solve", "factor.solve_adjoint"],
+)
+def test_solves_refuse_a_right_hand_side_of_more_than_two_dimensions(solve):
+    # the length matches, but no solve sweeps a 3-D array: the check says
+    # so before numpy's matmul raises its own ValueError
+    with pytest.raises(DimensionError, match="factor size 2"):
+        solve(np.eye(2), np.ones((2, 2, 2)))
 
 
 def test_invert_small_leaves_its_input_alone():
@@ -705,6 +715,12 @@ def test_svd_dense_nonincreasing_and_cap():
     # one row over the cap, refused before it is factored
     with pytest.raises(SizeCapError):
         svd_dense(np.zeros((1001, 1000)))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_svd_dense_refuses_an_empty_matrix(shape):
+    with pytest.raises(DimensionError, match="nonempty"):
+        svd_dense(np.zeros(shape))
 
 
 def test_solves_reject_nonsquare_factor():

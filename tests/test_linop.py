@@ -8,6 +8,7 @@ import pytest
 
 from nullproj import (
     CirculantStencil,
+    ClassicalProjector,
     ConfigurationError,
     DenseTestMatrix,
     DimensionError,
@@ -24,7 +25,7 @@ from nullproj import (
     make_sparse_test,
     svd_dense,
 )
-from nullproj.linop import _ADJOINT_CHUNK, apply_gram
+from nullproj.linop import _ADJOINT_CHUNK
 
 from helpers import dense_adjoint_two_arrays
 
@@ -222,16 +223,6 @@ def test_dense_test_counts_once_per_apply():
     assert A.counts() == (1, 0)
     A.apply_adjoint(np.zeros(4))
     assert A.counts() == (1, 1)
-
-
-def test_apply_gram_costs_one_pair_per_column():
-    A = make_dense_test(6, 24, 100.0, seed=21)
-    W = np.random.default_rng(22).standard_normal((6, 4))
-    Ad = densify(A)
-    expected = Ad @ (Ad.T @ W)
-    assert apply_gram(A, W) is W
-    assert A.counts() == (4, 4)
-    assert np.allclose(W, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_counters_are_thread_safe():
@@ -443,7 +434,7 @@ def test_scalar_adjoint_output_is_a_dimension_error_at_the_first_apply():
     assert A.counts() == (0, 1)
     A = BadOutput(adjoint_out=np.float64(1.0))
     with pytest.raises(DimensionError, match=r"A\* y"):
-        apply_gram(A, np.eye(2))
+        ClassicalProjector(A)
     assert A.counts() == (0, 1)
 
 

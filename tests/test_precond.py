@@ -25,7 +25,7 @@ from nullproj import (
     project,
     qr_pivoted,
 )
-from nullproj import precond
+from nullproj import dense_core, precond
 from nullproj.dense_core import PermutedFactor, invert_diagonal_blocks
 from nullproj.precond import SKETCH_ATTEMPTS
 
@@ -453,6 +453,12 @@ def test_default_sketch_width():
         default_sketch_width(0)
 
 
+def test_default_sketch_width_refuses_an_empty_operator():
+    # min(m + 4, 0) would be a width no build accepts
+    with pytest.raises(ConfigurationError, match="n must be at least 1"):
+        default_sketch_width(4, 0)
+
+
 def traced_peak(fn, *args):
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -584,3 +590,35 @@ def test_build_gram_rejects_wrong_factor_shape():
     A = make_sparse_test(6, 24, 100.0, seed=23)
     with pytest.raises(ConfigurationError):
         build_gram(A, np.eye(5), np.arange(5))
+
+
+def test_build_gram_is_importable_from_the_root_and_precond():
+    assert build_gram is precond.build_gram is dense_core.build_gram
+
+
+@pytest.mark.parametrize(
+    "first_use",
+    [lambda pre, A: project(pre, A, np.ones(400)), measured_condition],
+    ids=["project", "measured_condition"],
+)
+def test_a_fresh_build_holds_no_fused_steps_until_its_first_solve(first_use, monkeypatch):
+    # the build sweeps in its own Gram array and never solves through
+    # pre.factor, so the factor's steps wait for the first projection, or
+    # for measured_condition's matrix solve, which builds them once
+    built = []
+    fused_steps = dense_core._fused_steps
+
+    def counting(R, inv):
+        built.append(R.shape[0])
+        return fused_steps(R, inv)
+
+    monkeypatch.setattr(dense_core, "_fused_steps", counting)
+    A = make_sparse_test(40, 400, 1e4, seed=30)
+    pre = build_preconditioner(A, 44, UniformLaggedFibonacci(31))
+    assert pre.factor._fused is None and built == []
+    first_use(pre, A)
+    assert built == [40]
+    steps = pre.factor._fused
+    first_use(pre, A)
+    project(pre, A, np.ones(400))
+    assert built == [40] and pre.factor._fused is steps

@@ -15,6 +15,7 @@ from nullproj import (
     make_sparse_test,
     measured_condition,
     project,
+    qr_pivoted,
     refine_lstsq,
     solve_lstsq,
     solve_upper,
@@ -180,6 +181,19 @@ def test_classical_setup_cost():
     A = make_sparse_test(6, 18, 10.0, seed=15)
     ClassicalProjector(A)
     assert A.counts() == (6, 6)
+
+
+@pytest.mark.parametrize("family", [make_sparse_test, make_dense_test])
+def test_classical_setup_factors_the_gram_matrix_of_the_applies(family):
+    # the setup writes A A* row by row into the array it factors in place;
+    # its factors are those of qr_pivoted on A A* formed column by column
+    A = family(8, 32, 1e4, seed=26)
+    gram = np.column_stack([A.apply(A.apply_adjoint(e)) for e in np.eye(8)])
+    qr = qr_pivoted(gram)
+    classical = ClassicalProjector(A)
+    assert np.array_equal(classical._factor.R, qr.R)
+    assert np.array_equal(classical._factor.perm, qr.perm)
+    assert np.array_equal(classical._Q, qr.Q)
 
 
 def test_classical_matches_oracle_when_benign():
