@@ -24,12 +24,12 @@ A `PermutedFactor` solves every right-hand side, vector or matrix, in
 fused steps: rows a:c of `_FUSED_ROWS` hold
 Z = R[a:c, a:c]^-1 [I | -R[a:c, c:]], the matching rows of R's
 partitioned inverse composed with the off-diagonal part of R, so each
-step is one product, 7 per sweep at m = 400 instead of 26 products and
-26 slice updates.  The back solve runs them bottom to top,
+step is one product, in place of two products and two slice updates per
+`_BASE_ROWS` block.  The back solve runs them bottom to top,
 x[a:c] = Z x[a:], and the adjoint solve top to bottom on Z transposed.
 Each Z is the block sweep run on [I | -R[a:c, c:]], so LAPACK still
 inverts only the `_BASE_ROWS` blocks.  A factor builds the steps at its
-first solve and keeps them, about 0.58 m^2 doubles at m = 400.
+first solve and keeps them, at most m^2 / 2 + 32 m doubles.
 
 Ownership: the substitution kernel `_substitute` overwrites the array it
 is given, and so do `PermutedFactor.solve` and the private `_invert_spd`
@@ -185,9 +185,8 @@ def _qr_pivoted_rows(W):
 
     W holds M's columns as its rows (LAPACK's column-major layout), so the
     pivot column, the reflector and the panel update read contiguous
-    rows; a sketch S = A G already has that layout, and so does the
-    classical setup's A A*, written one row at a time, so both are handed
-    over without a copy.  W ends up holding the Householder vectors.
+    rows; a sketch S = A G already has that layout, so it is handed over
+    without a copy.  W ends up holding the Householder vectors.
     """
     m = W.shape[0]
     # Factor M scaled by a power of two that puts its largest magnitude in
@@ -342,8 +341,8 @@ def _fused_steps(R, inv):
     t[c-a:] the update of x[c:]; for a vector it is x[rows] Z.  Each Z
     is the `_substitute` block sweep of R[a:c, a:c] on [I | -R[a:c, c:]],
     so the step reads only the inverses of `invert_diagonal_blocks`.  The
-    steps hold about 0.58 m^2 doubles at m = 400 (92,416), in arrays made
-    here and marked read-only.
+    steps hold at most m^2 / 2 + 32 m doubles, in arrays made here and
+    marked read-only.
     """
     m = R.shape[0]
     steps = []
@@ -398,10 +397,10 @@ class PermutedFactor:
     fused steps of `_fused_steps`, one product per `_FUSED_ROWS` rows,
     which the two directions share: the first solve in either builds them
     (under a lock, so concurrent first solves build them once), and the
-    factor keeps them, about 0.58 m^2 doubles.  A build never solves
-    through its factor: `build_gram` runs the block sweep of `_substitute`
-    in place on its own array, so a fresh preconditioner's factor holds
-    no steps until its first projection.
+    factor keeps them.  A build never solves through its factor:
+    `build_gram` runs the block sweep of `_substitute` in place on its own
+    array, so a fresh preconditioner's factor holds no steps until its
+    first projection.
     """
 
     def __init__(self, R, perm):

@@ -144,18 +144,6 @@ class CirculantStencil:
         p = np.concatenate((x[-2:], x, x[:2]))  # p[i + 2] = x[i mod m]
         return (6.0 + self.d) * x - 4.0 * (p[1 : m + 1] + p[3 : m + 3]) + p[:m] + p[4:]
 
-    def toarray(self):
-        m = self.m
-        out = np.zeros((m, m))
-        cols = np.arange(m)
-        for off, val in ((-2, 1.0), (-1, -4.0), (0, 6.0 + self.d), (1, -4.0), (2, 1.0)):
-            out[(cols + off) % m, cols] += val
-        return out
-
-    def eigenvalues(self):
-        theta = 2.0 * np.pi * np.arange(self.m) / self.m
-        return self.d + 4.0 * (np.cos(theta) - 1.0) ** 2
-
 
 class SparseTestMatrix(LinearOperator):
     """A = U [B B ... B] V with permutations U, V and circulant block B.

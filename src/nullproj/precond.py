@@ -9,32 +9,23 @@ Gram matrix.  The Gram build is `dense_core.build_gram`: the two
 permuted solves of the factor R Pi, run in place around m applies of
 A A*, one column at a time.  The whole build costs exactly l+m applies
 of A and m applies of A*, and never holds more of G than one block of
-at most m l values, one length-n column when n >= m l.  Few large
-requests cost the stream less per value than many small ones: at
-(m, n, l) = (400, 4000, 404) the sketch makes 11 requests of up to 40
-columns in place of 404 of one.
+at most m l values, one length-n column when n >= m l; few large
+requests cost the stream less per value than many small ones.
 
 Working set: the Gram build and the inverse each hold two m-by-m arrays,
-R and the Gram matrix, plus temporaries of one 32-column block column
-(at most 2.17 m^2 doubles at m = 400), because both run in place on the
-one array the Gram build makes: its identity takes R^-1, then column by
-column the permuted applies of A A*, then R^-*, and the Gram matrix X
-takes L, L^-1 and then Y.  The sketch phase holds S and one block, at
-most two m-by-l arrays, plus the stream's state.  The QR runs in S
-itself, which already has the layout of its working array, so it holds
-S, R and one panel update (2.04 m l doubles at (m, l) = (400, 404)).
-At large m and small n the Gram build is the build's peak, about
-2.65 MiB at (m, n, l) = (400, 4000, 404).  At large n the
-length-n arrays dominate instead, and a build holds one at a time: the
-stream's one-column block in the sketch, then `A* w` in the Gram build,
-since the sparse operator's `A x` makes no length-n copy of x, the dense
-test family adds its base's adjoint into its one length-n output
-32 KiB at a time, and the check of each output allocates no length-n
-mask.  At (m, n) = (100, 1e5) a sparse build peaks at about 0.93 MiB
-(tracemalloc): one length-n array of 0.76 MiB plus m-sized state.  A
-dense-family build on the Gaussian stream peaks at 1.06 length-n arrays
-at (20, 2e5), in the sketch, and at 0.345 MiB at (100, 2e4), in the Gram
-build, where `R`, the Gram matrix, `A* w` and one gather chunk are alive.
+R and the Gram matrix, plus temporaries of one 32-column block column,
+because both run in place on the one array the Gram build makes: its
+identity takes R^-1, then column by column the permuted applies of A A*,
+then R^-*, and the Gram matrix X takes L, L^-1 and then Y.  The sketch
+phase holds S and one block, at most two m-by-l arrays, plus the
+stream's state.  The QR runs in S itself, which already has the layout
+of its working array, so it holds S, R and one panel update.  At large
+n the length-n arrays dominate instead, and a build holds one at a
+time: the stream's one-column block in the sketch, then `A* w` in the
+Gram build, since the sparse operator's `A x` makes no length-n copy of
+x, the dense test family adds its base's adjoint into its one length-n
+output 32 KiB at a time, and the check of each output allocates no
+length-n mask.  README "Memory" gives the measured peaks.
 """
 
 from dataclasses import dataclass, field
@@ -176,13 +167,8 @@ def build_preconditioner(A, l, g):
     Gram matrix and its inverse need.  The Gram build and the inverse
     hold two m-by-m arrays, R and the Gram matrix, plus block-column
     temporaries, because both run in place on the one array the Gram
-    build makes (the Gram matrix X is overwritten by Y), and the Gram
-    build is the peak at large m and small n: about 2.65 MiB at
-    (m, n, l) = (400, 4000, 404), where the QR, which holds the sketch,
-    R and one panel update, reaches about 2.52 MiB.  At large
-    n the build holds one length-n array at a time plus m-sized state:
-    about 0.93 MiB at (m, n) = (100, 1e5), of which the length-n array
-    is 0.76 MiB.
+    build makes (the Gram matrix X is overwritten by Y).  At large n the
+    build holds one length-n array at a time plus m-sized state.
     """
     m, n = A.shape
     l = _check_sketch_width(l, m, n)

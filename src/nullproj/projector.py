@@ -12,16 +12,16 @@ per 64 rows with the factor's fused steps, which both solves share: the
 first projection builds them and every later one reuses them
 (`dense_core` says how).  `solve` may overwrite its input, so the chain
 hands it the fresh `Y @ ...` product.
-The classical normal-equations path is kept as a baseline: it squares the
-condition number and loses accuracy exactly the way the benchmark tables
-show.
+The classical normal-equations path is kept as a baseline: it factors
+A A* with LAPACK's unpivoted Householder QR, squares the condition
+number and loses accuracy exactly the way the benchmark tables show.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_core import PermutedFactor, _qr_pivoted_rows
+from .dense_core import PermutedFactor
 from .errors import DimensionError, DomainError, all_finite, as_index, as_real
 
 
@@ -98,32 +98,34 @@ def refine_lstsq(pre, A, b, h, iterations=1):
 
 
 class ClassicalProjector:
-    """Normal-equations baseline: cache A A* and its pivoted QR, then project.
+    """Normal-equations baseline: cache the QR of A A*, then project.
 
     Setup applies A* to each unit vector and A to the result (m applies
-    of each), writing column k of A A* over row k of one identity, which
-    the pivoted QR then factors in place, and makes the `PermutedFactor`
-    of the QR once; afterwards every projection costs one apply of A, one
-    of A*, a matvec with Q* and one triangular solve.  Deliberately
+    of each), writing column k of A A* over row k of one identity, and
+    factors A A* = Q R with LAPACK's unpivoted Householder QR
+    (`np.linalg.qr`); it holds Q and the `PermutedFactor` of R with the
+    identity permutation.  Every projection then costs one apply of A,
+    one of A*, a matvec with Q* and one triangular solve.  Deliberately
     reproduces the unstable classical scheme, so expect garbage when
-    kappa(A)^2 passes 1/eps; an exactly singular A A*, such as from a
-    zero row of A, raises `SingularFactorError`.  A NaN or infinite operator output raises
-    `DomainError` from the apply that returned it.
+    kappa(A)^2 passes 1/eps, returned rather than raised.
+    An exactly singular A A*, such as from a zero row k of A, raises
+    `SingularFactorError` at index k.  A NaN or infinite operator output
+    raises `DomainError` from the apply that returned it.
     """
 
     def __init__(self, A):
         G = np.eye(A.shape[0])
         for k, e in enumerate(G):
             G[k] = A.apply(A.apply_adjoint(e))  # e is row k, read before it is written
-        qr = _qr_pivoted_rows(G)
+        Q, R = np.linalg.qr(G.T)
         self.A = A
-        self._factor = PermutedFactor(qr.R, qr.perm)
-        self._Q = qr.Q  # formed now, so setup rather than the first projection pays for it
+        self._factor = PermutedFactor(R, np.arange(len(R)))
+        self._Q = Q
 
     def project(self, b):
         A = self.A
         b = _check_vector(b, A.shape[1])
-        # A A* = Q R Pi
+        # A A* = Q R
         x = self._factor.solve(self._Q.T @ A.apply(b))
         row = A.apply_adjoint(x)
         return ProjectionResult(row_projection=row, null_projection=b - row, lstsq_solution=x)

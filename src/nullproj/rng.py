@@ -220,7 +220,8 @@ class GaussianStream:
     base stream therefore advances exactly as under the one-pair-at-a-time
     method, and the output does not depend on how it is split into columns.
     Each chunk is transformed in place and freed before the next is drawn,
-    so a column costs about 88 KB beyond its frame, whatever its length.
+    so a column's temporaries are a fixed multiple of `_CHUNK_PAIRS`
+    values beyond its frame, whatever its length.
 
     A `base` stream (any object with a uniform `fill_column`; by default
     `UniformLaggedFibonacci(seed)`) belongs to this stream from then on.  A

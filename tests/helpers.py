@@ -49,6 +49,22 @@ def substitute_by_rows(R, y, adjoint=False):
     return x
 
 
+def stencil_matrix(stencil):
+    """The m-by-m matrix of a `CirculantStencil`, one tap at a time."""
+    m = stencil.m
+    out = np.zeros((m, m))
+    cols = np.arange(m)
+    for off, val in ((-2, 1.0), (-1, -4.0), (0, 6.0 + stencil.d), (1, -4.0), (2, 1.0)):
+        out[(cols + off) % m, cols] += val
+    return out
+
+
+def stencil_eigenvalues(stencil):
+    """A `CirculantStencil`'s eigenvalues d + 4 (cos(2 pi k / m) - 1)^2, k = 0..m-1."""
+    theta = 2.0 * np.pi * np.arange(stencil.m) / stencil.m
+    return stencil.d + 4.0 * (np.cos(theta) - 1.0) ** 2
+
+
 def dense_adjoint_two_arrays(A, y):
     """A* y of a `DenseTestMatrix` as two length-n arrays summed: the base's A* y plus the
     scaled rank-10 term, the formula its chunked adjoint must match bit for bit."""

@@ -15,7 +15,6 @@ from nullproj import (
     make_sparse_test,
     measured_condition,
     project,
-    qr_pivoted,
     refine_lstsq,
     solve_lstsq,
     solve_upper,
@@ -169,31 +168,49 @@ def test_classical_rejects_nonfinite_operator_output(bad):
 
 
 def test_classical_refuses_an_exactly_singular_gram_matrix():
-    # a zero row of A is a zero row and column of A A*, which the pivoting
-    # factors last, so R's last diagonal entry is an exact zero
+    # a zero row k of A is a zero row and column k of A A*; the unpivoted
+    # QR leaves that column zero, so R's diagonal entry k is an exact zero
     M = np.random.default_rng(16).standard_normal((5, 12))
     M[2] = 0.0
-    with pytest.raises(SingularFactorError, match="index 4"):
+    with pytest.raises(SingularFactorError, match="index 2"):
         ClassicalProjector(MatrixOperator(M))
 
 
 def test_classical_setup_cost():
     A = make_sparse_test(6, 18, 10.0, seed=15)
-    ClassicalProjector(A)
+    classical = ClassicalProjector(A)
     assert A.counts() == (6, 6)
+    for b in unit_vectors(18, 3, seed=15):
+        before = A.counts()
+        classical.project(b)
+        after = A.counts()
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
 
 
 @pytest.mark.parametrize("family", [make_sparse_test, make_dense_test])
 def test_classical_setup_factors_the_gram_matrix_of_the_applies(family):
-    # the setup writes A A* row by row into the array it factors in place;
-    # its factors are those of qr_pivoted on A A* formed column by column
+    # the setup writes A A* row by row and hands its transpose to LAPACK;
+    # its factors are np.linalg.qr's of A A* formed column by column
     A = family(8, 32, 1e4, seed=26)
     gram = np.column_stack([A.apply(A.apply_adjoint(e)) for e in np.eye(8)])
-    qr = qr_pivoted(gram)
+    Q, R = np.linalg.qr(gram)
     classical = ClassicalProjector(A)
-    assert np.array_equal(classical._factor.R, qr.R)
-    assert np.array_equal(classical._factor.perm, qr.perm)
-    assert np.array_equal(classical._Q, qr.Q)
+    assert np.array_equal(classical._factor.R, R)
+    assert np.array_equal(classical._factor.perm, np.arange(8))
+    assert np.array_equal(classical._Q, Q)
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12, 1e15])
+@pytest.mark.parametrize("family", [make_sparse_test, make_dense_test], ids=["sparse", "dense"])
+def test_classical_returns_its_poor_answer_rather_than_raising(family, kappa):
+    # criteria 06-08 compare against the classical result, so the baseline
+    # must answer however badly A A* is conditioned
+    A = family(100, 3000, kappa, seed=27)
+    classical = ClassicalProjector(A)
+    for b in unit_vectors(3000, 3, seed=28):
+        res = classical.project(b)
+        for field in (res.row_projection, res.null_projection, res.lstsq_solution):
+            assert np.isfinite(field).all()
 
 
 def test_classical_matches_oracle_when_benign():
