@@ -130,22 +130,13 @@ class PivotedQR:
     def Q(self):
         l, m = self.householder.shape
         Q = np.eye(l, m)
-        # Back to front, one panel of reflectors per three matrix products:
-        # H_k ... H_{k+b-1} = I - V T V* with V unit lower trapezoidal and T
-        # upper triangular (the compact WY form of Schreiber and Van Loan).
-        # Columns of Q before k are still unit vectors with zeros in rows k
-        # onward, which the panel leaves alone.
-        for k in reversed(range(0, m, _PANEL)):
-            b = min(_PANEL, m - k)
-            V = np.tril(self.householder[k:, k : k + b], -1)
-            np.fill_diagonal(V, 1.0)
-            tau = self.tau[k : k + b]
-            S = V.T @ V
-            T = np.zeros((b, b))
-            for i in range(b):
-                T[:i, i] = -tau[i] * (T[:i, :i] @ S[:i, i])
-                T[i, i] = tau[i]
-            Q[k:, k:] -= V @ (T @ (V.T @ Q[k:, k:]))
+        # Back to front, one reflector at a time: H_k touches only rows k
+        # onward, and the columns of Q before k are still unit vectors with
+        # zeros there, so each step updates only the trailing block.
+        for k in reversed(range(m)):
+            v = self.householder[k:, k].copy()
+            v[0] = 1.0
+            Q[k:, k:] -= np.outer(self.tau[k] * v, v @ Q[k:, k:])
         np.negative(Q, out=Q, where=self.flip)
         return Q
 
@@ -430,11 +421,8 @@ class PermutedFactor:
             return x
         for rows, span, Z in reversed(steps):
             t = (x[rows].T @ Z).T  # the solved block, then the update of the rows below it
-            if rows.stop == len(x):  # the last step has no rows below it
-                x[rows] = t
-            else:
-                x[rows] = 0.0  # so one add stores the block and updates the rows below
-                x[span] += t
+            x[rows] = 0.0  # so one add stores the block and updates the rows below
+            x[span] += t
         return x
 
     def solve(self, y):

@@ -50,8 +50,13 @@ class RankDeficientSketchError(NullProjError):
 
 
 def as_index(value, name, least=None):
-    """`value` as a Python int; ConfigurationError naming it unless it is an integer >= least."""
+    """`value` as a Python int; ConfigurationError naming it unless it is an integer >= least.
+
+    A bool is refused, as `operator.index` refuses `np.True_` and
+    `as_index_array` a bool array."""
     try:
+        if isinstance(value, bool):  # operator.index would take True as 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None

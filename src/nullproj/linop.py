@@ -132,8 +132,8 @@ class CirculantStencil:
         m = as_index(m, "m")
         if m < 4:
             raise ConfigurationError(f"stencil needs m >= 4, got m={m}")
-        if not d > 0:  # also rejects NaN
-            raise ConfigurationError(f"diagonal shift d must be positive, got {d}")
+        if not isinstance(d, numbers.Real) or not 0 < d <= sys.float_info.max:  # and NaN
+            raise ConfigurationError(f"diagonal shift d must be a finite real above 0, got {d!r}")
         self.m = m
         self.d = float(d)
 

@@ -20,12 +20,12 @@ then R^-*, and the Gram matrix X takes L, L^-1 and then Y.  The sketch
 phase holds S and one block, at most two m-by-l arrays, plus the
 stream's state.  The QR runs in S itself, which already has the layout
 of its working array, so it holds S, R and one panel update.  At large
-n the length-n arrays dominate instead, and a build holds one at a
-time: the stream's one-column block in the sketch, then `A* w` in the
-Gram build, since the sparse operator's `A x` makes no length-n copy of
-x, the dense test family adds its base's adjoint into its one length-n
-output 32 KiB at a time, and the check of each output allocates no
-length-n mask.  README "Memory" gives the measured peaks.
+n the length-n arrays dominate instead, and a build holds one length-n
+array at a time: the stream's one-column block in the sketch, then
+`A* w` in the Gram build (pinned by
+`test_sparse_build_holds_one_length_n_array_at_a_time`).  README
+"Memory" says how each operator keeps to that and gives the measured
+peaks.
 """
 
 from dataclasses import dataclass, field

@@ -1,13 +1,42 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and fakes for the test suite.
 
-Everything here goes through dense numpy factorizations of explicitly
+Every oracle here goes through dense numpy factorizations of explicitly
 materialized matrices, never through the library's own solve chain, so a
-bug in the fast path cannot hide behind the same bug in its check.
+bug in the fast path cannot hide behind the same bug in its check.  The
+fakes (`Returns`, `identity_preconditioner`) hand a check the exact array
+it is to refuse or pass.
 """
 
 import numpy as np
 
-from nullproj import densify
+from nullproj import LinearOperator, Preconditioner, densify
+
+FAKE_SHAPE = (4, 8)  # (m, n) of the fakes
+
+
+class Returns(LinearOperator):
+    """A `FAKE_SHAPE` operator whose A x and A* y are copies of the arrays it was given."""
+
+    def __init__(self, ax=None, aty=None):
+        m, n = FAKE_SHAPE
+        super().__init__(m, n)
+        self.ax = np.ones(m) if ax is None else ax
+        self.aty = np.ones(n) if aty is None else aty
+
+    def _apply_impl(self, x):
+        return self.ax.copy()
+
+    def _apply_adjoint_impl(self, y):
+        return self.aty.copy()
+
+
+def identity_preconditioner(Y=None):
+    """A `Preconditioner` for a `FAKE_SHAPE` operator: R = I, no pivoting, Y = I by default."""
+    m, n = FAKE_SHAPE
+    Y = np.eye(m) if Y is None else Y
+    return Preconditioner(
+        R=np.eye(m), perm=np.arange(m), Y=Y, l=m, m=m, n=n, build_apply_counts=(0, 0)
+    )
 
 
 def svd_parts(A):

@@ -177,7 +177,7 @@ def exact(value):
 @pytest.mark.parametrize("name, call, forms", CASES)
 def test_integer_arguments_follow_one_rule(name, call, forms):
     fractional, integral_float, python_int, numpy_int = forms
-    for bad in (fractional, integral_float):
+    for bad in (fractional, integral_float, True):
         with pytest.raises(ConfigurationError, match=f"^{name} must be"):
             call(bad)
     assert exact(call(numpy_int)) == exact(call(python_int))

@@ -9,33 +9,13 @@ import re
 import numpy as np
 import pytest
 
-from nullproj import DomainError, LinearOperator, Preconditioner, densify, invert_small, project
+from nullproj import DomainError, densify, invert_small, project
 from nullproj.dense_core import PermutedFactor, svd_dense
 from nullproj.errors import all_finite
 
-M, N = 4, 8
+from helpers import FAKE_SHAPE, Returns, identity_preconditioner
 
-
-class Returns(LinearOperator):
-    """An M-by-N operator whose A x and A* y are copies of the arrays it was given."""
-
-    def __init__(self, ax=None, aty=None):
-        super().__init__(M, N)
-        self.ax = np.ones(M) if ax is None else ax
-        self.aty = np.ones(N) if aty is None else aty
-
-    def _apply_impl(self, x):
-        return self.ax.copy()
-
-    def _apply_adjoint_impl(self, y):
-        return self.aty.copy()
-
-
-def preconditioner(Y=None):
-    Y = np.eye(M) if Y is None else Y
-    return Preconditioner(
-        R=np.eye(M), perm=np.arange(M), Y=Y, l=M, m=M, n=N, build_apply_counts=(0, 0)
-    )
+M, N = FAKE_SHAPE
 
 
 # site: (shape of the checked array, call that checks it, the DomainError text)
@@ -57,12 +37,12 @@ SITES = {
     ),
     "b": (
         (N,),
-        lambda a: project(preconditioner(), Returns(), a),
+        lambda a: project(identity_preconditioner(), Returns(), a),
         "b must be finite, got a NaN or infinite entry",
     ),
     "Y": (
         (M, M),
-        lambda a: preconditioner(Y=a),
+        lambda a: identity_preconditioner(Y=a),
         "Y must be finite, got a NaN or infinite entry",
     ),
     "R": (

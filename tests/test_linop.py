@@ -74,8 +74,9 @@ def test_stencil_validation():
         CirculantStencil(3, 1.0)
     with pytest.raises(ConfigurationError):
         CirculantStencil(8, 0.0)
-    with pytest.raises(ConfigurationError):
-        CirculantStencil(8, float("nan"))
+    for d in (float("nan"), float("inf"), "1.0", 1 + 0j):
+        with pytest.raises(ConfigurationError):
+            CirculantStencil(8, d)
 
 
 @pytest.mark.parametrize(

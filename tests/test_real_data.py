@@ -13,7 +13,6 @@ from nullproj import (
     ClassicalProjector,
     DenseTestMatrix,
     DomainError,
-    LinearOperator,
     MatrixOperator,
     Preconditioner,
     TripletMatrix,
@@ -31,28 +30,9 @@ from nullproj import (
 )
 from nullproj.dense_core import PermutedFactor
 
-M, N = 4, 8
+from helpers import FAKE_SHAPE, Returns, identity_preconditioner
 
-
-class Returns(LinearOperator):
-    """An M-by-N operator whose A x and A* y are copies of the arrays it was given."""
-
-    def __init__(self, ax=None, aty=None):
-        super().__init__(M, N)
-        self.ax = np.ones(M) if ax is None else ax
-        self.aty = np.ones(N) if aty is None else aty
-
-    def _apply_impl(self, x):
-        return self.ax.copy()
-
-    def _apply_adjoint_impl(self, y):
-        return self.aty.copy()
-
-
-def preconditioner():
-    return Preconditioner(
-        R=np.eye(M), perm=np.arange(M), Y=np.eye(M), l=M, m=M, n=N, build_apply_counts=(0, 0)
-    )
+M, N = FAKE_SHAPE
 
 
 # site: (length of the complex vector, call that refuses it, the DomainError text)
@@ -62,10 +42,18 @@ SITES = {
     "densify": (M, lambda a: densify(Returns(ax=a)), "the operator's A x"),
     "apply input": (N, lambda a: Returns().apply(a), "the input of apply"),
     "apply_adjoint input": (M, lambda a: Returns().apply_adjoint(a), "the input of apply_adjoint"),
-    "project b": (N, lambda a: project(preconditioner(), Returns(), a), "b"),
-    "solve_lstsq b": (N, lambda a: solve_lstsq(preconditioner(), Returns(), a), "b"),
-    "refine_lstsq b": (N, lambda a: refine_lstsq(preconditioner(), Returns(), a, np.ones(M)), "b"),
-    "refine_lstsq h": (M, lambda a: refine_lstsq(preconditioner(), Returns(), np.ones(N), a), "h"),
+    "project b": (N, lambda a: project(identity_preconditioner(), Returns(), a), "b"),
+    "solve_lstsq b": (N, lambda a: solve_lstsq(identity_preconditioner(), Returns(), a), "b"),
+    "refine_lstsq b": (
+        N,
+        lambda a: refine_lstsq(identity_preconditioner(), Returns(), a, np.ones(M)),
+        "b",
+    ),
+    "refine_lstsq h": (
+        M,
+        lambda a: refine_lstsq(identity_preconditioner(), Returns(), np.ones(N), a),
+        "h",
+    ),
 }
 
 
