@@ -15,12 +15,12 @@ from nullproj import densify, load_triplet_operator, make_dense_test, make_spars
 
 # ----------------------------------------------------------------------
 # A sparse test operator: permuted circulant blocks with a known condition
-# number.  kappa is exact by construction: the stencil diagonal shift is
-# d = 16/(kappa - 1).
+# number.  kappa is exact by construction: the operator's diagonal shift
+# A.d = 16/(kappa - 1) sets its circulant block's spectrum.
 # ----------------------------------------------------------------------
 m, n, kappa = 8, 48, 1e6
 A = make_sparse_test(m, n, kappa, seed=0)
-print(f"sparse operator: {A.shape[0]}x{A.shape[1]}, d = {A.stencil.d:.3e}")
+print(f"sparse operator: {A.shape[0]}x{A.shape[1]}, A.d = {A.d:.3e}")
 
 sigma, cond = svd_dense(densify(A))
 print(f"oracle condition number: {cond:.6e}  (requested {kappa:.0e})")

@@ -20,7 +20,6 @@ from .errors import (
     SizeCapError,
 )
 from .linop import (
-    CirculantStencil,
     DenseTestMatrix,
     LinearOperator,
     MatrixOperator,
@@ -68,7 +67,6 @@ from .bench import TrialConfig, TrialRow, run_trial
 __version__ = "0.1.0"
 
 __all__ = [
-    "CirculantStencil",
     "ClassicalProjector",
     "ConfigurationError",
     "DenseTestMatrix",

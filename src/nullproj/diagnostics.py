@@ -136,8 +136,8 @@ def error_metrics(A, project_fn, b, kappa, method_tag):
     is applied to b and then to that projection.  Callers aggregating
     over many b take the max of each field.
     """
-    if not kappa > 0.0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    if not 0.0 < kappa < np.inf:
+        raise DomainError(f"kappa must be finite and positive, got {kappa}")
     z = project_fn(b)
     z2 = project_fn(z)
     delta = float(np.linalg.norm(A.apply(z))) / kappa

@@ -5,6 +5,8 @@ An operator here is a short, fat m-by-n map known only through `apply` and
 algorithm cost contracts can be asserted exactly, and both refuse complex
 data and check the shape and finiteness of what the operator returns.
 The operators that wrap caller data refuse complex data on construction.
+No public product here bypasses that body: the sparse family's circulant
+block is applied only inside `SparseTestMatrix`.
 `densify` provides an uncounted dense snapshot for small instances, used
 by verification oracles; it runs each column through the same checked
 body as `apply`, so it holds the same output contract without touching
@@ -118,63 +120,51 @@ def densify(op):
     return out
 
 
-class CirculantStencil:
-    """Circulant m-by-m matrix with row stencil (1, -4, 6+d, -4, 1).
+class SparseTestMatrix(LinearOperator):
+    """A = U [B B ... B] V with permutations U, V and an m-by-m circulant block B.
 
-    Symmetric positive definite for d > 0; eigenvalues are
-    d + 4*(cos(2*pi*k/m) - 1)^2, so the condition number is (16+d)/d
-    whenever m is even (the angle pi is then attained).  For m = 4 the
-    two +/-2 offsets wrap onto the same column and their taps sum, which
-    is the convention that keeps the eigenvalue formula exact.
+    B has row stencil (1, -4, 6+d, -4, 1) and is symmetric positive
+    definite for d > 0; its eigenvalues are d + 4*(cos(2*pi*k/m) - 1)^2,
+    so A's condition number is (16+d)/d whenever m is even (the angle pi
+    is then attained).  For m = 4 the two +/-2 offsets wrap onto the same
+    column and their taps sum, which is the convention that keeps the
+    eigenvalue formula exact.  `SparseTestMatrix(d, range(m), range(m))`
+    is B itself.
+
+    `row_perm` (length m >= 4) and `col_perm` (length n, a multiple of m)
+    are index arrays: the permuted vector is `x[perm]`.  Each must be a
+    permutation of its index range, and d a finite real above 0; anything
+    else raises `ConfigurationError`.  The operator applies in O(n) work.
+    `A x` sums the blocks of V x straight into m slots with one
+    `bincount`, so it makes no length-n copy of x.
     """
 
-    def __init__(self, m, d):
-        m = as_index(m, "m")
+    def __init__(self, d, row_perm, col_perm):
+        self.row_perm, self._row_perm_inv = inverse_permutation(row_perm, "row_perm")
+        self.col_perm, col_perm_inv = inverse_permutation(col_perm, "col_perm")
+        m, n = self.row_perm.size, self.col_perm.size
         if m < 4:
             raise ConfigurationError(f"stencil needs m >= 4, got m={m}")
         if not isinstance(d, numbers.Real) or not 0 < d <= sys.float_info.max:  # and NaN
             raise ConfigurationError(f"diagonal shift d must be a finite real above 0, got {d!r}")
-        self.m = m
-        self.d = float(d)
-
-    def apply(self, x):
-        """B x from one copy of x padded by two wrapped entries at each end; O(m) work."""
-        x = np.asarray(x, dtype=float)
-        m = self.m
-        p = np.concatenate((x[-2:], x, x[:2]))  # p[i + 2] = x[i mod m]
-        return (6.0 + self.d) * x - 4.0 * (p[1 : m + 1] + p[3 : m + 3]) + p[:m] + p[4:]
-
-
-class SparseTestMatrix(LinearOperator):
-    """A = U [B B ... B] V with permutations U, V and circulant block B.
-
-    `row_perm` (length m) and `col_perm` (length n) are index arrays: the
-    permuted vector is `x[perm]`.  Each must be a permutation of its index
-    range; anything else raises `ConfigurationError`.  The operator applies
-    in O(n) work and has condition number (16+d)/d, inherited from the
-    stencil.  `A x` sums the blocks of V x straight into m slots with one
-    `bincount`, so it makes no length-n copy of x.
-    """
-
-    def __init__(self, stencil, row_perm, col_perm):
-        self.row_perm, self._row_perm_inv = inverse_permutation(row_perm, "row_perm")
-        self.col_perm, col_perm_inv = inverse_permutation(col_perm, "col_perm")
-        m = stencil.m
-        n = self.col_perm.size
-        if self.row_perm.size != m:
-            raise ConfigurationError("row permutation length must equal the stencil size")
         if n % m != 0:
             raise ConfigurationError(f"n={n} must be an exact multiple of m={m}")
         super().__init__(m, n)
-        self.stencil = stencil
+        self.d = float(d)
         # entry i of x meets slot argsort(col_perm)[i] % m of the stencil's
         # input: [I I ... I] V x scatter-adds into it, V* tile(w) gathers from it
         self._adjoint_gather = col_perm_inv % m
 
+    def _stencil(self, x):
+        """B x from one copy of x padded by two wrapped entries at each end; O(m) work."""
+        m = self.shape[0]
+        p = np.concatenate((x[-2:], x, x[:2]))  # p[i + 2] = x[i mod m]
+        return (6.0 + self.d) * x - 4.0 * (p[1 : m + 1] + p[3 : m + 3]) + p[:m] + p[4:]
+
     def _apply_impl(self, x):
         # [I I ... I] V x summed in entry order, with no length-n copy of x
         w = np.bincount(self._adjoint_gather, weights=x, minlength=self.shape[0])
-        return self.stencil.apply(w)[self._row_perm_inv]
+        return self._stencil(w)[self._row_perm_inv]
 
     def _apply_adjoint_impl(self, y):
         w, gather = self._adjoint_slots(y)
@@ -182,7 +172,7 @@ class SparseTestMatrix(LinearOperator):
 
     def _adjoint_slots(self, y):
         """(w, gather) with A* y = w[gather]: the stencil output w = B U* y and the slot map."""
-        return self.stencil.apply(y[self.row_perm]), self._adjoint_gather  # B is symmetric
+        return self._stencil(y[self.row_perm]), self._adjoint_gather  # B is symmetric
 
 
 class DenseTestMatrix(LinearOperator):
@@ -290,8 +280,7 @@ def _seeded_sparse_test(m, n, kappa, seed):
     """
     m, n, kappa = _check_sparse_family(m, n, kappa)
     rng = np.random.default_rng(seed)
-    stencil = CirculantStencil(m, 16.0 / (kappa - 1.0))
-    return SparseTestMatrix(stencil, rng.permutation(m), rng.permutation(n)), rng
+    return SparseTestMatrix(16.0 / (kappa - 1.0), rng.permutation(m), rng.permutation(n)), rng
 
 
 def make_sparse_test(m, n, kappa, seed):

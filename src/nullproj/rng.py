@@ -224,12 +224,14 @@ class GaussianStream:
     values beyond its frame, whatever its length.
 
     A `base` stream (any object with a uniform `fill_column`; by default
-    `UniformLaggedFibonacci(seed)`) belongs to this stream from then on.  A
-    base draw that is not the requested count of values in a 1-D array
-    raises `DimensionError` naming the base.
+    `UniformLaggedFibonacci(seed)`) belongs to this stream from then on;
+    `seed` must be an integer either way.  A base draw that is not the
+    requested count of values in a 1-D array raises `DimensionError`
+    naming the base.
     """
 
     def __init__(self, seed, base=None):
+        seed = as_index(seed, "seed")
         self._base = base if base is not None else UniformLaggedFibonacci(seed)
         self._spare = None
 

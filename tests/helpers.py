@@ -4,8 +4,12 @@ Every oracle here goes through dense numpy factorizations of explicitly
 materialized matrices, never through the library's own solve chain, so a
 bug in the fast path cannot hide behind the same bug in its check.  The
 fakes (`Returns`, `identity_preconditioner`) hand a check the exact array
-it is to refuse or pass.
+it is to refuse or pass.  The measuring helpers (`traced_peak`,
+`count_lapack_solves`) are the suite's one way to read a call's memory
+peak and its LAPACK solves.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -78,20 +82,19 @@ def substitute_by_rows(R, y, adjoint=False):
     return x
 
 
-def stencil_matrix(stencil):
-    """The m-by-m matrix of a `CirculantStencil`, one tap at a time."""
-    m = stencil.m
+def stencil_matrix(m, d):
+    """The m-by-m circulant block B of the sparse family with shift d, one tap at a time."""
     out = np.zeros((m, m))
     cols = np.arange(m)
-    for off, val in ((-2, 1.0), (-1, -4.0), (0, 6.0 + stencil.d), (1, -4.0), (2, 1.0)):
+    for off, val in ((-2, 1.0), (-1, -4.0), (0, 6.0 + d), (1, -4.0), (2, 1.0)):
         out[(cols + off) % m, cols] += val
     return out
 
 
-def stencil_eigenvalues(stencil):
-    """A `CirculantStencil`'s eigenvalues d + 4 (cos(2 pi k / m) - 1)^2, k = 0..m-1."""
-    theta = 2.0 * np.pi * np.arange(stencil.m) / stencil.m
-    return stencil.d + 4.0 * (np.cos(theta) - 1.0) ** 2
+def stencil_eigenvalues(m, d):
+    """The eigenvalues d + 4 (cos(2 pi k / m) - 1)^2, k = 0..m-1, of that block."""
+    theta = 2.0 * np.pi * np.arange(m) / m
+    return d + 4.0 * (np.cos(theta) - 1.0) ** 2
 
 
 def dense_adjoint_two_arrays(A, y):
@@ -102,3 +105,26 @@ def dense_adjoint_two_arrays(A, y):
     low_rank *= A.scale
     out += low_rank
     return out
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that `tracemalloc` traces during one call `fn(*args)`."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    fn(*args)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak
+
+
+def count_lapack_solves(monkeypatch):
+    """Route `np.linalg.solve` through a counter; the list of each call's row count from then on."""
+    rows = []
+    lapack_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        rows.append(a.shape[0])
+        return lapack_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return rows

@@ -25,7 +25,7 @@ from nullproj.dense_core import (
     invert_diagonal_blocks,
 )
 
-from helpers import substitute_by_rows
+from helpers import count_lapack_solves, substitute_by_rows, traced_peak
 
 
 def reconstruction_error(M, qr):
@@ -199,11 +199,7 @@ def test_qr_peak_memory_is_bounded():
     # one outer-product update per column
     l, m = 404, 400
     M = np.random.default_rng(13).standard_normal((l, m))
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    qr_pivoted(M)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    peak = traced_peak(qr_pivoted, M)
     assert peak < 2.4 * l * m * 8
 
 
@@ -397,14 +393,7 @@ def test_vector_solve_hands_whole_blocks_to_lapack(solve, monkeypatch):
     m = 400
     R = np.linalg.qr(np.random.default_rng(3000).standard_normal((m, m)))[1]
     y = np.ones(m)
-    rows = []
-    lapack_solve = np.linalg.solve
-
-    def counting_solve(a, b):
-        rows.append(a.shape[0])
-        return lapack_solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    rows = count_lapack_solves(monkeypatch)
     x = solve(R, y)
     assert sum(rows) == m
     assert len(rows) <= 2 * -(-m // _BASE_ROWS)
@@ -422,14 +411,7 @@ def test_wrong_length_rhs_is_refused_before_any_block_inversion(solve, zero_diag
     R = np.linalg.qr(np.random.default_rng(3000).standard_normal((m, m)))[1]
     if zero_diagonal:
         R[m // 2, m // 2] = 0.0
-    calls = []
-    lapack_solve = np.linalg.solve
-
-    def counting_solve(a, b):
-        calls.append(a.shape[0])
-        return lapack_solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    calls = count_lapack_solves(monkeypatch)
     with pytest.raises(DimensionError):
         solve(R, np.ones(m + 1))
     assert calls == []
@@ -638,11 +620,7 @@ def test_invert_small_holds_no_factor_past_its_last_use():
     m = 400
     M = np.random.default_rng(11).standard_normal((m, m))
     X = M @ M.T / m + np.eye(m)
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    invert_small(X)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    peak = traced_peak(invert_small, X)
     assert peak < 1.4 * m * m * 8
 
 

@@ -216,7 +216,6 @@ def test_measured_condition_rejects_mismatched_operator():
 
 def test_error_metrics_rejects_bad_kappa():
     A = make_sparse_test(8, 32, 100.0, seed=53)
-    with pytest.raises(DomainError):
-        error_metrics(A, lambda v: v, np.ones(32), 0.0, "x")
-    with pytest.raises(DomainError):
-        error_metrics(A, lambda v: v, np.ones(32), float("nan"), "x")
+    for kappa in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            error_metrics(A, lambda v: v, np.ones(32), kappa, "x")

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from nullproj import (
-    CirculantStencil,
     ConfigurationError,
     GaussianStream,
     LinearOperator,
@@ -79,20 +78,19 @@ def case(entry_point, name, call, forms):
 CASES = [
     case("LinearOperator m", "m", lambda v: LinearOperator(v, 8).shape, scalar(4)),
     case("LinearOperator n", "n", lambda v: LinearOperator(4, v).shape, scalar(8)),
-    case("CirculantStencil m", "m", lambda v: CirculantStencil(v, 1.0).m, scalar(8)),
     case("make_sparse_test m", "m", lambda v: densify(make_sparse_test(v, 16, 1e4, 0)), scalar(8)),
     case("make_sparse_test n", "n", lambda v: densify(make_sparse_test(4, v, 1e4, 0)), scalar(16)),
     case("make_dense_test n", "n", lambda v: densify(make_dense_test(4, v, 1e4, 0)), scalar(12)),
     case(
         "SparseTestMatrix row_perm",
         "row_perm",
-        lambda v: densify(SparseTestMatrix(CirculantStencil(4, 1.0), v, range(8))),
+        lambda v: densify(SparseTestMatrix(1.0, v, range(8))),
         index_array([2, 0, 3, 1]),
     ),
     case(
         "SparseTestMatrix col_perm",
         "col_perm",
-        lambda v: densify(SparseTestMatrix(CirculantStencil(4, 1.0), range(4), v)),
+        lambda v: densify(SparseTestMatrix(1.0, range(4), v)),
         index_array([3, 1, 4, 0, 7, 5, 2, 6]),
     ),
     case(
@@ -114,6 +112,12 @@ CASES = [
         scalar(7),
     ),
     case("Gaussian seed", "seed", lambda v: GaussianStream(v).fill_column(5), scalar(7)),
+    case(
+        "Gaussian seed with a base",
+        "seed",
+        lambda v: GaussianStream(v, base=UniformLaggedFibonacci(7)).fill_column(5),
+        scalar(7),
+    ),
     case(
         "lagged Fibonacci fill_column",
         "column length",

@@ -1,13 +1,11 @@
 import ast
 import pathlib
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from nullproj import (
-    CirculantStencil,
     ClassicalProjector,
     ConfigurationError,
     DenseTestMatrix,
@@ -27,56 +25,59 @@ from nullproj import (
 )
 from nullproj.linop import _ADJOINT_CHUNK
 
-from helpers import dense_adjoint_two_arrays, stencil_eigenvalues, stencil_matrix
+from helpers import dense_adjoint_two_arrays, stencil_eigenvalues, stencil_matrix, traced_peak
+
+
+def block(m, d):
+    """The circulant block B itself: one block and no permutation."""
+    return SparseTestMatrix(d, range(m), range(m))
 
 
 def test_stencil_first_column_m5():
-    st = CirculantStencil(5, 1.0)
+    B = block(5, 1.0)
     e1 = np.zeros(5)
     e1[0] = 1.0
-    assert np.array_equal(st.apply(e1), np.array([7.0, -4.0, 1.0, 1.0, -4.0]))
+    assert np.array_equal(B.apply(e1), np.array([7.0, -4.0, 1.0, 1.0, -4.0]))
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 100, 400])
 def test_stencil_apply_matches_roll_formula_bitwise(m):
     # m = 4 is the wrap case, where the +-2 offsets land on the same entry
-    st = CirculantStencil(m, 0.3)
+    B = block(m, 0.3)
     x = np.random.default_rng(m).standard_normal(m)
-    reference = (6.0 + st.d) * x - 4.0 * (np.roll(x, 1) + np.roll(x, -1)) + np.roll(x, 2) + np.roll(x, -2)
-    assert np.array_equal(st.apply(x).view(np.int64), reference.view(np.int64))
+    reference = (6.0 + B.d) * x - 4.0 * (np.roll(x, 1) + np.roll(x, -1)) + np.roll(x, 2) + np.roll(x, -2)
+    assert np.array_equal(B.apply(x).view(np.int64), reference.view(np.int64))
 
 
 def test_stencil_apply_matches_toarray():
-    st = CirculantStencil(9, 0.5)
-    B = stencil_matrix(st)
+    B = block(9, 0.5)
+    dense = stencil_matrix(9, 0.5)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(9)
-        assert np.allclose(st.apply(x), B @ x, rtol=0, atol=1e-12)
+        assert np.allclose(B.apply(x), dense @ x, rtol=0, atol=1e-12)
 
 
 def test_stencil_eigenvalues_match_dense():
     # includes m=4, where the +-2 taps collide and sum
     for m in (4, 6, 12):
-        st = CirculantStencil(m, 0.75)
-        dense_eigs = np.sort(np.linalg.eigvalsh(stencil_matrix(st)))
-        assert np.allclose(np.sort(stencil_eigenvalues(st)), dense_eigs, rtol=1e-12, atol=0)
+        dense_eigs = np.sort(np.linalg.eigvalsh(densify(block(m, 0.75))))
+        assert np.allclose(np.sort(stencil_eigenvalues(m, 0.75)), dense_eigs, rtol=1e-12, atol=0)
 
 
 def test_stencil_condition_number_even_m():
-    st = CirculantStencil(10, 2.0)
-    _, cond = svd_dense(stencil_matrix(st))
+    _, cond = svd_dense(densify(block(10, 2.0)))
     assert abs(cond - (16.0 + 2.0) / 2.0) / cond <= 1e-12
 
 
 def test_stencil_validation():
-    with pytest.raises(ConfigurationError):
-        CirculantStencil(3, 1.0)
-    with pytest.raises(ConfigurationError):
-        CirculantStencil(8, 0.0)
+    with pytest.raises(ConfigurationError, match="m >= 4"):
+        block(3, 1.0)
+    with pytest.raises(ConfigurationError, match="diagonal shift"):
+        block(8, 0.0)
     for d in (float("nan"), float("inf"), "1.0", 1 + 0j):
-        with pytest.raises(ConfigurationError):
-            CirculantStencil(8, d)
+        with pytest.raises(ConfigurationError, match="diagonal shift"):
+            block(8, d)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +93,7 @@ def test_stencil_validation():
 )
 def test_sparse_test_matrix_rejects_non_permutations(row_perm, col_perm):
     with pytest.raises(ConfigurationError, match="permutation"):
-        SparseTestMatrix(CirculantStencil(4, 1.0), row_perm, col_perm)
+        SparseTestMatrix(1.0, row_perm, col_perm)
 
 
 def test_apply_zero_is_zero_exactly():
@@ -102,11 +103,10 @@ def test_apply_zero_is_zero_exactly():
 
 
 def test_sparse_identity_perms_is_block_sum():
-    st = CirculantStencil(4, 1.0)
-    A = SparseTestMatrix(st, np.arange(4), np.arange(8))
+    A = SparseTestMatrix(1.0, np.arange(4), np.arange(8))
     rng = np.random.default_rng(2)
     x = rng.standard_normal(8)
-    direct = stencil_matrix(st) @ (x[:4] + x[4:])
+    direct = stencil_matrix(4, 1.0) @ (x[:4] + x[4:])
     assert np.allclose(A.apply(x), direct, rtol=0, atol=1e-12)
     # densified operator agrees with the matrix-free apply
     Ad = densify(A)
@@ -126,8 +126,8 @@ def test_sparse_apply_matches_block_loop_reference(block_count):
     w = np.zeros(m)
     for i in range(m * block_count):
         w[slot[i]] += x[i]
-    ref_apply = A.stencil.apply(w)[np.argsort(A.row_perm)]
-    ref_adjoint = np.tile(A.stencil.apply(y[A.row_perm]), block_count)[np.argsort(A.col_perm)]
+    ref_apply = A._stencil(w)[np.argsort(A.row_perm)]
+    ref_adjoint = np.tile(A._stencil(y[A.row_perm]), block_count)[np.argsort(A.col_perm)]
     Ax = A.apply(x)
     assert np.array_equal(Ax, ref_apply)
     assert np.array_equal(A.apply_adjoint(y), ref_adjoint)
@@ -137,9 +137,9 @@ def test_sparse_apply_matches_block_loop_reference(block_count):
     w_blocks = np.zeros(m)
     for b in range(block_count):
         w_blocks += z[b]
-    block_apply = A.stencil.apply(w_blocks)[np.argsort(A.row_perm)]
+    block_apply = A._stencil(w_blocks)[np.argsort(A.row_perm)]
     eps = np.finfo(float).eps
-    bound = 2 * block_count * eps * (16 + A.stencil.d) * np.abs(z).sum(axis=0).max()
+    bound = 2 * block_count * eps * (16 + A.d) * np.abs(z).sum(axis=0).max()
     assert np.abs(Ax - block_apply).max() <= bound
 
 
@@ -150,11 +150,7 @@ def test_sparse_apply_allocates_no_length_n_array():
     A = make_sparse_test(m, n, 1e8, seed=40)
     x = np.random.default_rng(41).standard_normal(n)
     A.apply(x)  # any one-time setup happens outside the traced call
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    A.apply(x)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    peak = traced_peak(A.apply, x)
     assert peak < 0.1 * n * 8
 
 
@@ -167,18 +163,12 @@ def test_sparse_adjoint_holds_one_length_n_array():
     A = make_sparse_test(m, n, 1e8, 0)
     y = np.random.default_rng(42).standard_normal(m)
     A.apply_adjoint(y)  # any one-time setup happens outside the traced call
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    A.apply_adjoint(y)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    peak = traced_peak(A.apply_adjoint, y)
     assert peak < n * 8 + 4096
 
 
 def test_densify_of_identity_perm_single_block_is_stencil():
-    st = CirculantStencil(6, 2.0)
-    A = SparseTestMatrix(st, np.arange(6), np.arange(6))
-    assert np.array_equal(densify(A), stencil_matrix(st))
+    assert np.array_equal(densify(block(6, 2.0)), stencil_matrix(6, 2.0))
 
 
 @pytest.mark.parametrize("make,label", [(make_sparse_test, "sparse"), (make_dense_test, "dense")])
@@ -244,9 +234,9 @@ def test_counters_are_thread_safe():
 
 def test_make_sparse_test_d_from_kappa():
     A = make_sparse_test(8, 16, 1e8, seed=10)
-    assert A.stencil.d == pytest.approx(16.0 / (1e8 - 1.0), rel=1e-15)
+    assert A.d == pytest.approx(16.0 / (1e8 - 1.0), rel=1e-15)
     A17 = make_sparse_test(8, 16, 17.0, seed=10)
-    assert A17.stencil.d == 1.0  # diagonal entry 6 + d = 7
+    assert A17.d == 1.0  # diagonal entry 6 + d = 7
 
 
 def test_make_sparse_test_condition_number_oracle():
@@ -259,7 +249,7 @@ def test_sparse_singular_value_envelope():
     # all singular values within [sigma * d/(16+d), sigma] for sigma = largest
     A = make_sparse_test(16, 64, 1e3, seed=12)
     s, cond = svd_dense(densify(A))
-    d = A.stencil.d
+    d = A.d
     assert abs(cond - (16.0 + d) / d) / cond <= 1e-6
     assert s.min() >= s.max() * d / (16.0 + d) * (1.0 - 1e-9)
 
@@ -352,7 +342,7 @@ def test_dense_adjoint_is_bitwise_the_two_array_sum_around_its_chunk(n):
     # size that divides n
     m = next(d for d in range(4, n + 1) if n % d == 0)
     rng = np.random.default_rng(n)
-    base = SparseTestMatrix(CirculantStencil(m, 0.5), rng.permutation(m), rng.permutation(n))
+    base = SparseTestMatrix(0.5, rng.permutation(m), rng.permutation(n))
     A = DenseTestMatrix(base, rng.standard_normal((m, 10)), rng.standard_normal((10, n)))
     for y in rng.standard_normal((3, m)):
         assert A.apply_adjoint(y).tobytes() == dense_adjoint_two_arrays(A, y).tobytes()
@@ -365,11 +355,7 @@ def test_dense_adjoint_holds_one_length_n_array():
     A = make_dense_test(m, n, 1e8, seed=43)
     y = np.random.default_rng(44).standard_normal(m)
     A.apply_adjoint(y)  # any one-time setup happens outside the traced call
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    A.apply_adjoint(y)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    peak = traced_peak(A.apply_adjoint, y)
     assert peak < 1.5 * n * 8
 
 
@@ -382,11 +368,7 @@ def test_dense_adjoint_holds_its_output_and_one_chunk():
     A = make_dense_test(m, n, 1e12, seed=45)
     y = np.random.default_rng(46).standard_normal(m)
     A.apply_adjoint(y)  # any one-time setup happens outside the traced call
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    A.apply_adjoint(y)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    peak = traced_peak(A.apply_adjoint, y)
     assert peak < 8 * n + 8 * _ADJOINT_CHUNK + 4096
 
 

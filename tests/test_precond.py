@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -28,6 +26,8 @@ from nullproj import (
 from nullproj import dense_core, precond
 from nullproj.dense_core import PermutedFactor, invert_diagonal_blocks
 from nullproj.precond import SKETCH_ATTEMPTS
+
+from helpers import traced_peak
 
 
 def perm_matrix(perm):
@@ -457,15 +457,6 @@ def test_default_sketch_width_refuses_an_empty_operator():
     # min(m + 4, 0) would be a width no build accepts
     with pytest.raises(ConfigurationError, match="n must be at least 1"):
         default_sketch_width(4, 0)
-
-
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    fn(*args)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return peak
 
 
 def test_build_memory_stays_far_below_full_g():

@@ -23,6 +23,7 @@ from nullproj import (
 from nullproj.projector import _solve_chain
 
 from helpers import (
+    count_lapack_solves,
     oracle_lstsq,
     oracle_null_projection,
     oracle_row_projection,
@@ -403,14 +404,7 @@ def test_projections_after_a_build_make_no_lapack_solve(monkeypatch):
     A, pre = build_pair(100, 1000, 1e8, seed=70)
     classical = ClassicalProjector(A)
     b = np.random.default_rng(71).standard_normal(1000)
-    calls = []
-    lapack_solve = np.linalg.solve
-
-    def counting_solve(a, rhs):
-        calls.append(a.shape)
-        return lapack_solve(a, rhs)
-
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    calls = count_lapack_solves(monkeypatch)
     project(pre, A, b)
     refine_lstsq(pre, A, b, solve_lstsq(pre, A, b), 2)
     classical.project(b)

@@ -1,11 +1,12 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from nullproj import ConfigurationError, DimensionError, GaussianStream, UniformLaggedFibonacci
 from nullproj.rng import _CHUNK, _JUMPS, _LANES, _MAX_ROUNDS_LOG2, _ROWS
+
+from helpers import traced_peak
 
 N_BIG = 100_000
 # longest lane and largest group of one fill_column call
@@ -259,11 +260,7 @@ def test_uniform_fill_column_memory_is_bounded():
     # hold about 32 bytes per value on top of the output array
     n = 100_000
     g = UniformLaggedFibonacci(8)
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    g.fill_column(n)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    peak = traced_peak(g.fill_column, n)
     assert peak < n * 8 + 64 * 1024
 
 
@@ -274,22 +271,14 @@ def test_gaussian_fill_column_temporaries_are_bounded():
     n = 100_000
     g = GaussianStream(8)
     g.fill_column(n)  # any one-time setup happens outside the traced call
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    g.fill_column(n)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    peak = traced_peak(g.fill_column, n)
     assert peak - (n + 1) * 8 < 108_000
 
 
 def test_uniform_construction_and_first_column_memory_is_bounded():
     # the jump matrices are built at import, not on the first call
     n = 100_000
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    UniformLaggedFibonacci(8).fill_column(n)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    peak = traced_peak(lambda: UniformLaggedFibonacci(8).fill_column(n))
     assert peak < n * 8 + 64 * 1024
 
 
