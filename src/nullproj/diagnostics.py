@@ -13,9 +13,6 @@ checks the actual conditioning of the preconditioned operator on a
 densifiable instance, the latter computes the delta (annihilation) and
 epsilon (idempotence) error numbers that the benchmark tables report,
 both divided by the constructed condition number.
-
-Each domain check is written `not x > bound`, so a NaN argument fails it
-and raises DomainError instead of returning NaN.
 """
 
 from dataclasses import dataclass
@@ -23,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense_core import svd_dense
-from .errors import DomainError, as_index
+from .errors import DomainError, as_index, as_real_number
 from .linop import densify
 from .projector import _check_pair
 
 
-def _check_params(l, m=None, alpha=None, beta=None):
-    """(l, m) as Python ints; DomainError unless l >= m >= 1, alpha > 1 and beta > 0 as given."""
+def _check_params(l, m=None, **reals):
+    """(l, m) as Python ints; DomainError unless l >= m >= 1 as given, and alpha > 1 and
+    beta > 0 when passed by name, by the real-number rule."""
     l = as_index(l, "l")
     if l < 1:
         raise DomainError(f"l must be positive, got {l}")
@@ -37,10 +35,8 @@ def _check_params(l, m=None, alpha=None, beta=None):
         m = as_index(m, "m")
         if not 1 <= m <= l:
             raise DomainError(f"need l >= m >= 1, got l={l}, m={m}")
-    if alpha is not None and not alpha > 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if beta is not None and not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    for name, value in reals.items():
+        as_real_number(value, name, {"alpha": 1, "beta": 0}[name], DomainError)
     return l, m
 
 
@@ -76,7 +72,7 @@ def pi_minus(l, m, beta):
 
 def pi_zero(l, m, alpha, beta):
     """Probability floor for the condition bound; equals pi_plus + pi_minus - 1."""
-    l, m = _check_params(l, m, alpha, beta)
+    l, m = _check_params(l, m, alpha=alpha, beta=beta)
     return 1.0 - (_term_plus(l, alpha) + _term_minus(l, m, beta))
 
 
@@ -87,7 +83,7 @@ def pi_zero_floor(l, m, alpha, beta):
     l-m, which is what makes the fixed-gap parameter triples work for
     every m.
     """
-    l, m = _check_params(l, m, alpha, beta)
+    l, m = _check_params(l, m, alpha=alpha, beta=beta)
     if m < 2:
         raise DomainError(f"the simplified bound needs m >= 2, got m={m}")
     if not alpha >= 2.0:
@@ -136,8 +132,7 @@ def error_metrics(A, project_fn, b, kappa, method_tag):
     is applied to b and then to that projection.  Callers aggregating
     over many b take the max of each field.
     """
-    if not 0.0 < kappa < np.inf:
-        raise DomainError(f"kappa must be finite and positive, got {kappa}")
+    kappa = as_real_number(kappa, "kappa", 0, DomainError)
     z = project_fn(b)
     z2 = project_fn(z)
     delta = float(np.linalg.norm(A.apply(z))) / kappa

@@ -1,8 +1,11 @@
 """Exception types shared across the library, the one check of the integers a caller passes,
-the one length check of a random stream's draw, the one refusal of complex data, and the one
-finiteness test of an array."""
+the one check of the real numbers (kappa, the shift d, alpha, beta) a caller passes, the one
+length check of a random stream's draw, the one refusal of complex and non-numeric data, and
+the one finiteness test of an array."""
 
+import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -16,18 +19,18 @@ class DimensionError(NullProjError):
 
 
 class ConfigurationError(NullProjError):
-    """Invalid construction parameters: bad sizes, kappa not a finite number above 1, l out of
-    range, or a size, width, column length, seed, count or index array not of Python or numpy
-    integers (a float, a str)."""
+    """Invalid construction parameters: bad sizes, l out of range, a size, width, column length,
+    seed, count or index array not of Python or numpy integers (a float, a str), or kappa or
+    the diagonal shift d not a finite real number above 1 or 0 (`as_real_number`)."""
 
 
 class DomainError(NullProjError):
-    """A value lies outside its domain: a probability/bound formula's
-    parameters, a vector to project that holds a NaN or infinite entry, an
-    operator whose output does, or a matrix handed to the pivoted QR, the
-    small inverse or the SVD oracle that does; or a complex vector handed
-    to an operator or a projection, a complex operator output, or complex
-    construction data of an operator, a preconditioner or a dense kernel."""
+    """A value lies outside its domain: alpha, beta or `error_metrics`' kappa not a finite
+    real number above 1, 0 and 0, another probability/bound formula's parameter, a vector to
+    project that holds a NaN or infinite entry, an operator whose output does, or a matrix
+    handed to the pivoted QR, the small inverse or the SVD oracle that does; or a complex,
+    text or object vector handed to an operator or a projection, such an operator output, or
+    such construction data of an operator, a preconditioner or a dense kernel."""
 
 
 class SizeCapError(NullProjError):
@@ -66,6 +69,17 @@ def as_index(value, name, least=None):
     return value
 
 
+def as_real_number(value, name, above, error):
+    """`value` as a Python float; `error` naming it unless it is a finite real number > above.
+
+    A bool, an array (0-d too), a str, None and a complex number are refused; the bounds are
+    compared before `float()`, so NaN fails them and 10**400 raises no OverflowError."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and above < value <= sys.float_info.max):
+        raise error(f"{name} must be a finite real number above {above}, got {value!r}")
+    return float(value)
+
+
 def checked_draw(values, k, stream):
     """`values`, which `stream.fill_column(k)` returned; DimensionError naming the stream unless
     they are `k` values in a 1-D array.  The test reads the shape, not the values."""
@@ -96,15 +110,17 @@ def inverse_permutation(perm, name):
 
 
 def as_real(values, name):
-    """`values` as a float array, not copied when it is one; DomainError naming it if complex.
+    """`values` as a float array, not copied when it is one; DomainError naming it unless it
+    holds bools, integers or floats: complex, text and object data (None too) are refused.
 
     Converting a complex array to float would drop its imaginary part with
-    no more than a `ComplexWarning`, so it is refused before the conversion.
-    The test reads the dtype, not the values.
+    no more than a `ComplexWarning`, and a text one would be parsed as numbers,
+    so both are refused before the conversion.  The test reads the dtype.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind == "c":
-        raise DomainError(f"{name} must be real, got a complex array")
+    if arr.dtype.kind not in "biuf":
+        got = "a complex array" if arr.dtype.kind == "c" else f"an array of dtype {arr.dtype}"
+        raise DomainError(f"{name} must be real, got {got}")
     # one asarray and a dtype test cost half of np.iscomplexobj and a second
     # asarray, and this runs on every apply and every solve
     return arr.astype(float, copy=False)

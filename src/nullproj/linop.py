@@ -13,14 +13,12 @@ body as `apply`, so it holds the same output contract without touching
 the counters.
 """
 
-import numbers
-import sys
 import threading
 
 import numpy as np
 
 from .dense_core import ORACLE_CAP
-from .errors import ConfigurationError, DimensionError, DomainError, SizeCapError
+from .errors import ConfigurationError, DimensionError, DomainError, SizeCapError, as_real_number
 from .errors import all_finite, as_index, as_index_array, as_real, inverse_permutation
 
 # entries of the dense family's A* y that one gather of its base's adjoint
@@ -145,12 +143,11 @@ class SparseTestMatrix(LinearOperator):
         m, n = self.row_perm.size, self.col_perm.size
         if m < 4:
             raise ConfigurationError(f"stencil needs m >= 4, got m={m}")
-        if not isinstance(d, numbers.Real) or not 0 < d <= sys.float_info.max:  # and NaN
-            raise ConfigurationError(f"diagonal shift d must be a finite real above 0, got {d!r}")
+        d = as_real_number(d, "diagonal shift d", 0, ConfigurationError)
         if n % m != 0:
             raise ConfigurationError(f"n={n} must be an exact multiple of m={m}")
         super().__init__(m, n)
-        self.d = float(d)
+        self.d = d
         # entry i of x meets slot argsort(col_perm)[i] % m of the stencil's
         # input: [I I ... I] V x scatter-adds into it, V* tile(w) gathers from it
         self._adjoint_gather = col_perm_inv % m
@@ -185,12 +182,15 @@ class DenseTestMatrix(LinearOperator):
     one BLAS product, and the base's gather V* [w ... w] is added into it
     `_ADJOINT_CHUNK` entries at a time, so no more than one chunk of it
     is alive.  The sum is the same two terms as adding the base's whole
-    A* y, bit for bit.  Complex `E` or `F` raises `DomainError`.
+    A* y, bit for bit.  Complex `E` or `F` raises `DomainError`, and a base
+    that is not a `SparseTestMatrix` raises `ConfigurationError`.
     """
 
     RANK = 10
 
     def __init__(self, base, E, F):
+        if not isinstance(base, SparseTestMatrix):
+            raise ConfigurationError(f"base must be a SparseTestMatrix, got {type(base).__name__}")
         E, F = as_real(E, "E"), as_real(F, "F")
         m, n = base.shape
         if E.shape != (m, self.RANK) or F.shape != (self.RANK, n):
@@ -267,9 +267,7 @@ def _check_sparse_family(m, n, kappa):
         raise ConfigurationError(f"sparse test matrix needs even m >= 4, got m={m}")
     if n % m != 0:
         raise ConfigurationError(f"n={n} must be a multiple of m={m}")
-    if not isinstance(kappa, numbers.Real) or not 1 < kappa <= sys.float_info.max:  # and NaN
-        raise ConfigurationError(f"kappa must be a finite real number above 1, got {kappa!r}")
-    return m, n, float(kappa)
+    return m, n, as_real_number(kappa, "kappa", 1, ConfigurationError)
 
 
 def _seeded_sparse_test(m, n, kappa, seed):

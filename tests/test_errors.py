@@ -1,18 +1,22 @@
 """The integer rule of `nullproj.errors`: every size, width, column length,
 seed, count and index array a caller passes is a Python or numpy integer,
 or the call raises ConfigurationError naming the argument; nothing is
-truncated."""
+truncated.  The real-number rule: kappa, the shift d, alpha and beta are
+finite real numbers above their bounds, or the call raises its site's
+error naming the argument."""
 
 import ast
 import dataclasses
 import functools
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from nullproj import (
     ConfigurationError,
+    DomainError,
     GaussianStream,
     LinearOperator,
     Preconditioner,
@@ -25,6 +29,7 @@ from nullproj import (
     cond_bound,
     default_sketch_width,
     densify,
+    error_metrics,
     make_dense_test,
     make_sparse_test,
     pi_minus,
@@ -211,6 +216,90 @@ def test_integer_rule_has_one_owner():
                     isinstance(node, ast.Call)
                     and getattr(node.func, "attr", None) == "astype"
                     and any(is_intp(arg) for arg in node.args)
+                )
+            )
+            if found:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def sparse_block(d):
+    """The shift a two-block sparse operator keeps."""
+    return SparseTestMatrix(d, range(4), range(8)).d
+
+
+def metrics(kappa):
+    """Error metrics of a projection that subtracts the mean, normalized by kappa."""
+    A, _, b, _ = built()
+    return error_metrics(A, lambda v: v - v.mean(), b, kappa, "x")
+
+
+# entry point: (the argument's name as its message starts, its bound, the
+# site's error, a call taking it, a value the call accepts)
+REAL_SITES = {
+    "make_sparse_test kappa": (
+        "kappa", 1, ConfigurationError, lambda v: make_sparse_test(8, 16, v, 0), 1e4
+    ),
+    "TrialConfig kappa": (
+        "kappa", 1, ConfigurationError, lambda v: TrialConfig(m=8, n=64, kappa=v), 1e4
+    ),
+    "SparseTestMatrix d": ("diagonal shift d", 0, ConfigurationError, sparse_block, 0.5),
+    "pi_plus alpha": ("alpha", 1, DomainError, lambda v: pi_plus(8, v), 2.0),
+    "pi_zero alpha": ("alpha", 1, DomainError, lambda v: pi_zero(8, 4, v, 3.0), 2.0),
+    "pi_zero_floor alpha": ("alpha", 1, DomainError, lambda v: pi_zero_floor(8, 4, v, 3.0), 2.0),
+    "cond_bound alpha": ("alpha", 1, DomainError, lambda v: cond_bound(8, v, 3.0), 2.0),
+    "pi_minus beta": ("beta", 0, DomainError, lambda v: pi_minus(8, 4, v), 3.0),
+    "pi_zero beta": ("beta", 0, DomainError, lambda v: pi_zero(8, 4, 2.0, v), 3.0),
+    "pi_zero_floor beta": ("beta", 0, DomainError, lambda v: pi_zero_floor(8, 4, 2.0, v), 3.0),
+    "cond_bound beta": ("beta", 0, DomainError, lambda v: cond_bound(8, 2.0, v), 3.0),
+    "error_metrics kappa": ("kappa", 0, DomainError, metrics, 100.0),
+}
+
+# form: the refused value, from the argument's bound and a value the call accepts
+REAL_FORMS = {
+    "str": lambda above, good: "1e4",
+    "None": lambda above, good: None,
+    "complex": lambda above, good: 1j,
+    "bool": lambda above, good: True,
+    "NaN": lambda above, good: float("nan"),
+    "+inf": lambda above, good: float("inf"),
+    "-inf": lambda above, good: float("-inf"),
+    "the bound": lambda above, good: above,
+    "0-d array": lambda above, good: np.array(good),
+}
+
+
+@pytest.mark.parametrize("form", REAL_FORMS)
+def test_real_numbers_follow_one_rule(form):
+    for name, above, error, call, good in REAL_SITES.values():
+        call(good)
+        bad = REAL_FORMS[form](above, good)
+        message = f"^{re.escape(name)} must be a finite real number above {above}, got "
+        with pytest.raises(error, match=message):
+            call(bad)
+
+
+def test_real_number_rule_has_one_owner():
+    # Only errors.py decides whether a caller's real number is acceptable: no
+    # other module imports numbers, reads sys.float_info or compares a value
+    # against np.inf, so the rule and its message change in one place.
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "nullproj"
+
+    def is_np_inf(node):
+        return isinstance(node, ast.Attribute) and node.attr == "inf"
+
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            found = (
+                (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.module == "numbers")
+                or (isinstance(node, ast.Attribute) and node.attr == "float_info")
+                or (
+                    isinstance(node, ast.Compare)
+                    and any(is_np_inf(side) for side in (node.left, *node.comparators))
                 )
             )
             if found:

@@ -302,6 +302,15 @@ def test_dense_test_matches_sparse_plus_lowrank():
     assert np.allclose(densify(A), expected, rtol=0, atol=1e-14)
 
 
+def test_dense_test_refuses_a_base_that_is_not_sparse():
+    # A* y reads the sparse base's adjoint slots, so another base would only
+    # fail at the first A* y, after a build had spent its sketch applies
+    with pytest.raises(
+        ConfigurationError, match="^base must be a SparseTestMatrix, got MatrixOperator$"
+    ):
+        DenseTestMatrix(MatrixOperator(np.eye(4, 8)), np.ones((4, 10)), np.ones((10, 8)))
+
+
 def test_dense_test_condition_within_factor_ten():
     # kappa only roughly estimates the dense operator's condition number, and
     # only while the sparse part keeps more than 10 small singular values; at

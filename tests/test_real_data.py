@@ -2,7 +2,8 @@
 operator or a projection, a complex operator output, and complex
 construction data of an operator, a preconditioner or a dense kernel raise
 `DomainError` through `as_real` before any float conversion could drop
-their imaginary parts; each site's message names what was complex."""
+their imaginary parts; each site's message names what was complex.  Text
+and object data are refused the same way, naming the dtype."""
 
 import re
 
@@ -81,6 +82,15 @@ def test_complex_dtype_is_refused_even_with_zero_imaginary_parts(site):
         call(np.ones(size, dtype=complex))
 
 
+@pytest.mark.parametrize("site", SITES)
+def test_text_data_is_a_domain_error_at_every_site(site):
+    # converting text to float would parse it as numbers
+    size, call, name = SITES[site]
+    message = f"{name} must be real, got an array of dtype <U1"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(np.full(size, "1"))
+
+
 def test_classical_projector_refuses_a_complex_b():
     classical = ClassicalProjector(make_sparse_test(8, 32, 100.0, seed=3))
     with pytest.raises(DomainError, match="^b must be real, got a complex array$"):
@@ -144,3 +154,12 @@ def test_complex_construction_data_is_a_domain_error(site):
     message = f"{name} must be real, got a complex array"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call(with_complex_entry(real))
+
+
+@pytest.mark.parametrize("site", CONSTRUCTION)
+def test_object_construction_data_is_a_domain_error(site):
+    # an object array of the same floats is refused by its dtype, not its values
+    call, real, name = CONSTRUCTION[site]
+    message = f"{name} must be real, got an array of dtype object"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(np.array(real, dtype=object))
