@@ -51,16 +51,16 @@ class TrialConfig:
     refine_iters: int = 0
 
     def __post_init__(self):
-        self.m, self.n, self.kappa = _check_sparse_family(self.m, self.n, self.kappa)
+        family = _check_sparse_family(self.m, self.n, self.kappa, self.seed)
+        self.m, self.n, self.kappa, self.seed = family
         if self.l is None:
             self.l = default_sketch_width(self.m, self.n)
         self.l = _check_sketch_width(self.l, self.m, self.n)
         self.trials = as_index(self.trials, "trials", least=1)
-        self.seed = as_index(self.seed, "seed", least=0)
         self.refine_iters = as_index(self.refine_iters, "refine_iters", least=0)
-        if self.matrix_kind not in _FAMILIES:
+        if not (isinstance(self.matrix_kind, str) and self.matrix_kind in _FAMILIES):
             raise ConfigurationError(f"matrix_kind must be one of {tuple(_FAMILIES)}")
-        if self.rng_kind not in _STREAMS:
+        if not (isinstance(self.rng_kind, str) and self.rng_kind in _STREAMS):
             raise ConfigurationError(f"rng_kind must be one of {tuple(_STREAMS)}")
 
 

@@ -32,17 +32,16 @@ inverts only the `_BASE_ROWS` blocks.  A factor builds the steps at its
 first solve and keeps them, at most m^2 / 2 + 32 m doubles.
 
 Ownership: the substitution kernel `_substitute` overwrites the array it
-is given, and so do `PermutedFactor.solve` and the private `_invert_spd`
-and `_qr_pivoted_rows`, so a caller that owns a fresh array, such as the
-chain's `Y @ ...`, the Gram matrix or the sketch, hands it over without
-a copy.  `build_gram` makes one m-by-m array, the identity, sweeps,
-permutes and applies inside it, and returns it as the Gram matrix, which
-`_invert_spd` then turns into Y.
-`PermutedFactor.solve_adjoint` never writes its input, because its
-gather d[perm] is already a fresh array, and the public functions
-(`qr_pivoted`, `solve_upper`, `solve_upper_adjoint`, `invert_small`) copy
-their input once at their boundary, so the caller's arrays are never
-written and may be read-only.  A `PermutedFactor` holds R and perm
+is given, and so do the private `_invert_spd` and `_qr_pivoted_rows`, so
+a caller that owns a fresh array, such as the Gram matrix or the sketch,
+hands it over without a copy.  `build_gram` makes one m-by-m array, the
+identity, sweeps, permutes and applies inside it, and returns it as the
+Gram matrix, which `_invert_spd` then turns into Y.  The public
+functions and both `PermutedFactor` solves never write their input: the
+solves sweep a fresh array (a copy of y, the gather d[perm]), and
+`qr_pivoted`, `solve_upper`, `solve_upper_adjoint` and `invert_small`
+copy their input once at their boundary, so the caller's arrays may be
+read-only.  A `PermutedFactor` holds R and perm
 without copying them.
 
 The QR factors `_PANEL` columns at a time and updates the rest of the
@@ -426,14 +425,14 @@ class PermutedFactor:
         return x
 
     def solve(self, y):
-        """Return x with M x = y, that is R x[perm] = y; may overwrite the float array y.
+        """Return x with M x = y, that is R x[perm] = y; y is left as it was.
 
-        Back substitution in y, then a scatter through the permutation;
-        accepts vector or matrix right-hand sides.
+        Back substitution in a copy of y, then a scatter through the
+        permutation; accepts vector or matrix right-hand sides.
         """
         g = as_real(y, "y")
         _check_rhs(g, self.R.shape[0])
-        self._sweep(g, adjoint=False)
+        g = self._sweep(g.copy(), adjoint=False)
         x = np.empty_like(g)
         x[self.perm] = g
         return x

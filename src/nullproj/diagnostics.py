@@ -25,16 +25,14 @@ from .linop import densify
 from .projector import _check_pair
 
 
-def _check_params(l, m=None, **reals):
-    """(l, m) as Python ints; DomainError unless l >= m >= 1 as given, and alpha > 1 and
-    beta > 0 when passed by name, by the real-number rule."""
-    l = as_index(l, "l")
+def _check_params(l, m, **reals):
+    """(l, m) as Python ints; DomainError unless l >= m >= 1, and alpha > 1 and beta > 0
+    when passed by name, by the real-number rule.  A formula with no m passes m = 1."""
+    l, m = as_index(l, "l"), as_index(m, "m")
     if l < 1:
         raise DomainError(f"l must be positive, got {l}")
-    if m is not None:
-        m = as_index(m, "m")
-        if not 1 <= m <= l:
-            raise DomainError(f"need l >= m >= 1, got l={l}, m={m}")
+    if not 1 <= m <= l:
+        raise DomainError(f"need l >= m >= 1, got l={l}, m={m}")
     for name, value in reals.items():
         as_real_number(value, name, {"alpha": 1, "beta": 0}[name], DomainError)
     return l, m
@@ -60,7 +58,7 @@ def _term_minus(l, m, beta):
 
 def pi_plus(l, alpha):
     """Probability floor for the top singular value bound sqrt(2l)*alpha."""
-    l, _ = _check_params(l, alpha=alpha)
+    l, _ = _check_params(l, 1, alpha=alpha)
     return 1.0 - _term_plus(l, alpha)
 
 
@@ -93,7 +91,7 @@ def pi_zero_floor(l, m, alpha, beta):
 
 def cond_bound(l, alpha, beta):
     """The condition-number bound sqrt(2) * l * alpha * beta."""
-    l, _ = _check_params(l, alpha=alpha, beta=beta)
+    l, _ = _check_params(l, 1, alpha=alpha, beta=beta)
     return np.sqrt(2.0) * l * alpha * beta
 
 

@@ -20,8 +20,8 @@ class DimensionError(NullProjError):
 
 class ConfigurationError(NullProjError):
     """Invalid construction parameters: bad sizes, l out of range, a size, width, column length,
-    seed, count or index array not of Python or numpy integers (a float, a str), or kappa or
-    the diagonal shift d not a finite real number above 1 or 0 (`as_real_number`)."""
+    count or index array not of Python or numpy integers (a float, a str), a seed not a
+    nonnegative one, or kappa or the shift d not a finite real number above 1 or 0."""
 
 
 class DomainError(NullProjError):

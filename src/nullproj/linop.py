@@ -134,11 +134,11 @@ class SparseTestMatrix(LinearOperator):
     permutation of its index range, and d a finite real above 0; anything
     else raises `ConfigurationError`.  The operator applies in O(n) work.
     `A x` sums the blocks of V x straight into m slots with one
-    `bincount`, so it makes no length-n copy of x.
+    `bincount`, so it makes no length-n copy of x, and keeps its own copy of `row_perm`.
     """
 
     def __init__(self, d, row_perm, col_perm):
-        self.row_perm, self._row_perm_inv = inverse_permutation(row_perm, "row_perm")
+        self.row_perm, self._row_perm_inv = inverse_permutation(np.array(row_perm), "row_perm")
         self.col_perm, col_perm_inv = inverse_permutation(col_perm, "col_perm")
         m, n = self.row_perm.size, self.col_perm.size
         if m < 4:
@@ -259,15 +259,15 @@ class TripletMatrix(LinearOperator):
         return np.bincount(self.cols, weights=self.vals * y[self.rows], minlength=self.shape[1])
 
 
-def _check_sparse_family(m, n, kappa):
-    """(m, n) as Python ints and kappa as a Python float; ConfigurationError unless
-    (m, n, kappa) names a sparse test operator."""
-    m, n = as_index(m, "m"), as_index(n, "n")
+def _check_sparse_family(m, n, kappa, seed):
+    """(m, n, seed) as Python ints and kappa as a Python float; ConfigurationError unless
+    (m, n, kappa, seed) names a test operator."""
+    m, n, seed = as_index(m, "m"), as_index(n, "n"), as_index(seed, "seed", least=0)
     if m < 4 or m % 2 != 0:
         raise ConfigurationError(f"sparse test matrix needs even m >= 4, got m={m}")
     if n % m != 0:
         raise ConfigurationError(f"n={n} must be a multiple of m={m}")
-    return m, n, as_real_number(kappa, "kappa", 1, ConfigurationError)
+    return m, n, as_real_number(kappa, "kappa", 1, ConfigurationError), seed
 
 
 def _seeded_sparse_test(m, n, kappa, seed):
@@ -276,7 +276,7 @@ def _seeded_sparse_test(m, n, kappa, seed):
     Both test families start here, so a dense operator's rank-10 factors
     come from the same generator, right after its base's permutations.
     """
-    m, n, kappa = _check_sparse_family(m, n, kappa)
+    m, n, kappa, seed = _check_sparse_family(m, n, kappa, seed)
     rng = np.random.default_rng(seed)
     return SparseTestMatrix(16.0 / (kappa - 1.0), rng.permutation(m), rng.permutation(n)), rng
 
@@ -285,9 +285,9 @@ def make_sparse_test(m, n, kappa, seed):
     """Seeded sparse test operator with condition number exactly `kappa`.
 
     Sets d = 16/(kappa-1) and draws the two permutations uniformly from a
-    seeded generator.  Requires even m >= 4: odd m leaves the top stencil
-    eigenvalue short of 16+d and the stated condition number would only
-    hold approximately.
+    generator seeded with the nonnegative integer `seed`.  Requires even
+    m >= 4: odd m leaves the top stencil eigenvalue short of 16+d and the
+    stated condition number would only hold approximately.
     """
     return _seeded_sparse_test(m, n, kappa, seed)[0]
 

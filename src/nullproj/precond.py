@@ -90,12 +90,15 @@ class Preconditioner:
 def default_sketch_width(m, n=None):
     """The usual sketch width m+4, clamped to n when the operator is that narrow.
 
-    m and n must be integers of at least 1 (ConfigurationError).
+    m and n must be integers with 1 <= m <= n, as for any operator (ConfigurationError).
     """
-    width = as_index(m, "m", least=1) + 4
-    if n is not None:
-        width = min(width, as_index(n, "n", least=1))
-    return width
+    m = as_index(m, "m", least=1)
+    if n is None:
+        return m + 4
+    n = as_index(n, "n", least=1)
+    if n < m:
+        raise ConfigurationError(f"n must be at least m={m}, got {n}")
+    return min(m + 4, n)
 
 
 def _check_sketch_width(l, m, n):

@@ -10,8 +10,7 @@ partitioned inverse, never an inverse of R or of anything Gram-like), so
 no projection calls LAPACK.  Each triangular solve is one BLAS product
 per 64 rows with the factor's fused steps, which both solves share: the
 first projection builds them and every later one reuses them
-(`dense_core` says how).  `solve` may overwrite its input, so the chain
-hands it the fresh `Y @ ...` product.
+(`dense_core` says how).
 The classical normal-equations path is kept as a baseline: it factors
 A A* with LAPACK's unpivoted Householder QR, squares the condition
 number and loses accuracy exactly the way the benchmark tables show.

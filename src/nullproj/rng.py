@@ -149,17 +149,18 @@ class UniformLaggedFibonacci:
 
     The state is a window: an array of the last 55 values, oldest first,
     which `fill_column` extends into one frame and copies back from its
-    end.  It is seeded by expanding a 64-bit integer through a splitmix64
-    mixer and then discarding 550 draws so the recurrence has fully churned
-    the initial state.  Each value is defined by one floating-point subtraction plus
-    a fold back into [-1, 1], `x[k] = x[k-55] - x[k-24]`;
-    `fill_column` computes the same values in exact integer arithmetic mod
-    2^53 on up to `_LANES` lanes at once (see the module docstring), so
-    its working memory is bounded whatever the column length.
+    end.  It is seeded by expanding a nonnegative integer, read modulo
+    2^64, through a splitmix64 mixer and then discarding 550 draws so the
+    recurrence has fully churned the initial state.  Each value is defined
+    by one floating-point subtraction plus a fold back into [-1, 1],
+    `x[k] = x[k-55] - x[k-24]`; `fill_column` computes the same values in
+    exact integer arithmetic mod 2^53 on up to `_LANES` lanes at once (see
+    the module docstring), so its working memory is bounded whatever the
+    column length.
     """
 
     def __init__(self, seed):
-        state = as_index(seed, "seed") & _MASK64
+        state = as_index(seed, "seed", least=0)  # _splitmix64 reads it modulo 2^64
         window = []
         for _ in range(_LAG_LONG):
             z, state = _splitmix64(state)
@@ -225,13 +226,13 @@ class GaussianStream:
 
     A `base` stream (any object with a uniform `fill_column`; by default
     `UniformLaggedFibonacci(seed)`) belongs to this stream from then on;
-    `seed` must be an integer either way.  A base draw that is not the
-    requested count of values in a 1-D array raises `DimensionError`
-    naming the base.
+    `seed` must be a nonnegative integer either way.  A base draw that is
+    not the requested count of values in a 1-D array raises
+    `DimensionError` naming the base.
     """
 
     def __init__(self, seed, base=None):
-        seed = as_index(seed, "seed")
+        seed = as_index(seed, "seed", least=0)
         self._base = base if base is not None else UniformLaggedFibonacci(seed)
         self._spare = None
 

@@ -44,6 +44,14 @@ def test_config_defaults_and_validation():
         TrialConfig(8, 64, 10.0)  # keyword-only, so no field can be bound by position
 
 
+@pytest.mark.parametrize("name", ["matrix_kind", "rng_kind"])
+@pytest.mark.parametrize("kind", [["sparse"], np.array(["lfg"])], ids=["list", "array"])
+def test_config_refuses_a_kind_that_is_not_a_name(name, kind):
+    # a list or an array is unhashable, so a dict membership test alone raises TypeError
+    with pytest.raises(ConfigurationError, match=f"^{name} must be one of"):
+        small_config(**{name: kind})
+
+
 @pytest.mark.parametrize("l", [10.7, np.float64(12.0), "12"], ids=["float", "np.float64", "str"])
 def test_config_rejects_a_non_integer_width(l):
     with pytest.raises(ConfigurationError, match="integer"):

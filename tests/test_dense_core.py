@@ -528,6 +528,22 @@ def test_permuted_factor_holds_its_arrays_and_leaves_d_alone():
     assert np.array_equal(d, kept)
 
 
+@pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])
+def test_permuted_factor_solve_leaves_y_alone(cols):
+    # solve sweeps a copy of y, so y is unchanged and may be read-only
+    m = 70
+    rng = np.random.default_rng(5003)
+    R = np.linalg.qr(rng.standard_normal((m, m)))[1]
+    perm = rng.permutation(m)
+    factor = PermutedFactor(R, perm)
+    y = rng.standard_normal(m if cols is None else (m, cols))
+    kept = y.copy()
+    x = factor.solve(y)
+    assert np.array_equal(y, kept)
+    assert np.linalg.norm(R @ x[perm] - y) <= 1e-11 * np.linalg.norm(y)
+    assert np.array_equal(factor.solve(read_only(y)), x)
+
+
 @pytest.mark.parametrize("rows", [6, 8])
 def test_permuted_solves_refuse_a_wrong_length_right_hand_side(rows):
     # the adjoint gathers d[perm] first, which would drop d's rows past m

@@ -1,9 +1,9 @@
 """The integer rule of `nullproj.errors`: every size, width, column length,
 seed, count and index array a caller passes is a Python or numpy integer,
 or the call raises ConfigurationError naming the argument; nothing is
-truncated.  The real-number rule: kappa, the shift d, alpha and beta are
-finite real numbers above their bounds, or the call raises its site's
-error naming the argument."""
+truncated, and a seed is also nonnegative.  The real-number rule: kappa,
+the shift d, alpha and beta are finite real numbers above their bounds, or
+the call raises its site's error naming the argument."""
 
 import ast
 import dataclasses
@@ -86,6 +86,8 @@ CASES = [
     case("make_sparse_test m", "m", lambda v: densify(make_sparse_test(v, 16, 1e4, 0)), scalar(8)),
     case("make_sparse_test n", "n", lambda v: densify(make_sparse_test(4, v, 1e4, 0)), scalar(16)),
     case("make_dense_test n", "n", lambda v: densify(make_dense_test(4, v, 1e4, 0)), scalar(12)),
+    case("make_sparse_test seed", "seed", lambda v: densify(make_sparse_test(4, 8, 1e4, v)), scalar(7)),
+    case("make_dense_test seed", "seed", lambda v: densify(make_dense_test(4, 8, 1e4, v)), scalar(7)),
     case(
         "SparseTestMatrix row_perm",
         "row_perm",
@@ -221,6 +223,39 @@ def test_integer_rule_has_one_owner():
             if found:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+# every entry point that takes a seed: one seed rule, a nonnegative integer
+SEED_SITES = {
+    "make_sparse_test": lambda v: make_sparse_test(4, 8, 1e4, v),
+    "make_dense_test": lambda v: make_dense_test(4, 8, 1e4, v),
+    "UniformLaggedFibonacci": UniformLaggedFibonacci,
+    "GaussianStream": GaussianStream,
+    "GaussianStream with a base": lambda v: GaussianStream(v, base=UniformLaggedFibonacci(7)),
+    "TrialConfig": lambda v: TrialConfig(m=8, n=64, kappa=1e4, seed=v),
+}
+
+
+def test_every_seed_entry_point_follows_one_rule():
+    for call in SEED_SITES.values():
+        call(0)
+        for bad in (None, True, 2.5, 7.0, "7", np.array(3.0), [1, 2], -1):
+            with pytest.raises(ConfigurationError, match="^seed must be"):
+                call(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pi_minus(8, None, 3.0),
+        lambda: pi_zero(8, None, 2.0, 3.0),
+        lambda: pi_zero_floor(8, None, 2.0, 3.0),
+    ],
+    ids=["pi_minus", "pi_zero", "pi_zero_floor"],
+)
+def test_bound_formulas_refuse_a_missing_m(call):
+    with pytest.raises(ConfigurationError, match="^m must be an integer"):
+        call()
 
 
 def sparse_block(d):

@@ -185,6 +185,16 @@ def test_adjoint_consistency(make, label):
         assert abs(lhs - rhs) <= 1e-12
 
 
+def test_sparse_adjoint_survives_an_edit_of_the_callers_row_permutation():
+    # the operator keeps its own row permutation, so A* stays A's adjoint
+    row_perm, col_perm = np.array([2, 0, 3, 1]), np.arange(8)
+    A = SparseTestMatrix(1.0, row_perm, col_perm)
+    row_perm[:] = row_perm[::-1]
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal(8), rng.standard_normal(4)
+    assert abs(np.dot(A.apply(x), y) - np.dot(x, A.apply_adjoint(y))) <= 1e-12
+
+
 def test_linearity():
     A = make_sparse_test(8, 40, 1e3, seed=5)
     rng = np.random.default_rng(6)

@@ -459,6 +459,13 @@ def test_default_sketch_width_refuses_an_empty_operator():
         default_sketch_width(4, 0)
 
 
+def test_default_sketch_width_refuses_n_below_m():
+    # min(m + 4, n) with n < m would be a width no build accepts
+    with pytest.raises(ConfigurationError, match="n must be at least m=8, got 4"):
+        default_sketch_width(8, 4)
+    assert default_sketch_width(8, 8) == 8
+
+
 def test_build_memory_stays_far_below_full_g():
     # one column of G at a time: peak extra allocation must be nowhere near
     # the n*l doubles a materialized G would take (3.84 MB here)
