@@ -4,7 +4,9 @@
 checks, its block inverses and both permuted solves, so no caller indexes
 with the permutation or handles the block inverses itself.  The Gram
 build, which runs both permuted solves around the operator's applies, is
-`build_gram` here for the same reason.
+`build_gram` here for the same reason.  The build then factors the Gram
+matrix X = L L* and forms U = L* R in X's storage (`_chain_upper`), the
+factor U Pi that every projection solves through.
 
 These run on matrices whose side is the short dimension m of the operator.
 Both triangular solves run on one partitioned inverse of the factor
@@ -32,17 +34,18 @@ inverts only the `_BASE_ROWS` blocks.  A factor builds the steps at its
 first solve and keeps them, at most m^2 / 2 + 32 m doubles.
 
 Ownership: the substitution kernel `_substitute` overwrites the array it
-is given, and so do the private `_invert_spd` and `_qr_pivoted_rows`, so
-a caller that owns a fresh array, such as the Gram matrix or the sketch,
-hands it over without a copy.  `build_gram` makes one m-by-m array, the
-identity, sweeps, permutes and applies inside it, and returns it as the
-Gram matrix, which `_invert_spd` then turns into Y.  The public
+is given, and so do the private `_cholesky`, `_invert_spd`, `_chain_upper`
+and `_qr_pivoted_rows`, so a caller that owns a fresh array, such as the
+Gram matrix or the sketch, hands it over without a copy.  `build_gram`
+makes one m-by-m array, the identity, sweeps, permutes and applies
+inside it, and returns it as the Gram matrix, which `_chain_upper` then
+turns into U.  The public
 functions and both `PermutedFactor` solves never write their input: the
 solves sweep a fresh array (a copy of y, the gather d[perm]), and
 `qr_pivoted`, `solve_upper`, `solve_upper_adjoint` and `invert_small`
 copy their input once at their boundary, so the caller's arrays may be
-read-only.  A `PermutedFactor` holds R and perm
-without copying them.
+read-only.  A `PermutedFactor` holds R without copying it, and its own
+copy of perm, as every object that keeps an index array does.
 
 The QR factors `_PANEL` columns at a time and updates the rest of the
 matrix with one matrix product per panel; it keeps its Householder
@@ -376,10 +379,11 @@ def solve_upper_adjoint(R, d):
 class PermutedFactor:
     """The factor M = R Pi of `qr_pivoted`, with R's block inverses and both solves.
 
-    Holds `R` and an `intp` `perm` without copying them.  Construction
-    checks them once: `perm` must be an integer permutation of range(m)
-    (ConfigurationError) and `R` square (DimensionError) and finite
-    (DomainError); then it inverts R's diagonal blocks, which raises
+    Holds `R` without copying it and a new `intp` copy of `perm`, so an
+    edit of the caller's array afterwards changes nothing here.
+    Construction checks them once: `perm` must be an integer permutation
+    of range(m) (ConfigurationError) and `R` square (DimensionError) and
+    finite (DomainError); then it inverts R's diagonal blocks, which raises
     SingularFactorError on a zero diagonal, so its solves make no LAPACK
     call and check nothing but the right-hand side's shape.
 
@@ -389,8 +393,9 @@ class PermutedFactor:
     (under a lock, so concurrent first solves build them once), and the
     factor keeps them.  A build never solves through its factor:
     `build_gram` runs the block sweep of `_substitute` in place on its own
-    array, so a fresh preconditioner's factor holds no steps until its
-    first projection.
+    array, so a fresh preconditioner's factors hold no steps until its
+    first projection, which builds those of the chain's factor U Pi, or
+    until `measured_condition`, which builds those of R's.
     """
 
     def __init__(self, R, perm):
@@ -500,33 +505,25 @@ def invert_small(X):
     return _invert_spd(np.array(as_real(X, "X")))
 
 
-def _invert_spd(X):
-    """`invert_small` for a float array X that it overwrites: X ends up holding Y.
+def _cholesky(X):
+    """X = L L* in place for a square float array X; returns the inverses of L's diagonal blocks.
 
-    The blocked scheme of LAPACK's potrf, trtri and lauum (Du Croz and
-    Higham, IMA J. Numer. Anal. 1992), one block column a:b at a time:
-
-    - X = L L*, left-looking: the block column takes the update from L's
-      finished columns, `np.linalg.cholesky` factors its diagonal block,
-      so a block that is not SPD raises, and the rows below it are
-      multiplied by that block's inverse transposed;
-    - W = L^-1, last block column first: W[b:, a:b] = -W[b:, b:] L[b:, a:b] W[a:b, a:b];
-    - Y = W* W, first block column first, whose W no later column reads;
-    - Y's block row a:b mirrors its block column, so Y == Y.T exactly.
-
-    The diagonal blocks' inverses come from `invert_diagonal_blocks`, once
-    each, and the second step frees each one as it uses it.  L, W and Y's
-    lower half each take X's lower triangle, with zeros above it, so every
-    temporary is the size of one block column.
+    Left-looking, one `_BASE_ROWS`-wide block column a:b at a time: the
+    block column takes the update from L's finished columns,
+    `np.linalg.cholesky` factors its diagonal block, so a block that is not
+    SPD raises FactorizationError, and the rows below it are multiplied by
+    that block's inverse transposed.  L takes X's lower triangle, with
+    zeros above it, so every temporary is the size of one block column.
+    Only X's lower triangle is read.  The i-th entry of the returned list
+    is the inverse of L's i-th diagonal block, transposed.
     """
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionError(f"invert_small expects a square matrix, got shape {X.shape}")
     if not all_finite(X):
         raise DomainError("invert_small needs a finite matrix, got a NaN or infinite entry")
     m = X.shape[0]
-    starts = range(0, m, _BASE_ROWS)
-    inverses = []  # per block column: the inverse of L[a:b, a:b]*
-    for a in starts:
+    inverses = []
+    for a in range(0, m, _BASE_ROWS):
         b = min(a + _BASE_ROWS, m)
         left = X[a:, :a] @ X[a:b, :a].T  # the finished columns' share of the block column
         # subtracted in the temporary: a ufunc on two 2-D strided views
@@ -542,6 +539,28 @@ def _invert_spd(X):
         inverses.append(invert_diagonal_blocks(X[a:b, a:b].T))
         X[b:, a:b] = X[b:, a:b] @ inverses[-1]
         X[a:b, b:] = 0.0
+    return inverses
+
+
+def _invert_spd(X):
+    """`invert_small` for a float array X that it overwrites: X ends up holding Y.
+
+    The blocked scheme of LAPACK's potrf, trtri and lauum (Du Croz and
+    Higham, IMA J. Numer. Anal. 1992), one block column a:b at a time:
+
+    - X = L L*, by `_cholesky`;
+    - W = L^-1, last block column first: W[b:, a:b] = -W[b:, b:] L[b:, a:b] W[a:b, a:b];
+    - Y = W* W, first block column first, whose W no later column reads;
+    - Y's block row a:b mirrors its block column, so Y == Y.T exactly.
+
+    The diagonal blocks' inverses come from `_cholesky`, once each, and
+    the second step frees each one as it uses it.  L, W and Y's lower half
+    each take X's lower triangle, with zeros above it, so every temporary
+    is the size of one block column.
+    """
+    inverses = _cholesky(X)
+    m = X.shape[0]
+    starts = range(0, m, _BASE_ROWS)
     for a in reversed(starts):
         b = min(a + _BASE_ROWS, m)
         D = inverses.pop().T  # L[a:b, a:b]^-1
@@ -553,6 +572,28 @@ def _invert_spd(X):
         X[b:, a:b] = X[b:, b:].T @ X[b:, a:b]
         X[a:b, a:b] = np.tril(diag) + np.tril(diag, -1).T
         X[a:b, b:] = X[b:, a:b].T
+    return X
+
+
+def _chain_upper(X, R):
+    """U = L* R for the Cholesky factor L of X = L L*, in X's own storage: X ends up holding U.
+
+    X is the preconditioned Gram matrix of `build_gram` and R the factor
+    it was built with, so A A* = (U Pi)* (U Pi): U is the R factor of A*
+    that a randomized Cholesky-QR gives, cond(U) = kappa(A), and A A* is
+    never formed.  After `_cholesky`, block row a:b of U is
+    L[a:, a:b]* R[a:, a:], which reads only L's block column a:b, so the
+    block rows are formed from the top, each over the rows of X it
+    replaces, whose L entries no later block row reads.  U keeps exact
+    zeros below its diagonal, and the only temporary is one block row.
+    A non-SPD X raises FactorizationError, as in `_invert_spd`.
+    """
+    _cholesky(X)
+    m = X.shape[0]
+    for a in range(0, m, _BASE_ROWS):
+        b = min(a + _BASE_ROWS, m)
+        X[a:b, a:] = X[a:, a:b].T @ R[a:, a:]
+        X[a:b, :a] = 0.0
     return X
 
 

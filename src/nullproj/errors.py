@@ -92,16 +92,20 @@ def checked_draw(values, k, stream):
 
 
 def as_index_array(values, name):
-    """`values` as a 1-D `intp` array, not copied when it is one; ConfigurationError naming it
-    unless its dtype is an integer one or it is empty.  The entries are not range-checked."""
+    """`values` as a new 1-D `intp` array; ConfigurationError naming it unless its dtype is
+    an integer one or it is empty.  The entries are not range-checked.
+
+    Always a copy, even of an `intp` array: an object that keeps an index
+    array keeps this one, so a caller that edits its own array afterwards
+    cannot change what was checked."""
     arr = np.asarray(values)
     if arr.ndim != 1 or (arr.dtype.kind not in "iu" and arr.size):
         raise ConfigurationError(f"{name} must be 1-D integers, got {arr.ndim}-D {arr.dtype}")
-    return arr.astype(np.intp, copy=False)
+    return arr.astype(np.intp)
 
 
 def inverse_permutation(perm, name):
-    """(`perm` as an `intp` array, its argsort); ConfigurationError unless it permutes its range."""
+    """(a new `intp` copy of `perm`, its argsort); ConfigurationError unless it permutes its range."""
     perm = as_index_array(perm, name)
     inv = np.argsort(perm)
     if not np.array_equal(perm[inv], np.arange(perm.size)):

@@ -134,11 +134,12 @@ class SparseTestMatrix(LinearOperator):
     permutation of its index range, and d a finite real above 0; anything
     else raises `ConfigurationError`.  The operator applies in O(n) work.
     `A x` sums the blocks of V x straight into m slots with one
-    `bincount`, so it makes no length-n copy of x, and keeps its own copy of `row_perm`.
+    `bincount`, so it makes no length-n copy of x.  It keeps its own copies of
+    both permutations.
     """
 
     def __init__(self, d, row_perm, col_perm):
-        self.row_perm, self._row_perm_inv = inverse_permutation(np.array(row_perm), "row_perm")
+        self.row_perm, self._row_perm_inv = inverse_permutation(row_perm, "row_perm")
         self.col_perm, col_perm_inv = inverse_permutation(col_perm, "col_perm")
         m, n = self.row_perm.size, self.col_perm.size
         if m < 4:

@@ -4,19 +4,24 @@ Given a counted operator A (m-by-n, m <= n) and a random stream, this
 module forms the sketch S = A G, drawing G in blocks of whole columns
 with one stream request per block, takes a pivoted QR of S*, and
 precomputes everything a projection needs afterwards: the triangular
-factor R, the pivot permutation, and the inverse Y of the preconditioned
-Gram matrix.  The Gram build is `dense_core.build_gram`: the two
+factor R, the pivot permutation, and the triangular factor U = L* R of
+the chain, for the Cholesky factor L of the preconditioned Gram matrix
+X = L L*.  The Gram build is `dense_core.build_gram`: the two
 permuted solves of the factor R Pi, run in place around m applies of
 A A*, one column at a time.  The whole build costs exactly l+m applies
 of A and m applies of A*, and never holds more of G than one block of
 at most m l values, one length-n column when n >= m l; few large
-requests cost the stream less per value than many small ones.
+requests cost the stream less per value than many small ones.  The
+paper's small inverse Y = X^-1 is never formed: projections solve
+through U Pi instead (`dense_core._chain_upper`), and `Preconditioner.Y`
+computes Y from R and U when it is read.
 
-Working set: the Gram build and the inverse each hold two m-by-m arrays,
-R and the Gram matrix, plus temporaries of one 32-column block column,
-because both run in place on the one array the Gram build makes: its
-identity takes R^-1, then column by column the permuted applies of A A*,
-then R^-*, and the Gram matrix X takes L, L^-1 and then Y.  The sketch
+Working set: the Gram build and the chain's factor each hold two m-by-m
+arrays, R and the Gram matrix, plus temporaries of one 32-column block
+column or block row, because both run in place on the one array the
+Gram build makes: its identity takes R^-1, then column by column the
+permuted applies of A A*, then R^-*, and the Gram matrix X takes L and
+then U.  The sketch
 phase holds S and one block, at most two m-by-l arrays, plus the
 stream's state.  The QR runs in S itself, which already has the layout
 of its working array, so it holds S, R and one panel update.  At large
@@ -28,38 +33,54 @@ array at a time: the stream's one-column block in the sketch, then
 peaks.
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_core import PermutedFactor, _invert_spd, _qr_pivoted_rows, build_gram
-from .errors import ConfigurationError, DimensionError, DomainError, RankDeficientSketchError
-from .errors import all_finite, as_index, as_real, checked_draw
+from .dense_core import PermutedFactor, _chain_upper, _invert_spd, _qr_pivoted_rows, build_gram
+from .dense_core import solve_upper_adjoint
+from .errors import ConfigurationError, DimensionError, DomainError, FactorizationError
+from .errors import RankDeficientSketchError, all_finite, as_index, as_real, checked_draw
 
 SKETCH_ATTEMPTS = 3  # sketches a build tries before it reports a rank-deficient operator
 
 
-@dataclass
+@dataclass(init=False)
 class Preconditioner:
     """Everything needed to project after one randomized setup.
 
     `R` is upper-triangular m-by-m, `perm` the pivot index array (the
     permutation acts as z -> z[perm]), and `Y` the symmetric inverse of
-    the preconditioned Gram matrix.  Construction takes `l`, `m` and `n` as
-    Python ints with m <= l <= n, converts `R` and `Y` to
-    float arrays (a float ndarray is not copied; a complex one raises
-    `DomainError`), checks their shapes and
-    that `Y` is finite, then derives `factor`, the
-    `dense_core.PermutedFactor` of `R` and `perm`.  The factor holds
-    those two arrays without a copy and checks them: a `perm` that is not
-    an integer permutation raises `ConfigurationError`, a NaN or infinite
-    entry of `R` `DomainError` and a zero on R's diagonal
-    `SingularFactorError`.  It inverts R's diagonal blocks once, so that
-    no projection makes a LAPACK call.  Instances are immutable (the
-    arrays are marked read-only) and safe to share across threads; the
-    one thing that changes is the factor's cache of fused solve steps,
-    which the first projection builds under a lock, so
-    concurrent first projections build it once.
+    the preconditioned Gram matrix X = P^-1 A A* P^-*, with P* = R Pi.
+    Construction takes `l`, `m` and `n` as Python ints with m <= l <= n,
+    converts `R` and `Y` to float arrays (a float ndarray is not copied; a
+    complex one raises `DomainError`), checks their shapes and that `Y` is
+    finite, then derives `factor`, the `dense_core.PermutedFactor` of `R`
+    and `perm`.  The factor holds `R` without a copy and its own copy of
+    `perm`, which this object then keeps as its `perm`, and checks them: a
+    `perm` that is not an integer permutation raises `ConfigurationError`,
+    a NaN or infinite entry of `R` `DomainError` and a zero on R's
+    diagonal `SingularFactorError`.  It inverts R's diagonal blocks once.
+
+    `factor` is R's factor, and `diagnostics.measured_condition` forms
+    P^-1 A through it.  Projections solve through a second factor, U Pi
+    with U = L* R for the Cholesky factor L of X = Y^-1, so that
+    (P*)^-1 Y P^-1 = (U Pi)^-1 (U Pi)^-*: two triangular solves and no
+    m-by-m matvec.  `build_preconditioner` forms U over its Gram matrix
+    and never forms Y, so its `Y` is read back as (R U^-1)(R U^-1)*, the Y
+    that the chain applies: an m-by-m product computed at each read,
+    exactly symmetric.  A preconditioner made from a `Y` keeps that `Y`
+    and forms U from Y^-1 at its first projection, which raises
+    `DomainError` for a `Y` that is not exactly symmetric and
+    `FactorizationError` for one that is not numerically positive definite.
+
+    Instances are immutable (the arrays are marked read-only) and safe to
+    share across threads; what changes is each factor's cache of fused
+    solve steps, built at its first solve, and the chain's factor of a
+    preconditioner made from a `Y`, formed at its first projection.  Each
+    is built under a lock, so concurrent first projections build it once.
+    No projection of a build makes a LAPACK call.
     """
 
     R: np.ndarray
@@ -71,20 +92,66 @@ class Preconditioner:
     build_apply_counts: tuple
     factor: PermutedFactor = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.m, self.n = as_index(self.m, "m"), as_index(self.n, "n")
-        self.l = _check_sketch_width(self.l, self.m, self.n)
-        self.R, self.Y = as_real(self.R, "R"), as_real(self.Y, "Y")
-        for name, arr in (("R", self.R), ("Y", self.Y)):
-            if arr.shape != (self.m, self.m):
-                raise DimensionError(f"{name} must be {self.m}x{self.m}, got shape {arr.shape}")
-        if not all_finite(self.Y):
+    def __init__(self, R, perm, Y, l, m, n, build_apply_counts):
+        self._hold(R, perm, l, m, n, build_apply_counts)
+        self._Y = as_real(Y, "Y")
+        if self._Y.shape != (self.m, self.m):
+            raise DimensionError(f"Y must be {self.m}x{self.m}, got shape {self._Y.shape}")
+        if not all_finite(self._Y):
             raise DomainError("Y must be finite, got a NaN or infinite entry")
-        self.factor = PermutedFactor(self.R, self.perm)
-        # the factor holds this R and converts perm once; both then hold those arrays
+        self._Y.setflags(write=False)
+        self._chain = None  # formed from Y at the first projection
+        self._chain_lock = threading.Lock()
+
+    @classmethod
+    def _of_gram(cls, R, perm, X, l, m, n, build_apply_counts):
+        """The preconditioner of a build: U formed over its Gram matrix X, and no Y held."""
+        U = _chain_upper(X, R)  # first, so its block temporaries never meet R's block inverses
+        pre = cls.__new__(cls)
+        pre._hold(R, perm, l, m, n, build_apply_counts)
+        pre._Y = None
+        pre._chain = PermutedFactor(U, pre.perm)
+        U.setflags(write=False)
+        return pre
+
+    def _hold(self, R, perm, l, m, n, build_apply_counts):
+        self.m, self.n = as_index(m, "m"), as_index(n, "n")
+        self.l = _check_sketch_width(l, self.m, self.n)
+        self.R = as_real(R, "R")
+        if self.R.shape != (self.m, self.m):
+            raise DimensionError(f"R must be {self.m}x{self.m}, got shape {self.R.shape}")
+        self.build_apply_counts = build_apply_counts
+        self.factor = PermutedFactor(self.R, perm)
+        # the factor holds this R and copies perm once; both then hold those arrays
         self.perm = self.factor.perm
-        for arr in (self.R, self.perm, self.Y):
-            arr.setflags(write=False)
+        self.R.setflags(write=False)
+        self.perm.setflags(write=False)
+
+    @property
+    def Y(self):
+        """The `Y` this was made from, or for a build the Y its chain applies, computed at each read."""
+        if self._Y is not None:
+            return self._Y
+        T = solve_upper_adjoint(self._chain.R, self.R.T).T  # T = R U^-1, which is L^-*
+        Y = T @ T.T  # numpy's symmetric product, so Y == Y.T exactly
+        Y.setflags(write=False)
+        return Y
+
+    def _chain_factor(self):
+        """The `PermutedFactor` of U Pi that every projection solves through."""
+        chain = self._chain
+        if chain is None:
+            with self._chain_lock:
+                chain = self._chain
+                if chain is None:
+                    if not np.array_equal(self._Y, self._Y.T):
+                        raise DomainError("Y must be symmetric, got Y != Y.T")
+                    try:
+                        X = _invert_spd(np.array(self._Y))
+                    except FactorizationError as exc:
+                        raise FactorizationError(f"Y must be positive definite: {exc}") from exc
+                    chain = self._chain = PermutedFactor(_chain_upper(X, self.R), self.perm)
+        return chain
 
 
 def default_sketch_width(m, n=None):
@@ -143,7 +210,7 @@ def build_sketch(A, l, g):
 
 
 def build_preconditioner(A, l, g):
-    """Full randomized setup: sketch, pivoted QR of S*, Gram matrix, inverse.
+    """Full randomized setup: sketch, pivoted QR of S*, Gram matrix, the chain's factor.
 
     Parameters
     ----------
@@ -167,10 +234,11 @@ def build_preconditioner(A, l, g):
     Only R and the permutation outlive the attempt that produced them:
     the sketch, which the QR overwrites with its Householder reflectors,
     is freed before the Gram build, so it adds nothing to the memory the
-    Gram matrix and its inverse need.  The Gram build and the inverse
-    hold two m-by-m arrays, R and the Gram matrix, plus block-column
-    temporaries, because both run in place on the one array the Gram
-    build makes (the Gram matrix X is overwritten by Y).  At large n the
+    Gram matrix and the chain's factor need.  The Gram build and the
+    chain's factor hold two m-by-m arrays, R and the Gram matrix, plus
+    block temporaries, because both run in place on the one array the
+    Gram build makes (the Gram matrix X is overwritten by its Cholesky
+    factor L and then by U = L* R).  Y is not formed.  At large n the
     build holds one length-n array at a time plus m-sized state.
     """
     m, n = A.shape
@@ -188,14 +256,6 @@ def build_preconditioner(A, l, g):
         raise RankDeficientSketchError(
             f"sketch was rank deficient in {SKETCH_ATTEMPTS} attempts; is the operator full rank?"
         )
-    Y = _invert_spd(build_gram(A, R, perm))
+    X = build_gram(A, R, perm)
     after = A.counts()
-    return Preconditioner(
-        R=R,
-        perm=perm,
-        Y=Y,
-        l=l,
-        m=m,
-        n=n,
-        build_apply_counts=(after[0] - before[0], after[1] - before[1]),
-    )
+    return Preconditioner._of_gram(R, perm, X, l, m, n, (after[0] - before[0], after[1] - before[1]))

@@ -3,14 +3,21 @@
 The randomized path applies seven cheap steps per vector: one apply of A,
 the adjoint permuted solve P^-1 (a permutation and a triangular solve), one
 small matvec with Y, the permuted solve (P*)^-1 (a triangular solve and a
-permutation), and one apply of A*.  Both permuted solves are methods of
-`pre.factor`, the `dense_core.PermutedFactor` that owns R, perm and the
-inverses of R's diagonal blocks, taken once at construction (a
-partitioned inverse, never an inverse of R or of anything Gram-like), so
-no projection calls LAPACK.  Each triangular solve is one BLAS product
-per 64 rows with the factor's fused steps, which both solves share: the
-first projection builds them and every later one reuses them
-(`dense_core` says how).
+permutation), and one apply of A*.  Steps 2-6 run as two triangular
+solves with one factor, the chain's U Pi: Y = L^-* L^-1 for the Cholesky
+factor L of the preconditioned Gram matrix, so with U = L* R,
+(P*)^-1 Y P^-1 = (U Pi)^-1 (U Pi)^-*, the adjoint solve with U Pi (a
+gather and forward substitution) followed by its solve (back
+substitution and a scatter), with no m-by-m matvec.  A A* is never
+formed and cond(U) = cond(A), not its square: these are the seminormal
+equations with the R factor of A* that a randomized Cholesky-QR gives.
+The build forms U; the chain's `dense_core.PermutedFactor` owns U, perm
+and the inverses of U's diagonal blocks (a partitioned inverse, never an
+inverse of U or of anything Gram-like), so no projection calls LAPACK.
+Each triangular solve is one BLAS product per 64 rows with the factor's
+fused steps, which both solves share: the first projection builds them
+and every later one reuses them (`dense_core` says how).  `pre.factor`,
+R's own factor, is what `diagnostics.measured_condition` solves through.
 The classical normal-equations path is kept as a baseline: it factors
 A A* with LAPACK's unpivoted Householder QR, squares the condition
 number and loses accuracy exactly the way the benchmark tables show.
@@ -55,8 +62,9 @@ def _check_vector(b, n, name="b"):
 
 
 def _solve_chain(pre, c):
-    """Steps 2-6: h = (P*)^-1 Y P^-1 c for c = A b, each factor applied on its own."""
-    return pre.factor.solve(pre.Y @ pre.factor.solve_adjoint(c))
+    """Steps 2-6: h = (P*)^-1 Y P^-1 c for c = A b, as the two solves of U Pi."""
+    f = pre._chain_factor()
+    return f.solve(f.solve_adjoint(c))
 
 
 def project(pre, A, b):
@@ -83,7 +91,7 @@ def refine_lstsq(pre, A, b, h, iterations=1):
     """Iteratively refine a least-squares solution h.
 
     Each iteration feeds the residual b - A* h back through the solve
-    chain and adds the correction, reusing the already-built (R, perm, Y);
+    chain and adds the correction, reusing the chain's factor U Pi;
     per-iteration cost is one apply of A plus one of A*.
     """
     _check_pair(pre, A)

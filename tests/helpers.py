@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 
-from nullproj import LinearOperator, Preconditioner, densify
+from nullproj import LinearOperator, Preconditioner, densify, svd_dense
 
 FAKE_SHAPE = (4, 8)  # (m, n) of the fakes
 
@@ -62,6 +62,30 @@ def oracle_null_projection(Vh, b):
 def oracle_lstsq(U, s, Vh, b):
     """Minimizer of ||A* h - b|| via the pseudoinverse of A*."""
     return U @ ((Vh @ b) / s)
+
+
+def backward_error_lstsq(A, h, b):
+    """Normwise backward error of h as a solution of min ||A* h - b||, over ||A||_F.
+
+    The smallest ||E||_F / ||A||_F for which h solves min ||(A* + E) h - b||
+    exactly, with b not perturbed: min(phi, sigma_min(M)) over ||A||_F, for
+    M = [A*, phi (I - r r^+)], r = b - A* h and phi = ||r|| / ||h|| (Walden,
+    Karlson and Sun, NLAA 1995; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 20.7).  M M* maps the span of A*'s columns
+    and r into itself and is phi^2 on the rest, so sigma_min(M) is phi or
+    sigma_min(Q* M) for an orthonormal basis Q of that span: an SVD of
+    (m+1)-by-(m+n), not n-by-(m+n).  `densify` and `svd_dense` refuse
+    matrices above `ORACLE_CAP` entries.
+    """
+    Ad = densify(A)
+    r = b - Ad.T @ h
+    rr = r @ r
+    if rr == 0.0:
+        return 0.0
+    phi = np.sqrt(rr) / np.linalg.norm(h)
+    Q = np.linalg.qr(np.column_stack([Ad.T, r]))[0]
+    QM = np.hstack([Q.T @ Ad.T, phi * (Q.T - np.outer(Q.T @ r, r) / rr)])
+    return min(phi, svd_dense(QM)[0][-1]) / np.linalg.norm(Ad)
 
 
 def unit_vectors(n, count, seed):

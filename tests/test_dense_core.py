@@ -514,18 +514,33 @@ def test_public_solves_leave_their_inputs_alone(solve, cols):
 
 
 def test_permuted_factor_holds_its_arrays_and_leaves_d_alone():
-    # no copy of R or perm; solve_adjoint gathers d[perm] and solves on that
+    # no copy of R, its own copy of perm; solve_adjoint gathers d[perm] and solves on that
     m = 70
     rng = np.random.default_rng(5002)
     R = read_only(np.linalg.qr(rng.standard_normal((m, m)))[1])
     perm = read_only(rng.permutation(m))
     factor = PermutedFactor(R, perm)
-    assert factor.R is R and factor.perm is perm
+    assert factor.R is R and factor.perm is not perm and np.array_equal(factor.perm, perm)
     d = read_only(rng.standard_normal((m, 3)))
     kept = d.copy()
     ref = np.linalg.solve(R[:, np.argsort(perm)].T, d)  # M* e = d
     assert np.linalg.norm(factor.solve_adjoint(d) - ref) <= 1e-11 * np.linalg.norm(ref)
     assert np.array_equal(d, kept)
+
+
+def test_permuted_factor_survives_an_edit_of_the_callers_perm():
+    # the factor checked the permutation it keeps, so the caller's array,
+    # even an intp one, is copied: editing it afterwards changes no solve
+    m = 70
+    rng = np.random.default_rng(5004)
+    R = np.linalg.qr(rng.standard_normal((m, m)))[1]
+    perm = rng.permutation(m).astype(np.intp)
+    factor = PermutedFactor(R, perm)
+    y = rng.standard_normal(m)
+    before = factor.solve(y), factor.solve_adjoint(y)
+    perm[:] = 0
+    assert np.array_equal(factor.solve(y), before[0])
+    assert np.array_equal(factor.solve_adjoint(y), before[1])
 
 
 @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])

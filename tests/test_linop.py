@@ -15,6 +15,7 @@ from nullproj import (
     MatrixOperator,
     SizeCapError,
     SparseTestMatrix,
+    TripletMatrix,
     UniformLaggedFibonacci,
     build_preconditioner,
     densify,
@@ -193,6 +194,25 @@ def test_sparse_adjoint_survives_an_edit_of_the_callers_row_permutation():
     rng = np.random.default_rng(7)
     x, y = rng.standard_normal(8), rng.standard_normal(4)
     assert abs(np.dot(A.apply(x), y) - np.dot(x, A.apply_adjoint(y))) <= 1e-12
+
+
+def test_sparse_test_matrix_keeps_its_own_column_permutation():
+    # an intp col_perm is copied too, so A.col_perm keeps describing A
+    cp = np.array([3, 1, 7, 5, 0, 2, 6, 4], dtype=np.intp)
+    A = SparseTestMatrix(1.0, range(4), cp)
+    dense = densify(A)
+    cp[:] = cp[::-1]
+    assert A.col_perm is not cp
+    assert np.array_equal(A.col_perm, [3, 1, 7, 5, 0, 2, 6, 4])
+    assert np.array_equal(densify(A), dense)
+
+
+def test_triplet_matrix_keeps_its_own_index_arrays():
+    rows, cols = np.array([0, 1, 1], dtype=np.intp), np.array([2, 0, 1], dtype=np.intp)
+    A = TripletMatrix(2, 3, rows, cols, [1.0, 2.0, 3.0])
+    dense = densify(A)
+    rows[:], cols[:] = 0, 0
+    assert np.array_equal(densify(A), dense)
 
 
 def test_linearity():

@@ -5,6 +5,7 @@ from nullproj import (
     ConfigurationError,
     DimensionError,
     DomainError,
+    FactorizationError,
     GaussianStream,
     LinearOperator,
     MatrixOperator,
@@ -22,12 +23,14 @@ from nullproj import (
     measured_condition,
     project,
     qr_pivoted,
+    solve_lstsq,
 )
 from nullproj import dense_core, precond
 from nullproj.dense_core import PermutedFactor, invert_diagonal_blocks
 from nullproj.precond import SKETCH_ATTEMPTS
+from nullproj.projector import _solve_chain
 
-from helpers import traced_peak
+from helpers import Returns, identity_preconditioner, traced_peak
 
 
 def perm_matrix(perm):
@@ -304,6 +307,75 @@ def test_preconditioner_derives_read_only_block_inverses_of_r():
     # a float32 R is converted once, and that one array is shared and read-only
     narrow = Preconditioner(**{**fields, "R": pre.R.astype(np.float32)})
     assert narrow.factor.R is narrow.R and not narrow.R.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "Y",
+    [np.diag([1.0, 1.0, -1.0, 1.0]), np.diag([1.0, 0.0, 1.0, 1.0]), np.eye(4) + np.eye(4)[::-1]],
+    ids=["negative", "singular", "indefinite"],
+)
+def test_a_y_that_is_not_positive_definite_is_refused_at_the_first_projection(Y):
+    # a finite Y passes construction; the chain's factor needs the Cholesky
+    # factor of Y^-1, so the first projection raises where it would project garbage
+    pre = identity_preconditioner(Y)
+    A = Returns()
+    for call in (lambda: project(pre, A, np.ones(8)), lambda: solve_lstsq(pre, A, np.ones(8))):
+        with pytest.raises(FactorizationError, match="^Y must be positive definite: matrix of size 4"):
+            call()
+    assert pre._chain is None
+
+
+def test_a_y_that_is_not_symmetric_is_refused_at_the_first_projection():
+    # U is formed from Y^-1's lower triangle, so a Y with another upper
+    # triangle would project as a different matrix; a build's Y with its
+    # strict lower triangle tripled is refused instead
+    A = make_sparse_test(40, 400, 1e4, 7)
+    pre = build_preconditioner(A, 44, UniformLaggedFibonacci(8))
+    Y = pre.Y + 2 * np.tril(pre.Y, -1)
+    skewed = Preconditioner(R=pre.R, perm=pre.perm, Y=Y, l=44, m=40, n=400, build_apply_counts=(84, 40))
+    for call in (lambda: project(skewed, A, np.ones(400)), lambda: solve_lstsq(skewed, A, np.ones(400))):
+        with pytest.raises(DomainError, match="^Y must be symmetric, got Y != Y.T$"):
+            call()
+
+
+def test_a_build_holds_u_in_place_of_y():
+    # the build forms U over its Gram matrix and never forms Y; pre.Y is the
+    # Y the chain applies, (R U^-1)(R U^-1)*, computed at each read
+    A = make_sparse_test(40, 400, 1e4, 7)
+    pre = build_preconditioner(A, 44, UniformLaggedFibonacci(8))
+    assert pre._Y is None and not pre._chain.R.flags.writeable
+    Y = pre.Y
+    assert Y is not pre.Y and np.array_equal(Y, pre.Y)
+    assert np.array_equal(Y, Y.T) and not Y.flags.writeable
+    c = np.random.default_rng(9).standard_normal(40)
+    h = _solve_chain(pre, c)
+    assert np.linalg.norm(pre.factor.solve(Y @ pre.factor.solve_adjoint(c)) - h) <= 1e-11 * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12])
+@pytest.mark.parametrize("family", [make_sparse_test, make_dense_test], ids=["sparse", "dense"])
+def test_the_chain_factor_is_a_triangular_root_of_a_a_star(family, kappa):
+    # U Pi = L* R Pi with X = L L*, so (U Pi)* (U Pi) = A A*: U has A's
+    # singular values, cond(U) = kappa, not its square, and A A* is never
+    # formed.  A preconditioner made from the build's Y forms the same U.
+    m, n = 70, 700
+    A = family(m, n, kappa, 33)
+    pre = build_preconditioner(A, m + 4, UniformLaggedFibonacci(34))
+    chain = pre._chain_factor()
+    assert chain is pre._chain_factor() and chain is not pre.factor
+    U = chain.R
+    assert not np.tril(U, -1).any()  # exact zeros below the diagonal
+    assert np.array_equal(chain.perm, pre.perm)
+    UP = U[:, np.argsort(pre.perm)]  # U Pi as a matrix
+    Ad = densify(A)
+    AAt = Ad @ Ad.T
+    assert np.linalg.norm(UP.T @ UP - AAt) <= 1e-13 * np.linalg.norm(AAt)  # 7.6e-16 measured
+    s, su = np.linalg.svd(Ad, compute_uv=False), np.linalg.svd(U, compute_uv=False)
+    eps = np.finfo(float).eps
+    assert (np.abs(su - s) <= 100 * kappa * eps * s).all()  # 0.75 kappa eps measured
+    made = Preconditioner(R=pre.R, perm=pre.perm, Y=pre.Y, l=m + 4, m=m, n=n, build_apply_counts=(0, 0))
+    assert made._chain is None
+    assert np.linalg.norm(made._chain_factor().R - U) <= 1e-13 * np.linalg.norm(U)  # 1.7e-15 measured
 
 
 def test_preconditioner_converts_nested_lists():
@@ -600,9 +672,10 @@ def test_build_gram_is_importable_from_the_root_and_precond():
     ids=["project", "measured_condition"],
 )
 def test_a_fresh_build_holds_no_fused_steps_until_its_first_solve(first_use, monkeypatch):
-    # the build sweeps in its own Gram array and never solves through
-    # pre.factor, so the factor's steps wait for the first projection, or
-    # for measured_condition's matrix solve, which builds them once
+    # the build sweeps in its own Gram array and never solves through a
+    # factor, so no steps exist until the first projection builds those of
+    # the chain's factor, or measured_condition those of R's; each factor
+    # builds its steps once, whatever order the two come in
     built = []
     fused_steps = dense_core._fused_steps
 
@@ -613,10 +686,18 @@ def test_a_fresh_build_holds_no_fused_steps_until_its_first_solve(first_use, mon
     monkeypatch.setattr(dense_core, "_fused_steps", counting)
     A = make_sparse_test(40, 400, 1e4, seed=30)
     pre = build_preconditioner(A, 44, UniformLaggedFibonacci(31))
-    assert pre.factor._fused is None and built == []
+    assert pre.factor._fused is None and pre._chain._fused is None and built == []
     first_use(pre, A)
     assert built == [40]
-    steps = pre.factor._fused
+    first_use(pre, A)
+    assert built == [40]
+    project(pre, A, np.ones(400))
+    measured_condition(pre, A)
+    assert built == [40, 40]
+    factors = (pre.factor, pre._chain)
+    steps = [f._fused for f in factors]
     first_use(pre, A)
     project(pre, A, np.ones(400))
-    assert built == [40] and pre.factor._fused is steps
+    measured_condition(pre, A)
+    assert built == [40, 40]
+    assert all(f._fused is s for f, s in zip(factors, steps)) and None not in steps
