@@ -393,9 +393,8 @@ class PermutedFactor:
     (under a lock, so concurrent first solves build them once), and the
     factor keeps them.  A build never solves through its factor:
     `build_gram` runs the block sweep of `_substitute` in place on its own
-    array, so a fresh preconditioner's factors hold no steps until its
-    first projection, which builds those of the chain's factor U Pi, or
-    until `measured_condition`, which builds those of R's.
+    array, so a fresh preconditioner's one factor, the chain's U Pi,
+    holds no steps until its first projection builds them.
     """
 
     def __init__(self, R, perm):

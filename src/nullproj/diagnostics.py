@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_core import svd_dense
+from .dense_core import PermutedFactor, svd_dense
 from .errors import DomainError, as_index, as_real_number
 from .linop import densify
 from .projector import _check_pair
@@ -98,14 +98,13 @@ def cond_bound(l, alpha, beta):
 def measured_condition(pre, A):
     """Actual condition number of the preconditioned operator, via the SVD oracle.
 
-    Densifies A (at most `dense_core.ORACLE_CAP` entries), forms P^-1 A with
-    `pre.factor.solve_adjoint`, which leaves the dense copy of A alone,
-    and returns sigma_max / sigma_min.  The solve runs on the factor's
-    fused steps, so it builds them on `pre.factor`, as a first
-    projection would, and later projections reuse them.
+    Densifies A (at most `dense_core.ORACLE_CAP` entries), forms P^-1 A
+    with `PermutedFactor(pre.R, pre.perm).solve_adjoint`, which leaves the
+    dense copy of A alone, and returns sigma_max / sigma_min.  The oracle
+    pays for R's factor at each call: a preconditioner holds only U's.
     """
     _check_pair(pre, A)
-    preconditioned = pre.factor.solve_adjoint(densify(A))
+    preconditioned = PermutedFactor(pre.R, pre.perm).solve_adjoint(densify(A))
     return svd_dense(preconditioned)[1]
 
 

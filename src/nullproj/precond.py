@@ -34,7 +34,7 @@ peaks.
 """
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .errors import RankDeficientSketchError, all_finite, as_index, as_real, che
 SKETCH_ATTEMPTS = 3  # sketches a build tries before it reports a rank-deficient operator
 
 
-@dataclass(init=False)
+@dataclass(init=False, eq=False)
 class Preconditioner:
     """Everything needed to project after one randomized setup.
 
@@ -56,16 +56,14 @@ class Preconditioner:
     Construction takes `l`, `m` and `n` as Python ints with m <= l <= n,
     converts `R` and `Y` to float arrays (a float ndarray is not copied; a
     complex one raises `DomainError`), checks their shapes and that `Y` is
-    finite, then derives `factor`, the `dense_core.PermutedFactor` of `R`
-    and `perm`.  The factor holds `R` without a copy and its own copy of
-    `perm`, which this object then keeps as its `perm`, and checks them: a
-    `perm` that is not an integer permutation raises `ConfigurationError`,
-    a NaN or infinite entry of `R` `DomainError` and a zero on R's
-    diagonal `SingularFactorError`.  It inverts R's diagonal blocks once.
+    finite, and checks `R` and `perm` through their
+    `dense_core.PermutedFactor`, keeping only its copy of `perm`: a `perm`
+    that is not an integer permutation raises `ConfigurationError`, a NaN
+    or infinite entry of `R` `DomainError` and a zero on R's diagonal
+    `SingularFactorError`.
 
-    `factor` is R's factor, and `diagnostics.measured_condition` forms
-    P^-1 A through it.  Projections solve through a second factor, U Pi
-    with U = L* R for the Cholesky factor L of X = Y^-1, so that
+    The one factor held is the chain's, U Pi with U = L* R for the
+    Cholesky factor L of X = Y^-1, so that every projection's
     (P*)^-1 Y P^-1 = (U Pi)^-1 (U Pi)^-*: two triangular solves and no
     m-by-m matvec.  `build_preconditioner` forms U over its Gram matrix
     and never forms Y, so its `Y` is read back as (R U^-1)(R U^-1)*, the Y
@@ -74,13 +72,14 @@ class Preconditioner:
     and forms U from Y^-1 at its first projection, which raises
     `DomainError` for a `Y` that is not exactly symmetric and
     `FactorizationError` for one that is not numerically positive definite.
+    R's factor is formed only by `diagnostics.measured_condition`.
 
-    Instances are immutable (the arrays are marked read-only) and safe to
-    share across threads; what changes is each factor's cache of fused
-    solve steps, built at its first solve, and the chain's factor of a
-    preconditioner made from a `Y`, formed at its first projection.  Each
-    is built under a lock, so concurrent first projections build it once.
-    No projection of a build makes a LAPACK call.
+    Instances compare and hash by identity, are immutable (the arrays are
+    read-only) and are safe to share across threads; what changes is the
+    chain factor's cache of fused solve steps, built at its first solve,
+    and the chain's factor of a preconditioner made from a `Y`, formed at
+    its first projection.  Each is built under a lock, so concurrent first
+    projections build it once.  No projection of a build calls LAPACK.
     """
 
     R: np.ndarray
@@ -90,10 +89,9 @@ class Preconditioner:
     m: int
     n: int
     build_apply_counts: tuple
-    factor: PermutedFactor = field(init=False, repr=False)
 
     def __init__(self, R, perm, Y, l, m, n, build_apply_counts):
-        self._hold(R, perm, l, m, n, build_apply_counts)
+        self._hold(R, perm, l, m, n, build_apply_counts)  # R's factor checks R and perm, and goes
         self._Y = as_real(Y, "Y")
         if self._Y.shape != (self.m, self.m):
             raise DimensionError(f"Y must be {self.m}x{self.m}, got shape {self._Y.shape}")
@@ -106,26 +104,25 @@ class Preconditioner:
     @classmethod
     def _of_gram(cls, R, perm, X, l, m, n, build_apply_counts):
         """The preconditioner of a build: U formed over its Gram matrix X, and no Y held."""
-        U = _chain_upper(X, R)  # first, so its block temporaries never meet R's block inverses
         pre = cls.__new__(cls)
-        pre._hold(R, perm, l, m, n, build_apply_counts)
+        pre._chain = pre._hold(R, perm, l, m, n, build_apply_counts, X)
         pre._Y = None
-        pre._chain = PermutedFactor(U, pre.perm)
-        U.setflags(write=False)
         return pre
 
-    def _hold(self, R, perm, l, m, n, build_apply_counts):
+    def _hold(self, R, perm, l, m, n, build_apply_counts, X=None):
+        """Check and keep the fields; returns the `PermutedFactor` that checked R and perm,
+        R's or, given a build's Gram matrix X, the chain's (U's diagonal is zero where R's is)."""
         self.m, self.n = as_index(m, "m"), as_index(n, "n")
         self.l = _check_sketch_width(l, self.m, self.n)
         self.R = as_real(R, "R")
         if self.R.shape != (self.m, self.m):
             raise DimensionError(f"R must be {self.m}x{self.m}, got shape {self.R.shape}")
         self.build_apply_counts = build_apply_counts
-        self.factor = PermutedFactor(self.R, perm)
-        # the factor holds this R and copies perm once; both then hold those arrays
-        self.perm = self.factor.perm
-        self.R.setflags(write=False)
-        self.perm.setflags(write=False)
+        factor = PermutedFactor(self.R if X is None else _chain_upper(X, self.R), perm)
+        self.perm = factor.perm
+        for held in (self.R, self.perm, factor.R):
+            held.setflags(write=False)
+        return factor
 
     @property
     def Y(self):

@@ -11,13 +11,15 @@ gather and forward substitution) followed by its solve (back
 substitution and a scatter), with no m-by-m matvec.  A A* is never
 formed and cond(U) = cond(A), not its square: these are the seminormal
 equations with the R factor of A* that a randomized Cholesky-QR gives.
-The build forms U; the chain's `dense_core.PermutedFactor` owns U, perm
-and the inverses of U's diagonal blocks (a partitioned inverse, never an
-inverse of U or of anything Gram-like), so no projection calls LAPACK.
-Each triangular solve is one BLAS product per 64 rows with the factor's
+The build forms U; the chain's `dense_core.PermutedFactor`, the one
+factor a preconditioner holds, owns U, perm and the inverses of U's
+diagonal blocks (a partitioned inverse, never an inverse of U or of
+anything Gram-like), so no projection of a build calls LAPACK; one made
+by hand from a `Y` factors Y^-1 at its first projection.  Each
+triangular solve is one BLAS product per 64 rows with the factor's
 fused steps, which both solves share: the first projection builds them
-and every later one reuses them (`dense_core` says how).  `pre.factor`,
-R's own factor, is what `diagnostics.measured_condition` solves through.
+and every later one reuses them (`dense_core` says how).  Only
+`diagnostics.measured_condition` forms R's own factor.
 The classical normal-equations path is kept as a baseline: it factors
 A A* with LAPACK's unpivoted Householder QR, squares the condition
 number and loses accuracy exactly the way the benchmark tables show.

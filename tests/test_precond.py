@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from nullproj.dense_core import PermutedFactor, invert_diagonal_blocks
 from nullproj.precond import SKETCH_ATTEMPTS
 from nullproj.projector import _solve_chain
 
-from helpers import Returns, identity_preconditioner, traced_peak
+from helpers import Returns, count_lapack_solves, identity_preconditioner, traced_peak
 
 
 def perm_matrix(perm):
@@ -292,21 +294,47 @@ def test_preconditioner_refuses_a_nonfinite_array(name, bad):
         Preconditioner(**fields)
 
 
-def test_preconditioner_derives_read_only_block_inverses_of_r():
+def test_preconditioner_holds_read_only_arrays_and_one_factor():
     A = make_sparse_test(40, 160, 1e4, seed=2)
     pre = build_preconditioner(A, 44, UniformLaggedFibonacci(3))
-    # the factor holds the preconditioner's own arrays, not copies
-    assert pre.factor.R is pre.R and pre.factor.perm is pre.perm
-    assert np.array_equal(pre.factor.block_inverses, invert_diagonal_blocks(pre.R))
+    # a build holds one factor, the chain's, which shares the preconditioner's
+    # perm; R's factor is not held
+    chain = pre._chain
+    assert chain.perm is pre.perm and not hasattr(pre, "factor")
+    assert np.array_equal(chain.block_inverses, invert_diagonal_blocks(chain.R))
+    assert not any(a.flags.writeable for a in (pre.R, pre.perm, chain.R, chain.block_inverses))
     with pytest.raises(ValueError):
-        pre.factor.block_inverses[0, 0] = 1.0
-    # derived from R on every construction, never passed in
+        chain.block_inverses[0, 0] = 1.0
+    # a factor is derived, never passed in
     fields = dict(R=pre.R, perm=pre.perm, Y=pre.Y, l=44, m=40, n=160, build_apply_counts=(84, 40))
     with pytest.raises(TypeError):
         Preconditioner(**fields, factor=PermutedFactor(pre.R, pre.perm))
-    # a float32 R is converted once, and that one array is shared and read-only
+    # a float R is held as it was passed, a float32 R is converted once, and both are read-only
+    made = Preconditioner(**fields)
+    assert made.R is pre.R and made.perm is not pre.perm and np.array_equal(made.perm, pre.perm)
     narrow = Preconditioner(**{**fields, "R": pre.R.astype(np.float32)})
-    assert narrow.factor.R is narrow.R and not narrow.R.flags.writeable
+    assert narrow.R.dtype == float and not narrow.R.flags.writeable and not narrow.perm.flags.writeable
+
+
+@pytest.mark.parametrize("m", [100, 400])
+def test_a_build_inverts_the_diagonal_blocks_of_four_factors(m):
+    # R's twice, in the Gram build, then L's in its Cholesky factor and U's
+    # in the chain's factor; R's factor is not made again for the result
+    A = make_sparse_test(m, 4 * m, 1e4, seed=5)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_lapack_solves(patch)
+        build_preconditioner(A, m + 4, UniformLaggedFibonacci(6))
+    assert len(calls) == 4 * -(-m // 32)
+
+
+def test_preconditioners_compare_and_hash_by_identity():
+    # Y is computed at each read, so field-wise equality would compare two
+    # fresh arrays; a preconditioner equals itself only
+    A = make_sparse_test(8, 32, 100.0, seed=2)
+    pre = build_preconditioner(A, 12, UniformLaggedFibonacci(3))
+    twin = replace(pre)
+    assert pre == pre and pre != twin and {pre: 1}[pre] == 1 and hash(pre) != hash(twin)
+    assert twin.R is pre.R and np.array_equal(twin.perm, pre.perm) and np.array_equal(twin.Y, pre.Y)
 
 
 @pytest.mark.parametrize(
@@ -349,7 +377,8 @@ def test_a_build_holds_u_in_place_of_y():
     assert np.array_equal(Y, Y.T) and not Y.flags.writeable
     c = np.random.default_rng(9).standard_normal(40)
     h = _solve_chain(pre, c)
-    assert np.linalg.norm(pre.factor.solve(Y @ pre.factor.solve_adjoint(c)) - h) <= 1e-11 * np.linalg.norm(h)
+    f = PermutedFactor(pre.R, pre.perm)
+    assert np.linalg.norm(f.solve(Y @ f.solve_adjoint(c)) - h) <= 1e-11 * np.linalg.norm(h)
 
 
 @pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12])
@@ -362,7 +391,7 @@ def test_the_chain_factor_is_a_triangular_root_of_a_a_star(family, kappa):
     A = family(m, n, kappa, 33)
     pre = build_preconditioner(A, m + 4, UniformLaggedFibonacci(34))
     chain = pre._chain_factor()
-    assert chain is pre._chain_factor() and chain is not pre.factor
+    assert chain is pre._chain_factor() is pre._chain
     U = chain.R
     assert not np.tril(U, -1).any()  # exact zeros below the diagonal
     assert np.array_equal(chain.perm, pre.perm)
@@ -382,7 +411,7 @@ def test_preconditioner_converts_nested_lists():
     # A = [3 4] has A A* = 25, so R = [5] gives X = 1 and Y = [1]
     fields = dict(R=[[5.0]], perm=[0], Y=[[1.0]], l=1, m=1, n=2, build_apply_counts=(0, 0))
     pre = Preconditioner(**fields)
-    assert pre.R.dtype == pre.Y.dtype == float and pre.factor.R is pre.R
+    assert pre.R.dtype == pre.Y.dtype == float and pre.perm.dtype == np.intp
     res = project(pre, MatrixOperator(np.array([[3.0, 4.0]])), np.array([1.0, 0.0]))
     np.testing.assert_allclose(res.row_projection, [0.36, 0.48], rtol=1e-14)
     np.testing.assert_allclose(res.lstsq_solution, [0.12], rtol=1e-14)
@@ -667,37 +696,37 @@ def test_build_gram_is_importable_from_the_root_and_precond():
 
 
 @pytest.mark.parametrize(
-    "first_use",
-    [lambda pre, A: project(pre, A, np.ones(400)), measured_condition],
+    "first_use, built_by_two",
+    [(lambda pre, A: project(pre, A, np.ones(400)), ["U"]), (measured_condition, ["R", "R"])],
     ids=["project", "measured_condition"],
 )
-def test_a_fresh_build_holds_no_fused_steps_until_its_first_solve(first_use, monkeypatch):
+def test_a_fresh_build_holds_no_fused_steps_until_its_first_solve(first_use, built_by_two, monkeypatch):
     # the build sweeps in its own Gram array and never solves through a
     # factor, so no steps exist until the first projection builds those of
-    # the chain's factor, or measured_condition those of R's; each factor
-    # builds its steps once, whatever order the two come in
+    # the chain's factor U Pi, once, whatever order calls come in;
+    # measured_condition forms R's factor for its one solve, so it builds
+    # that factor's steps at each call and leaves the chain's alone
     built = []
     fused_steps = dense_core._fused_steps
 
     def counting(R, inv):
-        built.append(R.shape[0])
+        built.append(R)
         return fused_steps(R, inv)
 
     monkeypatch.setattr(dense_core, "_fused_steps", counting)
     A = make_sparse_test(40, 400, 1e4, seed=30)
     pre = build_preconditioner(A, 44, UniformLaggedFibonacci(31))
-    assert pre.factor._fused is None and pre._chain._fused is None and built == []
+
+    def names():
+        return ["U" if R is pre._chain.R else "R" for R in built]
+
+    assert pre._chain._fused is None and built == []
     first_use(pre, A)
-    assert built == [40]
     first_use(pre, A)
-    assert built == [40]
+    assert names() == built_by_two
+    project(pre, A, np.ones(400))
+    steps = pre._chain._fused
     project(pre, A, np.ones(400))
     measured_condition(pre, A)
-    assert built == [40, 40]
-    factors = (pre.factor, pre._chain)
-    steps = [f._fused for f in factors]
-    first_use(pre, A)
-    project(pre, A, np.ones(400))
-    measured_condition(pre, A)
-    assert built == [40, 40]
-    assert all(f._fused is s for f, s in zip(factors, steps)) and None not in steps
+    assert steps is not None and pre._chain._fused is steps
+    assert names().count("U") == 1 and names()[-1] == "R"

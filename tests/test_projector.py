@@ -7,6 +7,7 @@ from nullproj import (
     DimensionError,
     DomainError,
     MatrixOperator,
+    Preconditioner,
     SingularFactorError,
     UniformLaggedFibonacci,
     build_preconditioner,
@@ -21,7 +22,7 @@ from nullproj import (
     solve_upper,
     solve_upper_adjoint,
 )
-from nullproj import dense_core
+from nullproj import dense_core, precond
 from nullproj.projector import _solve_chain
 
 from helpers import (
@@ -365,14 +366,44 @@ def test_concurrent_projections_share_one_preconditioner():
     assert (after[0] - before[0], after[1] - before[1]) == (len(bs), len(bs))
 
 
+def project_all_at_once(pre, A, bs):
+    """Project each of bs on its own thread, all released at once with a
+    switch interval of 1 us, so that the threads meet in a first projection."""
+    import sys
+    import threading
+
+    results = [None] * len(bs)
+    start = threading.Barrier(len(bs))
+
+    def worker(i):
+        start.wait(timeout=30)
+        results[i] = project(pre, A, bs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(bs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def assert_bitwise_equal(results, serial):
+    for got, want in zip(results, serial):
+        for field in ("row_projection", "null_projection", "lstsq_solution"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
 def test_concurrent_first_projections_match_serial_ones_bitwise(monkeypatch):
     # The first vector solve in each direction builds the chain factor's
     # fused steps.  Threads that all reach it at once, on a fresh
     # preconditioner, must each get what a serial caller of an identical
     # build gets, and the steps are built once per preconditioner.
-    import sys
-    import threading
-
     built = []
     fused_steps = dense_core._fused_steps
 
@@ -386,36 +417,39 @@ def test_concurrent_first_projections_match_serial_ones_bitwise(monkeypatch):
     rng = np.random.default_rng(63)
     bs = [rng.standard_normal(1000) for _ in range(8)]
     serial = [project(twin, A, b) for b in bs]
-
-    results = [None] * len(bs)
-    start = threading.Barrier(len(bs))
-
-    def worker(i):
-        start.wait(timeout=30)
-        results[i] = project(fresh, A, bs[i])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(bs))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for got, want in zip(results, serial):
-        for field in ("row_projection", "null_projection", "lstsq_solution"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert_bitwise_equal(project_all_at_once(fresh, A, bs), serial)
     assert built == [100, 100]  # one for the serial twin, one for the shared build
-    assert fresh._chain_factor()._fused is not None and fresh.factor._fused is None
+    assert fresh._chain._fused is not None
+
+
+def test_concurrent_first_projections_of_a_preconditioner_made_from_y_factor_it_once(monkeypatch):
+    # A preconditioner made from a Y forms the chain's U at its first
+    # projection, under its own lock; threads that all reach that projection
+    # at once form U once and get what a serial twin made from the same
+    # fields gets
+    factored = []
+    chain_upper = precond._chain_upper
+
+    def counting(X, R):
+        factored.append(X.shape[0])
+        return chain_upper(X, R)
+
+    A, pre = build_pair(100, 1000, 1e8, seed=64)
+    fields = dict(R=pre.R, perm=pre.perm, Y=pre.Y, l=104, m=100, n=1000, build_apply_counts=(0, 0))
+    twin, fresh = Preconditioner(**fields), Preconditioner(**fields)
+    rng = np.random.default_rng(65)
+    bs = [rng.standard_normal(1000) for _ in range(8)]
+    serial = [project(twin, A, b) for b in bs]
+    monkeypatch.setattr(precond, "_chain_upper", counting)
+    assert_bitwise_equal(project_all_at_once(fresh, A, bs), serial)
+    assert factored == [100] and fresh._chain is fresh._chain_factor()
 
 
 def test_projections_after_a_build_make_no_lapack_solve(monkeypatch):
-    # The build inverts the diagonal blocks of R and of the chain's U once;
-    # every solve after that is BLAS products only, on both the randomized
-    # and classical paths, and no projection factors anything
+    # The build inverts the diagonal blocks of the chain's U once; every
+    # solve after that is BLAS products only, on both the randomized and
+    # classical paths, and no projection factors anything.  measured_condition
+    # forms R's factor, which inverts R's diagonal blocks at each call.
     A, pre = build_pair(100, 1000, 1e8, seed=70)
     classical = ClassicalProjector(A)
     b = np.random.default_rng(71).standard_normal(1000)
@@ -431,8 +465,9 @@ def test_projections_after_a_build_make_no_lapack_solve(monkeypatch):
     project(pre, A, b)
     refine_lstsq(pre, A, b, solve_lstsq(pre, A, b), 2)
     classical.project(b)
-    measured_condition(pre, A)
     assert calls == [] and factorizations == []
+    measured_condition(pre, A)
+    assert calls == [32, 32, 32, 4] and factorizations == []
 
 
 @pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12])
