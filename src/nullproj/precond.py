@@ -34,7 +34,7 @@ peaks.
 """
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,9 +82,10 @@ class Preconditioner:
     projections build it once.  No projection of a build calls LAPACK.
     """
 
-    R: np.ndarray
-    perm: np.ndarray
-    Y: np.ndarray
+    # R, perm and Y are left out of the repr, which would print m-by-m
+    # arrays and, for a build, compute Y
+    R: np.ndarray = field(repr=False)
+    perm: np.ndarray = field(repr=False)
     l: int
     m: int
     n: int
@@ -124,8 +125,7 @@ class Preconditioner:
             held.setflags(write=False)
         return factor
 
-    @property
-    def Y(self):
+    def _read_y(self):
         """The `Y` this was made from, or for a build the Y its chain applies, computed at each read."""
         if self._Y is not None:
             return self._Y
@@ -133,6 +133,10 @@ class Preconditioner:
         Y = T @ T.T  # numpy's symmetric product, so Y == Y.T exactly
         Y.setflags(write=False)
         return Y
+
+    # a field, so that `dataclasses.replace` passes Y on; its default keeps
+    # the property on the class
+    Y: np.ndarray = field(default=property(_read_y), repr=False)
 
     def _chain_factor(self):
         """The `PermutedFactor` of U Pi that every projection solves through."""

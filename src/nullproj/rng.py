@@ -22,20 +22,23 @@ rounds makes one copy into the column and one slide.  The residues mod 2^53
 2^64, is exact on them, and read as int64 they are the values times 2^63,
 which convert to floats exactly.  Each class but one names a single value
 in [-1, 1]; class 2^52 is +1 or -1, and those rare values (about one in
-2^53) get their sign from the scalar rule afterwards.  Each call writes
-one frame, the window and then the new values, so every operand is a
-slice of it.  The output is bitwise the value-at-a-time loop's, whatever
-column sizes are requested.
+2^53) get their sign from the scalar rule afterwards.  The lanes write
+straight into the column, which may be the caller's (`fill_column(n,
+out)`); a group of lanes starts from the 55 values before it, the
+stream's window or the end of the group before.  The output is bitwise
+the value-at-a-time loop's, whatever column sizes are requested.
 
-The Gaussian stream draws its uniforms in chunks of bounded size and
-transforms each chunk in place with array operations into a frame one
-slot longer than the request; its values are the same as those of the
+The Gaussian stream works in a frame one slot longer than the request.
+It draws each round of uniforms, the pairs its variates still owe, into
+the frame's free tail through its base's `out`, and transforms the round
+in place a bounded chunk at a time with array operations, writing the
+variates over the round's front; its values are the same as those of the
 one-pair-at-a-time polar method.
 """
 
 import numpy as np
 
-from .errors import as_index, checked_draw
+from .errors import ConfigurationError, DimensionError, as_index, checked_draw
 
 _MASK64 = (1 << 64) - 1
 
@@ -62,8 +65,8 @@ _SLIDE_ROWS = 2 * _ROWS
 # times 2^63, class 2^52 reading as -1
 _SCALE_OUT = 2.0**-63
 
-# most uniform pairs the Gaussian stream draws from its base stream at once;
-# bounds the stream's working memory whatever the column length
+# most uniform pairs the Gaussian stream transforms at once; bounds the
+# stream's working memory beyond its frame whatever the column length
 _CHUNK_PAIRS = 2048
 
 
@@ -169,42 +172,65 @@ class UniformLaggedFibonacci:
         self._window = np.array(window)
         self.fill_column(_WARMUP)
 
-    def fill_column(self, n):
-        """Return the next `n` stream values as a float array.
+    def fill_column(self, n, out=None):
+        """Return the next `n` stream values as a float array, written into `out` if given.
 
+        `out` must be a writeable, C-contiguous float64 ndarray of shape
+        (n,): a wrong shape raises `DimensionError`, anything else
+        `ConfigurationError`, and the state is untouched in either case.
         `n = 0` is accepted and returns an empty array; the state is
         untouched in that case.  A negative `n` raises `ConfigurationError`
         and leaves the state untouched.
         """
         n = as_index(n, "column length", least=0)
-        frame = np.empty(_LAG_LONG + n)
-        frame[:_LAG_LONG] = self._window
-        done = _LAG_LONG
-        while done < frame.size:
-            # fewest rounds (up to the cap) that fit the rest into _LANES lanes
-            blocks = -(-(frame.size - done) // _ROWS)
-            t = min(_MAX_ROUNDS_LOG2, (-(-blocks // _LANES) - 1).bit_length())
+        out = np.empty(n) if out is None else _checked_out(out, n)
+        window = self._window
+        done = 0
+        while done < n:
+            # fewest rounds (up to the cap) that fit the rest into _LANES
+            # lanes, but no more lanes than about the rounds in each: a lane
+            # costs a jump to its starting window and a round a step of all
+            # lanes, which take about the same time
+            blocks = -(-(n - done) // _ROWS)
+            fit = (-(-blocks // _LANES) - 1).bit_length()
+            t = min(_MAX_ROUNDS_LOG2, max((blocks.bit_length() - 1) // 2, fit))
             lanes = min(_LANES, -(-blocks >> t))
             size = lanes * (_ROWS << t)
-            _run_group(frame[done - _LAG_LONG : done], frame[done : done + size], t, lanes)
+            # a group after the first follows a whole group, far longer than a window
+            start = out[done - _LAG_LONG : done] if done else window
+            _run_group(start, out[done : done + size], t, lanes)
             done += size
-        out = frame[_LAG_LONG:]
         if out.min(initial=0.0) == -1.0:
-            _resolve_signs(frame)
-        # copied, so the window neither aliases the returned column nor keeps the frame alive
-        self._window = frame[-_LAG_LONG:].copy()
+            _resolve_signs(window, out)
+        # a new array: the window must not alias the column, which the caller owns
+        self._window = np.concatenate((window[n:], out[-_LAG_LONG:]))
         return out
 
 
-def _resolve_signs(frame):
-    """Replace each -1 that `_run_group` wrote for class 2^52 past the window by the loop's `a - b`.
+def _checked_out(out, n):
+    """`out`; DimensionError unless it holds n values in 1-D, ConfigurationError unless it is a
+    writeable, C-contiguous float64 ndarray (the lanes write it through reshaped views)."""
+    if np.shape(out) != (n,):
+        raise DimensionError(f"out must have shape ({n},), got {np.shape(out)}")
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+        got = f"{type(out).__name__} of {np.asarray(out).dtype}"
+        raise ConfigurationError(f"out must be a float64 ndarray, got {got}")
+    if not out.flags.writeable or not out.flags.c_contiguous:
+        raise ConfigurationError("out must be writeable and C-contiguous")
+    return out
 
-    Going in increasing order, both operands already hold their exact
-    values.  Only class 2^52 converts to -1, so no other value changes.
+
+def _resolve_signs(window, out):
+    """Replace each -1 that `_run_group` wrote for class 2^52 in `out` by the loop's `a - b`.
+
+    An operand before `out` is read from the `window` the column started
+    from.  Going in increasing order, both operands already hold their
+    exact values.  Only class 2^52 converts to -1, so no other value changes.
     """
-    for s in range(_LAG_LONG, frame.size, _CHUNK):
-        for k in np.flatnonzero(frame[s : s + _CHUNK] == -1.0) + s:
-            frame[k] = frame[k - _LAG_LONG] - frame[k - _LAG_SHORT]
+    for s in range(0, out.size, _CHUNK):
+        for k in np.flatnonzero(out[s : s + _CHUNK] == -1.0) + s:
+            a, b = (out[j] if j >= 0 else window[j] for j in (k - _LAG_LONG, k - _LAG_SHORT))
+            out[k] = a - b
 
 
 class GaussianStream:
@@ -215,20 +241,23 @@ class GaussianStream:
     used, in that order.  A request of n fills a frame of n + 1: its last
     slot catches the second variate of a pair the request ends inside,
     which becomes the spare the next request starts with.  Pairs are drawn
-    and transformed as arrays, at most `_CHUNK_PAIRS` at a time, and never
-    more pairs than the variates still owed: each pair yields at most two,
-    so every pair drawn is used.  The
-    base stream therefore advances exactly as under the one-pair-at-a-time
-    method, and the output does not depend on how it is split into columns.
-    Each chunk is transformed in place and freed before the next is drawn,
-    so a column's temporaries are a fixed multiple of `_CHUNK_PAIRS`
-    values beyond its frame, whatever its length.
+    in rounds, each exactly the pairs the variates still owed need: each
+    pair yields at most two, so every pair drawn is used.  The base stream
+    therefore advances exactly as under the one-pair-at-a-time method, and
+    the output does not depend on how it is split into columns.  A round
+    is drawn into the frame's free tail, one base request, and transformed
+    there as arrays, at most `_CHUNK_PAIRS` pairs at a time, with its
+    variates written over its front; each chunk's arrays are freed before
+    the next chunk, so a column's temporaries are the base's working
+    memory or a fixed multiple of `_CHUNK_PAIRS` values beyond its frame,
+    whatever its length.
 
-    A `base` stream (any object with a uniform `fill_column`; by default
-    `UniformLaggedFibonacci(seed)`) belongs to this stream from then on;
-    `seed` must be a nonnegative integer either way.  A base draw that is
-    not the requested count of values in a 1-D array raises
-    `DimensionError` naming the base.
+    A `base` stream (by default `UniformLaggedFibonacci(seed)`) is any
+    uniform stream whose `fill_column(k, out)` writes its next `k` values
+    into the 1-D float array `out` and returns `out`; it belongs to this
+    stream from then on, and `seed` must be a nonnegative integer either
+    way.  A base draw that is not the requested count of values in a 1-D
+    array, or not `out` itself, raises `DimensionError` naming the base.
     """
 
     def __init__(self, seed, base=None):
@@ -249,10 +278,20 @@ class GaussianStream:
             frame[0] = self._spare
             k = 1
         while k < n:
-            size = 2 * min((n - k + 1) // 2, _CHUNK_PAIRS)
-            # the chunk's arrays are the helper's locals, so they are freed
-            # before the next chunk is drawn
-            k += _polar_pairs(checked_draw(self._base.fill_column(size), size, self._base), frame[k:])
+            # a round draws the pairs still owed into the free tail of the
+            # frame; each pair yields at most two variates, so every pair
+            # drawn is used
+            size = 2 * ((n - k + 1) // 2)
+            uv = frame[k : k + size]
+            if checked_draw(self._base.fill_column(size, uv), size, self._base) is not uv:
+                raise DimensionError(
+                    f"the stream {type(self._base).__name__}.fill_column({size}, out) must "
+                    "write its values into out and return out"
+                )
+            # the variates go over the front of the round: the write position
+            # stays at or before the read position and at the same parity
+            for r in range(0, size, 2 * _CHUNK_PAIRS):
+                k += _polar_pairs(uv[r : r + 2 * _CHUNK_PAIRS], frame[k:])
         self._spare = frame[n] if k > n else None
         return frame[:n]
 
@@ -262,6 +301,9 @@ def _polar_pairs(uv, dst):
 
     x and y of each accepted pair interleave into dst, whose last slot in
     the frame takes the second variate of a pair the request ends inside.
+    dst may overlap uv if it starts at or before uv and at the same parity:
+    the x values then go only to u slots, whose accepted values are copied
+    first, and the v values are copied before any y is written.
     Each step runs in place on one array, in the order of
     sqrt(-2 log(s) / s), so the values are those of that expression.
     """

@@ -337,6 +337,18 @@ def test_preconditioners_compare_and_hash_by_identity():
     assert twin.R is pre.R and np.array_equal(twin.perm, pre.perm) and np.array_equal(twin.Y, pre.Y)
 
 
+def test_the_repr_of_a_build_names_its_sizes_and_does_not_compute_y(monkeypatch):
+    # Y is an m-by-m product computed at each read; the repr leaves out R, perm and Y
+    A = make_sparse_test(400, 4000, 1e4, seed=5)
+    pre = build_preconditioner(A, 404, UniformLaggedFibonacci(6))
+
+    def no_y(*args):
+        raise AssertionError("the repr computed Y")
+
+    monkeypatch.setattr(precond, "solve_upper_adjoint", no_y)
+    assert repr(pre) == "Preconditioner(l=404, m=400, n=4000, build_apply_counts=(804, 400))"
+
+
 @pytest.mark.parametrize(
     "Y",
     [np.diag([1.0, 1.0, -1.0, 1.0]), np.diag([1.0, 0.0, 1.0, 1.0]), np.eye(4) + np.eye(4)[::-1]],

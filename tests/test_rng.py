@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nullproj import ConfigurationError, DimensionError, GaussianStream, UniformLaggedFibonacci
+from nullproj import rng
 from nullproj.rng import _CHUNK, _JUMPS, _LANES, _MAX_ROUNDS_LOG2, _ROWS
 
 from helpers import traced_peak
@@ -155,19 +156,32 @@ def test_uniform_matches_reference_at_round_lane_and_group_boundaries(seed):
         assert g.fill_column(1)[0] == ref.next_uniform()
 
 
-def test_uniform_matches_reference_at_two_round_steps_and_one_round_lanes():
+def test_uniform_matches_reference_at_two_round_steps_and_one_round_lanes(monkeypatch):
     # lanes advance two rounds (2 _ROWS values) between slides; a request of
-    # at most _CHUNK values runs one-round lanes (t = 0), whose one slide
-    # overlaps, and (_LANES + 1) _ROWS ends one round into a two-round lane
+    # at most 3 _ROWS values runs one-round lanes (t = 0), 13 _ROWS ends one
+    # round into the last of seven two-round lanes (t = 1), and the longer
+    # sizes run lanes of 2^t rounds for t = 2 to 6
+    groups = []
+
+    def recording_group(start, region, t, lanes):
+        groups.append((region.size, t, lanes))
+        run_group(start, region, t, lanes)
+
+    run_group = rng._run_group
+    monkeypatch.setattr(rng, "_run_group", recording_group)
     ref = ScalarLaggedFibonacciReference(12)
     g = UniformLaggedFibonacci(12)
     two_rounds = [2 * _ROWS + d for d in (-1, 0, 1)]
-    one_round = [1, _ROWS - 1, _ROWS, 3 * _ROWS + 5, _CHUNK]
-    mid_step = [(_LANES + 1) * _ROWS + d for d in (-1, 0, 1)]
-    for n in two_rounds + one_round + mid_step:
+    one_round = [1, _ROWS - 1, _ROWS, 2 * _ROWS + 5, 3 * _ROWS]
+    mid_step = [13 * _ROWS + d for d in (-1, 0, 1)]
+    longer = [1696, 4096, 20_000, 40_000, GROUP]
+    for n in two_rounds + one_round + mid_step + longer:
         expected = np.array([ref.next_uniform() for _ in range(n)])
         assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64)), n
         assert g.fill_column(1)[0] == ref.next_uniform()
+    assert (3 * _ROWS, 0, 3) in groups
+    assert (13 * _ROWS, 1, 7) in groups
+    assert {t for _, t, _ in groups} == set(range(_MAX_ROUNDS_LOG2 + 1))
 
 
 def test_gaussian_matches_scalar_polar_reference_at_lane_sizes():
@@ -265,9 +279,10 @@ def test_uniform_fill_column_memory_is_bounded():
 
 
 def test_gaussian_fill_column_temporaries_are_bounded():
-    # each chunk is transformed in place and its arrays are freed before the
-    # next chunk is drawn: about 88 kB over the frame, against 128 kB with the
-    # last chunk's arrays alive through the next draw
+    # each round is drawn into the frame, and each chunk of it is transformed
+    # in place with arrays freed before the next chunk: about 53 kB over the
+    # frame, against 128 kB with the last chunk's arrays alive through the
+    # next draw
     n = 100_000
     g = GaussianStream(8)
     g.fill_column(n)  # any one-time setup happens outside the traced call
@@ -299,9 +314,16 @@ class WrongShapeBase:
     def __init__(self, wrong):
         self.wrong = wrong
 
-    def fill_column(self, n):
+    def fill_column(self, n, out=None):
         shape = {"short": n - 1, "long": n + 1, "2-D": (1, n)}[self.wrong]
         return np.full(shape, 0.5)
+
+
+class FreshArrayBase:
+    """A uniform base that ignores `out` and returns its draw in a new array of the right shape."""
+
+    def fill_column(self, n, out=None):
+        return np.full(n, 0.5)
 
 
 @pytest.mark.parametrize("wrong", ["short", "long", "2-D"])
@@ -309,6 +331,97 @@ def test_gaussian_stream_refuses_a_base_draw_of_the_wrong_shape(wrong):
     g = GaussianStream(0, base=WrongShapeBase(wrong))
     with pytest.raises(DimensionError, match=r"WrongShapeBase\.fill_column\(10\)"):
         g.fill_column(10)
+
+
+def test_gaussian_stream_refuses_a_base_that_does_not_write_into_out():
+    # the stream transforms its frame, so values returned elsewhere would be lost
+    g = GaussianStream(0, base=FreshArrayBase())
+    with pytest.raises(DimensionError, match=r"FreshArrayBase\.fill_column\(10, out\)"):
+        g.fill_column(10)
+
+
+class SpyBase:
+    """A uniform base that records a copy of each draw it writes into the caller's `out`."""
+
+    def __init__(self, seed):
+        self._inner = UniformLaggedFibonacci(seed)
+        self.draws = []
+
+    def fill_column(self, n, out=None):
+        values = self._inner.fill_column(n, out)
+        self.draws.append(values.copy())
+        return values
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 4097, 20_001])
+def test_gaussian_rounds_request_exactly_the_pairs_still_owed(n):
+    # the first column starts without a spare and asks for 2 ((n + 1) // 2)
+    # uniforms; each later round asks for the pairs the variates still owed
+    # need, counted from the acceptances of the rounds before it
+    base = SpyBase(4)
+    g = GaussianStream(4, base=base)
+    spare = 0
+    for _ in range(3):
+        base.draws.clear()
+        g.fill_column(n)
+        k = spare
+        for uv in base.draws:
+            assert k < n and uv.size == 2 * ((n - k + 1) // 2)
+            u, v = uv[0::2], uv[1::2]
+            s = u * u + v * v
+            k += 2 * np.count_nonzero((0.0 < s) & (s < 1.0))
+        assert n <= k <= n + 1
+        spare = k - n
+
+
+@pytest.mark.parametrize("n", [0, 1, 54, 55, 56, 1696, 98_304, 98_305, N_BIG])
+def test_uniform_fill_column_into_out_is_bitwise_the_returned_column(n):
+    g, h = UniformLaggedFibonacci(21), UniformLaggedFibonacci(21)
+    buf = np.full(n, np.nan)
+    assert h.fill_column(n, out=buf) is buf
+    assert np.array_equal(buf.view(np.int64), g.fill_column(n).view(np.int64))
+    assert h.fill_column(60).tolist() == g.fill_column(60).tolist()
+
+
+def bad_out(kind):
+    """An `out` for a 10-value request that the stream must refuse."""
+    if kind == "read-only":
+        out = np.zeros(10)
+        out.setflags(write=False)
+        return out
+    return {
+        "long": np.zeros(11),
+        "2-D": np.zeros((1, 10)),
+        "float32": np.zeros(10, dtype=np.float32),
+        "int64": np.zeros(10, dtype=np.int64),
+        "list": [0.0] * 10,
+        "strided": np.zeros(20)[::2],
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, error",
+    [("long", DimensionError), ("2-D", DimensionError)]
+    + [(kind, ConfigurationError) for kind in ("float32", "int64", "list", "read-only", "strided")],
+)
+def test_uniform_fill_column_refuses_a_bad_out_and_keeps_state(kind, error):
+    g = UniformLaggedFibonacci(22)
+    out = bad_out(kind)
+    before = np.array(out)
+    with pytest.raises(error, match="^out must"):
+        g.fill_column(10, out=out)
+    assert np.array_equal(np.array(out), before)
+    assert g.fill_column(60).tolist() == UniformLaggedFibonacci(22).fill_column(60).tolist()
+
+
+@pytest.mark.parametrize("n", [20_000, 200_000])
+def test_gaussian_column_draws_its_rounds_into_its_frame(n):
+    # beyond its frame a column holds the lanes' buffer or one chunk's
+    # transform, about 53 kB; rounds drawn into arrays of their own held 85 kB
+    g = GaussianStream(8)
+    g.fill_column(n)
+    peak = traced_peak(g.fill_column, n)
+    assert peak - (n + 1) * 8 < 64 * 1024
 
 
 def test_uniform_ks():
