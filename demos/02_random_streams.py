@@ -1,19 +1,20 @@
 """The two sketch-entry streams: lagged Fibonacci and Gaussian.
 
-The uniform stream is defined by a floating-point subtraction and a fold
-per value, but every step is exact, so it is a linear recurrence mod 2^53
-on the integers 2^52 x.  A column is therefore computed in lanes: jump
-matrices give each lane its starting window, and integer array
-subtractions advance all lanes 24 values at a time, bitwise equal to the
-value-at-a-time loop.  The Gaussian stream rides on it through the polar
-method: each rejection round's uniforms are drawn straight into the
-output column (`fill_column(k, out)`) and transformed there with array
-operations, a bounded chunk at a time.  Both are exact functions of
-their seed, however a stream is split into columns, which is what lets
-tests replay the full random matrix G column by column without ever
-storing it, and lets a sketch draw G in blocks of several columns per
-request: each request pays a fixed cost for its lanes' starting windows,
-so a few large requests cost less per value than many small ones.
+The uniform stream, on [-1, 1), is defined by a floating-point
+subtraction and a fold per value, but every step is exact, so it is a
+linear recurrence mod 2^53 on the integers 2^52 x.  A column is
+therefore computed in lanes: jump matrices give each lane its starting
+window, and integer array subtractions advance all lanes 24 values at a
+time, bitwise equal to the value-at-a-time loop.  The Gaussian stream
+rides on it through the polar method: each rejection round's uniforms
+are drawn straight into the output column (`fill_column(k, out)`) and
+transformed there with array operations, a bounded chunk at a time.
+Both are exact functions of their seed, however a stream is split into
+columns, which is what lets tests replay the full random matrix G column
+by column without ever storing it, and lets a sketch draw G in blocks of
+several columns per request: each request pays a fixed cost for its
+lanes' starting windows, so a few large requests cost less per value
+than many small ones.
 """
 
 import time
@@ -23,7 +24,7 @@ import numpy as np
 from nullproj import GaussianStream, UniformLaggedFibonacci
 
 # ----------------------------------------------------------------------
-# Uniform on [-1, 1]: range, moments, determinism
+# Uniform on [-1, 1): range, moments, determinism
 # ----------------------------------------------------------------------
 g = UniformLaggedFibonacci(2024)
 xs = g.fill_column(100_000)

@@ -1,12 +1,12 @@
 """Deterministic random streams used to fill sketch columns.
 
 Two generators are provided: a subtractive lagged Fibonacci stream that is
-uniform on [-1, 1], and a Gaussian stream layered on top of it via the
+uniform on [-1, 1), and a Gaussian stream layered on top of it via the
 polar (Marsaglia) method.  Both are pure functions of their integer seed,
 so a stream can be replayed column by column without ever holding a full
 n-by-l random matrix in memory.
 
-Every lagged Fibonacci value is a multiple of 2^-52 in [-1, 1], and every
+Every lagged Fibonacci value is a multiple of 2^-52 in [-1, 1), and every
 subtract-and-fold step is exact, so the stream is the linear recurrence
 X[k] = X[k-55] - X[k-24] (mod 2^53) on the integers X = x 2^52, the
 subtractive generator of Knuth (TAOCP vol. 2, 3.2.2).  A linear recurrence
@@ -20,13 +20,12 @@ rounds of 48 values between slides of their windows, so each pair of
 rounds makes one copy into the column and one slide.  The residues mod 2^53
 ("classes") are held scaled by 2^11, so uint64 arithmetic, which wraps mod
 2^64, is exact on them, and read as int64 they are the values times 2^63,
-which convert to floats exactly.  Each class but one names a single value
-in [-1, 1]; class 2^52 is +1 or -1, and those rare values (about one in
-2^53) get their sign from the scalar rule afterwards.  The lanes write
-straight into the column, which may be the caller's (`fill_column(n,
-out)`); a group of lanes starts from the 55 values before it, the
-stream's window or the end of the group before.  The output is bitwise
-the value-at-a-time loop's, whatever column sizes are requested.
+which convert to floats exactly.  Each class names a single value in
+[-1, 1), class 2^52 reading as -1.  The lanes write straight into the
+column, which may be the caller's (`fill_column(n, out)`); a group of
+lanes starts from the 55 values before it, the stream's window or the
+end of the group before.  The output is bitwise the value-at-a-time
+loop's, whatever column sizes are requested.
 
 The Gaussian stream works in a frame one slot longer than the request.
 It draws each round of uniforms, the pairs its variates still owe, into
@@ -42,7 +41,8 @@ from .errors import ConfigurationError, DimensionError, as_index, checked_draw
 
 _MASK64 = (1 << 64) - 1
 
-# subtractive lags: x[k] = x[k-55] - x[k-24], folded back into [-1, 1]
+# subtractive lags: x[k] = x[k-55] - x[k-24], folded back into [-1, 1): a
+# difference at or above 1 loses 2, one below -1 gains 2
 _LAG_LONG = 55
 _LAG_SHORT = 24
 _WARMUP = 10 * _LAG_LONG
@@ -54,8 +54,6 @@ _WARMUP = 10 * _LAG_LONG
 _LANES = 32
 _ROWS = 2 * _LAG_SHORT
 _MAX_ROUNDS_LOG2 = 6
-# values one round of all lanes produces
-_CHUNK = _LANES * _ROWS
 # rows the lanes advance between two slides of their windows: two rounds
 # halve the copy-outs and slides; three would take a 1e5 column's working
 # memory past 64 KiB
@@ -115,7 +113,7 @@ def _run_group(start, region, t, lanes):
     inside the last lane.  Each step of two rounds (one in a lane of a
     single round) copies its classes into `region` as int64, exact as
     floats since they are multiples of 2^11; one multiply at the end
-    scales the group into [-1, 1].  Class-2^52 values are written as -1.
+    scales the group into [-1, 1).
     """
     lane = _ROWS << t
     step = min(lane, _SLIDE_ROWS)
@@ -148,14 +146,14 @@ def _run_group(start, region, t, lanes):
 
 
 class UniformLaggedFibonacci:
-    """Lagged Fibonacci stream, uniform on [-1, 1], lags (55, 24).
+    """Lagged Fibonacci stream, uniform on [-1, 1), lags (55, 24).
 
     The state is a window: an array of the last 55 values, oldest first,
     which `fill_column` extends into one frame and copies back from its
     end.  It is seeded by expanding a nonnegative integer, read modulo
     2^64, through a splitmix64 mixer and then discarding 550 draws so the
     recurrence has fully churned the initial state.  Each value is defined
-    by one floating-point subtraction plus a fold back into [-1, 1],
+    by one floating-point subtraction plus a fold back into [-1, 1),
     `x[k] = x[k-55] - x[k-24]`; `fill_column` computes the same values in
     exact integer arithmetic mod 2^53 on up to `_LANES` lanes at once (see
     the module docstring), so its working memory is bounded whatever the
@@ -200,8 +198,6 @@ class UniformLaggedFibonacci:
             start = out[done - _LAG_LONG : done] if done else window
             _run_group(start, out[done : done + size], t, lanes)
             done += size
-        if out.min(initial=0.0) == -1.0:
-            _resolve_signs(window, out)
         # a new array: the window must not alias the column, which the caller owns
         self._window = np.concatenate((window[n:], out[-_LAG_LONG:]))
         return out
@@ -220,21 +216,8 @@ def _checked_out(out, n):
     return out
 
 
-def _resolve_signs(window, out):
-    """Replace each -1 that `_run_group` wrote for class 2^52 in `out` by the loop's `a - b`.
-
-    An operand before `out` is read from the `window` the column started
-    from.  Going in increasing order, both operands already hold their
-    exact values.  Only class 2^52 converts to -1, so no other value changes.
-    """
-    for s in range(0, out.size, _CHUNK):
-        for k in np.flatnonzero(out[s : s + _CHUNK] == -1.0) + s:
-            a, b = (out[j] if j >= 0 else window[j] for j in (k - _LAG_LONG, k - _LAG_SHORT))
-            out[k] = a - b
-
-
 class GaussianStream:
-    """Standard-normal stream built from a uniform [-1, 1] base generator.
+    """Standard-normal stream built from a uniform [-1, 1) base generator.
 
     Uses the polar method: pairs (u, v) from the base stream are rejected
     until u^2 + v^2 lands in (0, 1), then both transformed variates are

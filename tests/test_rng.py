@@ -5,11 +5,13 @@ import pytest
 
 from nullproj import ConfigurationError, DimensionError, GaussianStream, UniformLaggedFibonacci
 from nullproj import rng
-from nullproj.rng import _CHUNK, _JUMPS, _LANES, _MAX_ROUNDS_LOG2, _ROWS
+from nullproj.rng import _JUMPS, _LANES, _MAX_ROUNDS_LOG2, _ROWS
 
 from helpers import traced_peak
 
 N_BIG = 100_000
+# values one round of all lanes produces
+CHUNK = _LANES * _ROWS
 # longest lane and largest group of one fill_column call
 LANE_MAX = _ROWS << _MAX_ROUNDS_LOG2
 GROUP = _LANES * LANE_MAX
@@ -42,7 +44,7 @@ class ScalarLaggedFibonacciReference:
         v = buf[i] - buf[self._j]
         if v < -1.0:
             v += 2.0
-        elif v > 1.0:
+        elif v >= 1.0:
             v -= 2.0
         buf[i] = v
         self._i = i + 1 if i + 1 < 55 else 0
@@ -88,7 +90,7 @@ def test_uniform_stays_in_range():
     g = UniformLaggedFibonacci(1)
     xs = g.fill_column(N_BIG)
     assert xs.min() >= -1.0
-    assert xs.max() <= 1.0
+    assert xs.max() < 1.0
 
 
 def test_uniform_moments():
@@ -139,7 +141,7 @@ def test_uniform_matches_scalar_reference_bitwise(seed):
     # sizes cross the 55-value window and the chunk boundary
     ref = ScalarLaggedFibonacciReference(seed)
     g = UniformLaggedFibonacci(seed)
-    for n in (1, 2, 54, 55, 56, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 100_000):
+    for n in (1, 2, 54, 55, 56, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 100_000):
         expected = np.array([ref.next_uniform() for _ in range(n)])
         assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64))
         assert g.fill_column(1)[0] == ref.next_uniform()
@@ -149,7 +151,7 @@ def test_uniform_matches_scalar_reference_bitwise(seed):
 def test_uniform_matches_reference_at_round_lane_and_group_boundaries(seed):
     ref = ScalarLaggedFibonacciReference(seed)
     g = UniformLaggedFibonacci(seed)
-    sizes = [b + d for b in (_ROWS, _CHUNK, LANE_MAX, GROUP) for d in (-1, 0, 1)]
+    sizes = [b + d for b in (_ROWS, CHUNK, LANE_MAX, GROUP) for d in (-1, 0, 1)]
     for n in sizes + [1, 54, 55, 56, 4000, 4096, 20001, N_BIG]:
         expected = np.array([ref.next_uniform() for _ in range(n)])
         assert np.array_equal(g.fill_column(n).view(np.int64), expected.view(np.int64)), n
@@ -223,26 +225,41 @@ def load_window(window):
 
 
 def test_forced_plus_minus_one_values_match_reference_bitwise():
-    # +1 and -1 share a residue mod 2^53; their signs come from the loop's a - b
+    # +1 and -1 share a residue mod 2^53, which the stream always reads as -1
     w = list(UniformLaggedFibonacci(5).fill_column(55))
-    w[0], w[31] = 0.5, -0.5  # x[0] = +1
-    w[1], w[32] = -0.25, 0.75  # x[1] = -1
+    w[0], w[31] = 0.5, -0.5  # a - b = +1 for x[0]
+    w[1], w[32] = -0.25, 0.75  # a - b = -1 for x[1]
     w[2], w[3], w[40], w[41] = 1.0, -1.0, 1.0, -1.0  # exact +-1 read as a and as b
-    w[24] = w[25] = 0.0  # x[24] = 0 - x[0] = -1 and x[25] = 0 - x[1] = +1
+    w[24] = w[25] = 0.0  # a - b = 0 - x[0] = +1 for x[24], 0 - x[1] = +1 for x[25]
     g, ref = load_window(w)
     for n in (30, 1, 5000):
         expected = np.array([ref.next_uniform() for _ in range(n)])
         got = g.fill_column(n)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n
         if n == 30:
-            assert got[[0, 1, 24, 25]].tolist() == [1.0, -1.0, -1.0, 1.0]
+            assert got[[0, 1, 24, 25]].tolist() == [-1.0, -1.0, -1.0, -1.0]
 
 
-@pytest.mark.parametrize("k", [_ROWS, _CHUNK - 1, _CHUNK, LANE_MAX, GROUP])
+def test_residue_two_to_the_52_is_minus_one_whatever_its_operands_signs():
+    # the stream is a function of residues mod 2^53: a window entry of +1 or
+    # -1 (one residue) gives the same column, and x[2] = w[2] - w[33] = +-1
+    # lands on the residue that reads as -1
+    w = list(UniformLaggedFibonacci(7).fill_column(55))
+    w[33] = 0.0
+    columns = []
+    for sign in (1.0, -1.0):
+        w[2] = sign
+        g, _ = load_window(w)
+        columns.append(g.fill_column(5000))
+    assert np.array_equal(columns[0].view(np.int64), columns[1].view(np.int64))
+    assert columns[0][2] == -1.0
+
+
+@pytest.mark.parametrize("k", [_ROWS, CHUNK - 1, CHUNK, LANE_MAX, GROUP])
 def test_forced_plus_minus_one_at_a_boundary_matches_reference_bitwise(k):
     # x[k] is linear mod 2^53 in the window's integers 2^52 w: solve for one
     # window entry (with an odd, so invertible, coefficient) to put x[k] on
-    # residue 2^52, that is on +1 or -1
+    # residue 2^52, that is on -1
     step = np.eye(55, k=1, dtype=np.uint64)
     step[-1, 0] = 1
     step[-1, 55 - 24] = np.uint64(2**64 - 1)
@@ -481,4 +498,4 @@ def test_gaussian_ks():
 @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
 def test_long_stream_stays_in_range(seed):
     xs = UniformLaggedFibonacci(seed).fill_column(10_000)
-    assert np.all(np.abs(xs) <= 1.0)
+    assert np.all((-1.0 <= xs) & (xs < 1.0))
