@@ -6,15 +6,13 @@ linear recurrence mod 2^53 on the integers 2^52 x.  A column is
 therefore computed in lanes: jump matrices give each lane its starting
 window, and integer array subtractions advance all lanes 24 values at a
 time, bitwise equal to the value-at-a-time loop.  The Gaussian stream
-rides on it through the polar method: each rejection round's uniforms
-are drawn straight into the output column (`fill_column(k, out)`) and
-transformed there with array operations, a bounded chunk at a time.
-Both are exact functions of their seed, however a stream is split into
-columns, which is what lets tests replay the full random matrix G column
-by column without ever storing it, and lets a sketch draw G in blocks of
-several columns per request: each request pays a fixed cost for its
-lanes' starting windows, so a few large requests cost less per value
-than many small ones.
+is numpy's ziggurat method on one PCG64 generator, one C call per
+column.  Both are exact functions of their seed, however a stream is
+split into columns, which is what lets tests replay the full random
+matrix G column by column without ever storing it, and lets a sketch
+draw G in blocks of several columns per request: each lagged Fibonacci
+request pays a fixed cost for its lanes' starting windows, so a few
+large requests cost less per value than many small ones.
 """
 
 import time
@@ -36,7 +34,8 @@ print(f"replayed first five: {again}")
 print(f"bitwise equal to the original run: {np.array_equal(again, UniformLaggedFibonacci(2024).fill_column(5))}")
 
 # ----------------------------------------------------------------------
-# Gaussian stream: standard-normal moments and the 68% central mass
+# Gaussian stream (ziggurat on PCG64): standard-normal moments and the
+# 68% central mass
 # ----------------------------------------------------------------------
 zs = GaussianStream(2024).fill_column(100_000)
 print(f"gaussian mean {zs.mean():+.5f}, variance {zs.var():.5f}")

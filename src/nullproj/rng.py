@@ -1,10 +1,11 @@
 """Deterministic random streams used to fill sketch columns.
 
 Two generators are provided: a subtractive lagged Fibonacci stream that is
-uniform on [-1, 1), and a Gaussian stream layered on top of it via the
-polar (Marsaglia) method.  Both are pure functions of their integer seed,
-so a stream can be replayed column by column without ever holding a full
-n-by-l random matrix in memory.
+uniform on [-1, 1), and a standard-normal stream, numpy's ziggurat method
+on one PCG64 generator.  Both are pure functions of their integer seed,
+and neither depends on how its requests are split, so a stream can be
+replayed column by column without ever holding a full n-by-l random
+matrix in memory.
 
 Every lagged Fibonacci value is a multiple of 2^-52 in [-1, 1), and every
 subtract-and-fold step is exact, so the stream is the linear recurrence
@@ -26,18 +27,11 @@ column, which may be the caller's (`fill_column(n, out)`); a group of
 lanes starts from the 55 values before it, the stream's window or the
 end of the group before.  The output is bitwise the value-at-a-time
 loop's, whatever column sizes are requested.
-
-The Gaussian stream works in a frame one slot longer than the request.
-It draws each round of uniforms, the pairs its variates still owe, into
-the frame's free tail through its base's `out`, and transforms the round
-in place a bounded chunk at a time with array operations, writing the
-variates over the round's front; its values are the same as those of the
-one-pair-at-a-time polar method.
 """
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, as_index, checked_draw
+from .errors import ConfigurationError, DimensionError, as_index
 
 _MASK64 = (1 << 64) - 1
 
@@ -62,10 +56,6 @@ _SLIDE_ROWS = 2 * _ROWS
 # classes are held as X 2^11 mod 2^64; read as int64 that is the value
 # times 2^63, class 2^52 reading as -1
 _SCALE_OUT = 2.0**-63
-
-# most uniform pairs the Gaussian stream transforms at once; bounds the
-# stream's working memory beyond its frame whatever the column length
-_CHUNK_PAIRS = 2048
 
 
 def _splitmix64(state):
@@ -217,36 +207,23 @@ def _checked_out(out, n):
 
 
 class GaussianStream:
-    """Standard-normal stream built from a uniform [-1, 1) base generator.
+    """Standard-normal stream: numpy's ziggurat method on one PCG64 generator.
 
-    Uses the polar method: pairs (u, v) from the base stream are rejected
-    until u^2 + v^2 lands in (0, 1), then both transformed variates are
-    used, in that order.  A request of n fills a frame of n + 1: its last
-    slot catches the second variate of a pair the request ends inside,
-    which becomes the spare the next request starts with.  Pairs are drawn
-    in rounds, each exactly the pairs the variates still owed need: each
-    pair yields at most two, so every pair drawn is used.  The base stream
-    therefore advances exactly as under the one-pair-at-a-time method, and
-    the output does not depend on how it is split into columns.  A round
-    is drawn into the frame's free tail, one base request, and transformed
-    there as arrays, at most `_CHUNK_PAIRS` pairs at a time, with its
-    variates written over its front; each chunk's arrays are freed before
-    the next chunk, so a column's temporaries are the base's working
-    memory or a fixed multiple of `_CHUNK_PAIRS` values beyond its frame,
-    whatever its length.
-
-    A `base` stream (by default `UniformLaggedFibonacci(seed)`) is any
-    uniform stream whose `fill_column(k, out)` writes its next `k` values
-    into the 1-D float array `out` and returns `out`; it belongs to this
-    stream from then on, and `seed` must be a nonnegative integer either
-    way.  A base draw that is not the requested count of values in a 1-D
-    array, or not `out` itself, raises `DimensionError` naming the base.
+    `seed`, a nonnegative integer of any size, seeds one
+    `np.random.Generator(np.random.PCG64(seed))`, and `fill_column(n)` is
+    its `standard_normal(n)`: one C call that writes a new column and
+    allocates nothing else.  The ziggurat (Marsaglia and Tsang, J. Stat.
+    Softw. 2000) consumes whole 64-bit PCG words and carries nothing from
+    one call to the next, so the values do not depend on how the stream is
+    split into columns.  They follow numpy's `Generator` algorithm, which
+    a numpy feature release may change (NEP 19).  `GaussianStream(s)`
+    reads the same bits as `np.random.default_rng(s)`, which draws the
+    test operators of seed s, so give a stream and an operator different
+    seeds.
     """
 
-    def __init__(self, seed, base=None):
-        seed = as_index(seed, "seed", least=0)
-        self._base = base if base is not None else UniformLaggedFibonacci(seed)
-        self._spare = None
+    def __init__(self, seed):
+        self._normal = np.random.Generator(np.random.PCG64(as_index(seed, "seed", least=0)))
 
     def fill_column(self, n):
         """Return the next `n` variates as a float array (empty for n = 0).
@@ -254,54 +231,4 @@ class GaussianStream:
         A negative `n` raises `ConfigurationError` and leaves the state
         untouched.
         """
-        n = as_index(n, "column length", least=0)
-        frame = np.empty(n + 1)
-        k = 0
-        if self._spare is not None:
-            frame[0] = self._spare
-            k = 1
-        while k < n:
-            # a round draws the pairs still owed into the free tail of the
-            # frame; each pair yields at most two variates, so every pair
-            # drawn is used
-            size = 2 * ((n - k + 1) // 2)
-            uv = frame[k : k + size]
-            if checked_draw(self._base.fill_column(size, uv), size, self._base) is not uv:
-                raise DimensionError(
-                    f"the stream {type(self._base).__name__}.fill_column({size}, out) must "
-                    "write its values into out and return out"
-                )
-            # the variates go over the front of the round: the write position
-            # stays at or before the read position and at the same parity
-            for r in range(0, size, 2 * _CHUNK_PAIRS):
-                k += _polar_pairs(uv[r : r + 2 * _CHUNK_PAIRS], frame[k:])
-        self._spare = frame[n] if k > n else None
-        return frame[:n]
-
-
-def _polar_pairs(uv, dst):
-    """Write the variates of the accepted pairs (uv[0::2], uv[1::2]) to dst; returns their count.
-
-    x and y of each accepted pair interleave into dst, whose last slot in
-    the frame takes the second variate of a pair the request ends inside.
-    dst may overlap uv if it starts at or before uv and at the same parity:
-    the x values then go only to u slots, whose accepted values are copied
-    first, and the v values are copied before any y is written.
-    Each step runs in place on one array, in the order of
-    sqrt(-2 log(s) / s), so the values are those of that expression.
-    """
-    u, v = uv[0::2], uv[1::2]
-    s = u * u
-    s += v * v
-    accepted = np.flatnonzero((0.0 < s) & (s < 1.0))
-    s = s[accepted]
-    factor = np.log(s)
-    factor *= -2.0
-    factor /= s
-    np.sqrt(factor, out=factor)
-    dst = dst[: 2 * accepted.size]
-    # a ufunc writes the strided slots directly; np.take would buffer both
-    # a contiguous copy of u (or v) and one of its output
-    np.multiply(u[accepted], factor, out=dst[0::2])
-    np.multiply(v[accepted], factor, out=dst[1::2])
-    return dst.size
+        return self._normal.standard_normal(as_index(n, "column length", least=0))

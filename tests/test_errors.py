@@ -120,12 +120,6 @@ CASES = [
     ),
     case("Gaussian seed", "seed", lambda v: GaussianStream(v).fill_column(5), scalar(7)),
     case(
-        "Gaussian seed with a base",
-        "seed",
-        lambda v: GaussianStream(v, base=UniformLaggedFibonacci(7)).fill_column(5),
-        scalar(7),
-    ),
-    case(
         "lagged Fibonacci fill_column",
         "column length",
         lambda v: UniformLaggedFibonacci(1).fill_column(v),
@@ -231,7 +225,6 @@ SEED_SITES = {
     "make_dense_test": lambda v: make_dense_test(4, 8, 1e4, v),
     "UniformLaggedFibonacci": UniformLaggedFibonacci,
     "GaussianStream": GaussianStream,
-    "GaussianStream with a base": lambda v: GaussianStream(v, base=UniformLaggedFibonacci(7)),
     "TrialConfig": lambda v: TrialConfig(m=8, n=64, kappa=1e4, seed=v),
 }
 

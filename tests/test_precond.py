@@ -234,6 +234,23 @@ def test_conditioning_gaussian_stream():
     assert measured_condition(pre, A) <= 10 * 54
 
 
+def test_conditioning_gaussian_stream_on_coherent_rows():
+    # criterion 09's shape on the most coherent row space: each row of A is
+    # a graded multiple of a distinct coordinate vector, so cond(P^-1 A) is
+    # the condition number of m rows of G (138.1 worst of 100 seeds measured).
+    # The rows come from a generator seeded apart from the stream's, since
+    # GaussianStream(s) reads the same bits as np.random.default_rng(s)
+    m, n, l = 50, 1000, 54
+    scales = np.logspace(0, 8, m)
+    worst = 0.0
+    for seed in range(100):
+        M = np.zeros((m, n))
+        M[np.arange(m), np.random.default_rng([seed, 1]).choice(n, m, replace=False)] = scales
+        A = MatrixOperator(M)
+        worst = max(worst, measured_condition(build_preconditioner(A, l, GaussianStream(seed)), A))
+    assert worst <= 10 * l
+
+
 def test_scaling_invariance():
     # P absorbs a global rescaling of A, so cond(P^-1 A) is unchanged
     A = make_sparse_test(8, 32, 1e4, seed=16)
@@ -590,9 +607,9 @@ def test_build_memory_stays_far_below_full_g():
         peak = traced_peak(build_preconditioner, A, l, g)
         assert peak < 0.5 * full_g_bytes
         peaks.append(peak)
-    # the Gaussian stream draws its uniforms a bounded chunk at a time, so it
-    # adds less than one column over the uniform stream; drawing a column's
-    # uniforms at once would add several
+    # a Gaussian column is one standard_normal call that allocates only the
+    # column, so it adds less than one column over the uniform stream (it
+    # read 30 kB below it); a column's worth of temporaries would not
     assert peaks[1] - peaks[0] < n * 8
 
 
