@@ -450,6 +450,14 @@ class PermutedFactor:
         _check_rhs(d, self.R.shape[0])  # before the gather, which would drop rows past m
         return self._sweep(d[self.perm], adjoint=True)
 
+    def substitute_adjoint(self, x):
+        """Overwrite the float array x with R^-* x, no permutation; returns x.
+
+        One block sweep of `_substitute` with the block inverses held, so it
+        neither inverts a block again nor builds the fused steps.
+        """
+        return _substitute(self.R, self.block_inverses, x, adjoint=True)
+
 
 def build_gram(A, R, perm):
     """Preconditioned Gram matrix X = P^-1 A A* (P*)^-1 with P = Pi* R*, in one m-by-m array.

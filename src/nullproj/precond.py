@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense_core import PermutedFactor, _chain_upper, _invert_spd, _qr_pivoted_rows, build_gram
-from .dense_core import solve_upper_adjoint
 from .errors import ConfigurationError, DimensionError, DomainError, FactorizationError
 from .errors import RankDeficientSketchError, all_finite, as_index, as_real, checked_draw
 
@@ -129,7 +128,7 @@ class Preconditioner:
         """The `Y` this was made from, or for a build the Y its chain applies, computed at each read."""
         if self._Y is not None:
             return self._Y
-        T = solve_upper_adjoint(self._chain.R, self.R.T).T  # T = R U^-1, which is L^-*
+        T = self._chain.substitute_adjoint(np.array(self.R.T)).T  # T = R U^-1, which is L^-*
         Y = T @ T.T  # numpy's symmetric product, so Y == Y.T exactly
         Y.setflags(write=False)
         return Y

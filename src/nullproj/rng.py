@@ -23,15 +23,14 @@ rounds makes one copy into the column and one slide.  The residues mod 2^53
 2^64, is exact on them, and read as int64 they are the values times 2^63,
 which convert to floats exactly.  Each class names a single value in
 [-1, 1), class 2^52 reading as -1.  The lanes write straight into the
-column, which may be the caller's (`fill_column(n, out)`); a group of
-lanes starts from the 55 values before it, the stream's window or the
-end of the group before.  The output is bitwise the value-at-a-time
-loop's, whatever column sizes are requested.
+column; a group of lanes starts from the 55 values before it, the
+stream's window or the end of the group before.  The output is bitwise
+the value-at-a-time loop's, whatever column sizes are requested.
 """
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, as_index
+from .errors import as_index
 
 _MASK64 = (1 << 64) - 1
 
@@ -160,18 +159,15 @@ class UniformLaggedFibonacci:
         self._window = np.array(window)
         self.fill_column(_WARMUP)
 
-    def fill_column(self, n, out=None):
-        """Return the next `n` stream values as a float array, written into `out` if given.
+    def fill_column(self, n):
+        """Return the next `n` stream values as a new float array.
 
-        `out` must be a writeable, C-contiguous float64 ndarray of shape
-        (n,): a wrong shape raises `DimensionError`, anything else
-        `ConfigurationError`, and the state is untouched in either case.
         `n = 0` is accepted and returns an empty array; the state is
         untouched in that case.  A negative `n` raises `ConfigurationError`
         and leaves the state untouched.
         """
         n = as_index(n, "column length", least=0)
-        out = np.empty(n) if out is None else _checked_out(out, n)
+        out = np.empty(n)
         window = self._window
         done = 0
         while done < n:
@@ -188,22 +184,9 @@ class UniformLaggedFibonacci:
             start = out[done - _LAG_LONG : done] if done else window
             _run_group(start, out[done : done + size], t, lanes)
             done += size
-        # a new array: the window must not alias the column, which the caller owns
+        # a new array: the window must not alias the column it returns
         self._window = np.concatenate((window[n:], out[-_LAG_LONG:]))
         return out
-
-
-def _checked_out(out, n):
-    """`out`; DimensionError unless it holds n values in 1-D, ConfigurationError unless it is a
-    writeable, C-contiguous float64 ndarray (the lanes write it through reshaped views)."""
-    if np.shape(out) != (n,):
-        raise DimensionError(f"out must have shape ({n},), got {np.shape(out)}")
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
-        got = f"{type(out).__name__} of {np.asarray(out).dtype}"
-        raise ConfigurationError(f"out must be a float64 ndarray, got {got}")
-    if not out.flags.writeable or not out.flags.c_contiguous:
-        raise ConfigurationError("out must be writeable and C-contiguous")
-    return out
 
 
 class GaussianStream:

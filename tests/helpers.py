@@ -55,6 +55,21 @@ def oracle_row_projection(Vh, b):
     return Vh.T @ (Vh @ b)
 
 
+def sparse_row_projection(A, b):
+    """Projection of b onto the row space of a `SparseTestMatrix`, in closed form.
+
+    A = U [B ... B] V with U and B invertible, so A has the row space of
+    C = [I ... I] V, and C C* = (n/m) I: the projection is (m/n) C* C b.
+    C b sums entry i of b into slot g[i] = argsort(col_perm)[i] % m, and
+    C* w gathers w[g].  It never forms A or its stencil, so its error is
+    the rounding of those sums whatever A's condition number, and it needs
+    no densify, so it holds past `ORACLE_CAP`.
+    """
+    m, n = A.shape
+    g = np.argsort(A.col_perm) % m
+    return (m / n) * np.bincount(g, weights=b, minlength=m)[g]
+
+
 def oracle_null_projection(Vh, b):
     return b - oracle_row_projection(Vh, b)
 

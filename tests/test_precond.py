@@ -107,6 +107,42 @@ def test_sketch_requests_blocks_no_larger_than_the_sketch(m, n, requests):
     assert A.counts() == (m + 4, 0)
 
 
+class ReadOnlyColumns:
+    """Forwards to `base`, returning each request's values as a read-only array."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def fill_column(self, n):
+        values = self.base.fill_column(n)
+        values.setflags(write=False)
+        return values
+
+
+class StridedColumns:
+    """Forwards to `base`, returning each request's values as a view of every other entry."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def fill_column(self, n):
+        values = np.full(2 * n, np.nan)
+        values[::2] = self.base.fill_column(n)
+        return values[::2]
+
+
+@pytest.mark.parametrize("wrap", [ReadOnlyColumns, StridedColumns], ids=["read-only", "strided"])
+@pytest.mark.parametrize("m, n", [(40, 4000), (20, 40)], ids=["columns", "blocks"])
+def test_a_build_never_writes_the_columns_a_stream_returns(wrap, m, n):
+    # a stream hands over each request's values and the build only reads
+    # them: at (40, 4000) each request is one column, at (20, 40) one block
+    # of b = 12 columns
+    plain = build_preconditioner(make_sparse_test(m, n, 1e8, 0), m + 4, UniformLaggedFibonacci(1))
+    pre = build_preconditioner(make_sparse_test(m, n, 1e8, 0), m + 4, wrap(UniformLaggedFibonacci(1)))
+    for got, want in ((pre.R, plain.R), (pre.perm, plain.perm), (pre._chain.R, plain._chain.R)):
+        assert got.tobytes() == want.tobytes()
+
+
 class WrongLengthStream:
     """A stream whose columns come back one value short, or as a 2-D array."""
 
@@ -362,7 +398,7 @@ def test_the_repr_of_a_build_names_its_sizes_and_does_not_compute_y(monkeypatch)
     def no_y(*args):
         raise AssertionError("the repr computed Y")
 
-    monkeypatch.setattr(precond, "solve_upper_adjoint", no_y)
+    monkeypatch.setattr(dense_core.PermutedFactor, "substitute_adjoint", no_y)
     assert repr(pre) == "Preconditioner(l=404, m=400, n=4000, build_apply_counts=(804, 400))"
 
 

@@ -31,6 +31,7 @@ from helpers import (
     oracle_lstsq,
     oracle_null_projection,
     oracle_row_projection,
+    sparse_row_projection,
     substitute_by_rows,
     svd_parts,
     unit_vectors,
@@ -67,6 +68,29 @@ def test_row_projection_matches_svd_oracle():
     b = rng.standard_normal(24)
     res = project(pre, A, b)
     assert np.linalg.norm(res.row_projection - oracle_row_projection(Vh, b)) <= 1e-9
+
+
+def test_sparse_closed_form_row_projection_matches_the_svd_oracle():
+    # at the oracle cap, and at kappa = 1e2, where the SVD oracle's own
+    # error, about kappa eps, is small (9.8e-15 measured)
+    A = make_sparse_test(100, 10_000, 1e2, seed=90)
+    _, _, _, Vh = svd_parts(A)
+    for b in unit_vectors(10_000, 3, seed=91):
+        assert np.linalg.norm(sparse_row_projection(A, b) - oracle_row_projection(Vh, b)) <= 1e-13
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12])
+def test_row_projection_past_the_oracle_cap_matches_the_sparse_closed_form(kappa):
+    # (100, 1e5) is ten times the cap, so the SVD oracle cannot run; it would
+    # be no reference at large kappa either: the SVD rounds A by about
+    # eps |A|, which turns its row space by about kappa eps (2.4e-9 measured
+    # at kappa = 1e8, n = 1e4), where the closed form's error does not grow
+    # with kappa.  Criterion 06's bound; 3e-18 kappa to 5e-18 kappa measured
+    m, n = 100, 100_000
+    A, pre = build_pair(m, n, kappa, seed=92)
+    for b in unit_vectors(n, 3, seed=93):
+        err = np.linalg.norm(project(pre, A, b).row_projection - sparse_row_projection(A, b))
+        assert err <= 1e-13 * kappa
 
 
 def test_oracle_equivalence_sweep():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nullproj import ConfigurationError, DimensionError, GaussianStream, UniformLaggedFibonacci
+from nullproj import ConfigurationError, GaussianStream, UniformLaggedFibonacci
 from nullproj import rng
 from nullproj.rng import _JUMPS, _LANES, _MAX_ROUNDS_LOG2, _ROWS
 
@@ -261,14 +261,14 @@ def test_uniform_fill_column_memory_is_bounded():
     assert peak < n * 8 + 64 * 1024
 
 
-def test_gaussian_fill_column_temporaries_are_bounded():
+@pytest.mark.parametrize("n", [20_000, 100_000, 200_000])
+def test_gaussian_fill_column_allocates_only_its_column(n):
     # one standard_normal call writes the column and allocates nothing else:
     # 240 bytes over n values were measured, so any length-n temporary fails
-    n = 100_000
     g = GaussianStream(8)
     g.fill_column(n)  # any one-time setup happens outside the traced call
     peak = traced_peak(g.fill_column, n)
-    assert peak - (n + 1) * 8 < 108_000
+    assert peak - (n + 1) * 8 < 64 * 1024
 
 
 def test_uniform_construction_and_first_column_memory_is_bounded():
@@ -287,56 +287,6 @@ def test_fill_column_negative_raises_and_keeps_state(stream_cls):
         g.fill_column(-3)
     flat = stream_cls(1).fill_column(11)
     assert np.array_equal(np.concatenate([first, g.fill_column(10)]), flat)
-
-
-@pytest.mark.parametrize("n", [0, 1, 54, 55, 56, 1696, 98_304, 98_305, N_BIG])
-def test_uniform_fill_column_into_out_is_bitwise_the_returned_column(n):
-    g, h = UniformLaggedFibonacci(21), UniformLaggedFibonacci(21)
-    buf = np.full(n, np.nan)
-    assert h.fill_column(n, out=buf) is buf
-    assert np.array_equal(buf.view(np.int64), g.fill_column(n).view(np.int64))
-    assert h.fill_column(60).tolist() == g.fill_column(60).tolist()
-
-
-def bad_out(kind):
-    """An `out` for a 10-value request that the stream must refuse."""
-    if kind == "read-only":
-        out = np.zeros(10)
-        out.setflags(write=False)
-        return out
-    return {
-        "long": np.zeros(11),
-        "2-D": np.zeros((1, 10)),
-        "float32": np.zeros(10, dtype=np.float32),
-        "int64": np.zeros(10, dtype=np.int64),
-        "list": [0.0] * 10,
-        "strided": np.zeros(20)[::2],
-    }[kind]
-
-
-@pytest.mark.parametrize(
-    "kind, error",
-    [("long", DimensionError), ("2-D", DimensionError)]
-    + [(kind, ConfigurationError) for kind in ("float32", "int64", "list", "read-only", "strided")],
-)
-def test_uniform_fill_column_refuses_a_bad_out_and_keeps_state(kind, error):
-    g = UniformLaggedFibonacci(22)
-    out = bad_out(kind)
-    before = np.array(out)
-    with pytest.raises(error, match="^out must"):
-        g.fill_column(10, out=out)
-    assert np.array_equal(np.array(out), before)
-    assert g.fill_column(60).tolist() == UniformLaggedFibonacci(22).fill_column(60).tolist()
-
-
-@pytest.mark.parametrize("n", [20_000, 200_000])
-def test_gaussian_column_draws_its_rounds_into_its_frame(n):
-    # a column is one standard_normal call, which holds nothing beyond the
-    # column it returns (240 bytes over n values measured at both sizes)
-    g = GaussianStream(8)
-    g.fill_column(n)
-    peak = traced_peak(g.fill_column, n)
-    assert peak - (n + 1) * 8 < 64 * 1024
 
 
 def test_uniform_ks():
