@@ -33,7 +33,6 @@ array at a time: the stream's one-column block in the sketch, then
 peaks.
 """
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,11 +54,13 @@ class Preconditioner:
     Construction takes `l`, `m` and `n` as Python ints with m <= l <= n,
     converts `R` and `Y` to float arrays (a float ndarray is not copied; a
     complex one raises `DomainError`), checks their shapes and that `Y` is
-    finite, and checks `R` and `perm` through their
-    `dense_core.PermutedFactor`, keeping only its copy of `perm`: a `perm`
-    that is not an integer permutation raises `ConfigurationError`, a NaN
-    or infinite entry of `R` `DomainError` and a zero on R's diagonal
-    `SingularFactorError`.
+    finite and exactly symmetric (`DomainError`), inverts `Y`
+    (`FactorizationError` for one that is not numerically positive
+    definite) and forms the chain's factor below, which checks `R` and
+    `perm`, keeping only its copy of `perm`: a `perm` that is not an
+    integer permutation raises `ConfigurationError`, a NaN or infinite
+    entry of `R` `DomainError` and a zero on R's diagonal
+    `SingularFactorError` (U's diagonal is zero where R's is).
 
     The one factor held is the chain's, U Pi with U = L* R for the
     Cholesky factor L of X = Y^-1, so that every projection's
@@ -68,17 +69,14 @@ class Preconditioner:
     and never forms Y, so its `Y` is read back as (R U^-1)(R U^-1)*, the Y
     that the chain applies: an m-by-m product computed at each read,
     exactly symmetric.  A preconditioner made from a `Y` keeps that `Y`
-    and forms U from Y^-1 at its first projection, which raises
-    `DomainError` for a `Y` that is not exactly symmetric and
-    `FactorizationError` for one that is not numerically positive definite.
-    R's factor is formed only by `diagnostics.measured_condition`.
+    and forms U from Y^-1 at construction.  R's factor is formed only by
+    `diagnostics.measured_condition`.
 
     Instances compare and hash by identity, are immutable (the arrays are
-    read-only) and are safe to share across threads; what changes is the
-    chain factor's cache of fused solve steps, built at its first solve,
-    and the chain's factor of a preconditioner made from a `Y`, formed at
-    its first projection.  Each is built under a lock, so concurrent first
-    projections build it once.  No projection of a build calls LAPACK.
+    read-only) and are safe to share across threads; the only state that
+    changes after construction is the chain factor's fused solve steps,
+    built under a lock at its first solve, so concurrent first projections
+    build them once.  No projection calls LAPACK.
     """
 
     # R, perm and Y are left out of the repr, which would print m-by-m
@@ -91,15 +89,21 @@ class Preconditioner:
     build_apply_counts: tuple
 
     def __init__(self, R, perm, Y, l, m, n, build_apply_counts):
-        self._hold(R, perm, l, m, n, build_apply_counts)  # R's factor checks R and perm, and goes
-        self._Y = as_real(Y, "Y")
-        if self._Y.shape != (self.m, self.m):
-            raise DimensionError(f"Y must be {self.m}x{self.m}, got shape {self._Y.shape}")
-        if not all_finite(self._Y):
+        Y = as_real(Y, "Y")
+        m = as_index(m, "m")
+        if Y.shape != (m, m):
+            raise DimensionError(f"Y must be {m}x{m}, got shape {Y.shape}")
+        if not all_finite(Y):
             raise DomainError("Y must be finite, got a NaN or infinite entry")
-        self._Y.setflags(write=False)
-        self._chain = None  # formed from Y at the first projection
-        self._chain_lock = threading.Lock()
+        if not np.array_equal(Y, Y.T):
+            raise DomainError("Y must be symmetric, got Y != Y.T")
+        try:
+            X = _invert_spd(np.array(Y))
+        except FactorizationError as exc:
+            raise FactorizationError(f"Y must be positive definite: {exc}") from exc
+        self._chain = self._hold(R, perm, l, m, n, build_apply_counts, X)
+        Y.setflags(write=False)
+        self._Y = Y
 
     @classmethod
     def _of_gram(cls, R, perm, X, l, m, n, build_apply_counts):
@@ -109,16 +113,16 @@ class Preconditioner:
         pre._Y = None
         return pre
 
-    def _hold(self, R, perm, l, m, n, build_apply_counts, X=None):
-        """Check and keep the fields; returns the `PermutedFactor` that checked R and perm,
-        R's or, given a build's Gram matrix X, the chain's (U's diagonal is zero where R's is)."""
+    def _hold(self, R, perm, l, m, n, build_apply_counts, X):
+        """Check and keep the fields; returns the chain's `PermutedFactor`, of U Pi for U = L* R
+        and X = L L*, which checks R and perm (U's diagonal is zero where R's is)."""
         self.m, self.n = as_index(m, "m"), as_index(n, "n")
         self.l = _check_sketch_width(l, self.m, self.n)
         self.R = as_real(R, "R")
         if self.R.shape != (self.m, self.m):
             raise DimensionError(f"R must be {self.m}x{self.m}, got shape {self.R.shape}")
         self.build_apply_counts = build_apply_counts
-        factor = PermutedFactor(self.R if X is None else _chain_upper(X, self.R), perm)
+        factor = PermutedFactor(_chain_upper(X, self.R), perm)
         self.perm = factor.perm
         for held in (self.R, self.perm, factor.R):
             held.setflags(write=False)
@@ -136,22 +140,6 @@ class Preconditioner:
     # a field, so that `dataclasses.replace` passes Y on; its default keeps
     # the property on the class
     Y: np.ndarray = field(default=property(_read_y), repr=False)
-
-    def _chain_factor(self):
-        """The `PermutedFactor` of U Pi that every projection solves through."""
-        chain = self._chain
-        if chain is None:
-            with self._chain_lock:
-                chain = self._chain
-                if chain is None:
-                    if not np.array_equal(self._Y, self._Y.T):
-                        raise DomainError("Y must be symmetric, got Y != Y.T")
-                    try:
-                        X = _invert_spd(np.array(self._Y))
-                    except FactorizationError as exc:
-                        raise FactorizationError(f"Y must be positive definite: {exc}") from exc
-                    chain = self._chain = PermutedFactor(_chain_upper(X, self.R), self.perm)
-        return chain
 
 
 def default_sketch_width(m, n=None):

@@ -14,8 +14,7 @@ equations with the R factor of A* that a randomized Cholesky-QR gives.
 The build forms U; the chain's `dense_core.PermutedFactor`, the one
 factor a preconditioner holds, owns U, perm and the inverses of U's
 diagonal blocks (a partitioned inverse, never an inverse of U or of
-anything Gram-like), so no projection of a build calls LAPACK; one made
-by hand from a `Y` factors Y^-1 at its first projection.  Each
+anything Gram-like), so no projection calls LAPACK.  Each
 triangular solve is one BLAS product per 64 rows with the factor's
 fused steps, which both solves share: the first projection builds them
 and every later one reuses them (`dense_core` says how).  Only
@@ -65,7 +64,7 @@ def _check_vector(b, n, name="b"):
 
 def _solve_chain(pre, c):
     """Steps 2-6: h = (P*)^-1 Y P^-1 c for c = A b, as the two solves of U Pi."""
-    f = pre._chain_factor()
+    f = pre._chain
     return f.solve(f.solve_adjoint(c))
 
 

@@ -4,7 +4,8 @@ Every oracle here goes through dense numpy factorizations of explicitly
 materialized matrices, never through the library's own solve chain, so a
 bug in the fast path cannot hide behind the same bug in its check.  The
 fakes (`Returns`, `identity_preconditioner`) hand a check the exact array
-it is to refuse or pass.  The measuring helpers (`traced_peak`,
+it is to refuse or pass.  `CoordinateRows` is an operator whose row
+projection is known in closed form, at any size.  The measuring helpers (`traced_peak`,
 `count_lapack_solves`) are the suite's one way to read a call's memory
 peak and its LAPACK solves.
 """
@@ -68,6 +69,40 @@ def sparse_row_projection(A, b):
     m, n = A.shape
     g = np.argsort(A.col_perm) % m
     return (m / n) * np.bincount(g, weights=b, minlength=m)[g]
+
+
+class CoordinateRows(LinearOperator):
+    """A counted m-by-n operator with a known SVD and the most coherent row space there is.
+
+    A = Q diag(sigma) Phi, where Q is an orthonormal m-by-m matrix, sigma =
+    geomspace(1, 1/kappa, m), and Phi's rows are the coordinate vectors of
+    `cols`, m distinct columns, all drawn from `seed`.  So cond(A) = kappa,
+    A x = Q (sigma * x[cols]), and A* y scatters sigma * (Q* y) into `cols`
+    of a zero length-n array.  A sketch A G sees only the m rows `cols` of
+    G.  It is never formed, so it holds past `ORACLE_CAP`.
+    """
+
+    def __init__(self, m, n, kappa, seed):
+        super().__init__(m, n)
+        rng = np.random.default_rng(seed)
+        self.Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        self.sigma = np.geomspace(1.0, 1.0 / kappa, m)
+        self.cols = rng.choice(n, m, replace=False)
+
+    def _apply_impl(self, x):
+        return self.Q @ (self.sigma * x[self.cols])
+
+    def _apply_adjoint_impl(self, y):
+        out = np.zeros(self.shape[1])
+        out[self.cols] = self.sigma * (self.Q.T @ y)
+        return out
+
+
+def coordinate_row_projection(A, b):
+    """Projection of b onto the row space of a `CoordinateRows`: b masked to its `cols`, exactly."""
+    out = np.zeros_like(b)
+    out[A.cols] = b[A.cols]
+    return out
 
 
 def oracle_null_projection(Vh, b):

@@ -84,10 +84,13 @@ def test_nonfinite_entry_is_a_domain_error_at_every_check(site, bad, where):
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("extreme", [1.7e308, -1.7e308, 5e-324, -5e-324])
-@pytest.mark.parametrize("site", ["A x", "A* y", "densify", "b", "Y", "R"])
+@pytest.mark.parametrize("site", ["A x", "A* y", "densify", "b", "R"])
 def test_extreme_finite_entries_pass_every_check(site, extreme, where):
     # warnings are errors in this suite, so a check that overflowed on
-    # large finite entries would fail here too
+    # large finite entries would fail here too.  "Y" and "invert_small" are
+    # not sites here: each inverts the matrix after its check, and most of
+    # these matrices are not symmetric positive definite or have an inverse
+    # that overflows
     shape, call, _ = SITES[site]
     call(with_entry(shape, where, extreme))
 

@@ -25,14 +25,13 @@ from nullproj import (
     measured_condition,
     project,
     qr_pivoted,
-    solve_lstsq,
 )
 from nullproj import dense_core, precond
 from nullproj.dense_core import PermutedFactor, invert_diagonal_blocks
 from nullproj.precond import SKETCH_ATTEMPTS
 from nullproj.projector import _solve_chain
 
-from helpers import Returns, count_lapack_solves, identity_preconditioner, traced_peak
+from helpers import count_lapack_solves, identity_preconditioner, traced_peak
 
 
 def perm_matrix(perm):
@@ -380,6 +379,24 @@ def test_a_build_inverts_the_diagonal_blocks_of_four_factors(m):
     assert len(calls) == 4 * -(-m // 32)
 
 
+@pytest.mark.parametrize("m", [100, 400])
+def test_a_preconditioner_made_from_y_inverts_the_diagonal_blocks_of_three_factors(m):
+    # Y's Cholesky factor's in X = Y^-1, then L's in U = L* R for X = L L*,
+    # then U's in the chain's factor; R's factor is never made, and the
+    # first projection solves through the fused steps with no LAPACK call
+    A = make_sparse_test(m, 4 * m, 1e4, seed=5)
+    pre = build_preconditioner(A, m + 4, UniformLaggedFibonacci(6))
+    fields = dict(R=pre.R, perm=pre.perm, Y=pre.Y, l=m + 4, m=m, n=4 * m, build_apply_counts=(0, 0))
+    b = np.ones(4 * m)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_lapack_solves(patch)
+        made = Preconditioner(**fields)
+        assert len(calls) == 3 * -(-m // 32)
+        calls.clear()
+        project(made, A, b)
+    assert calls == []
+
+
 def test_preconditioners_compare_and_hash_by_identity():
     # Y is computed at each read, so field-wise equality would compare two
     # fresh arrays; a preconditioner equals itself only
@@ -407,28 +424,23 @@ def test_the_repr_of_a_build_names_its_sizes_and_does_not_compute_y(monkeypatch)
     [np.diag([1.0, 1.0, -1.0, 1.0]), np.diag([1.0, 0.0, 1.0, 1.0]), np.eye(4) + np.eye(4)[::-1]],
     ids=["negative", "singular", "indefinite"],
 )
-def test_a_y_that_is_not_positive_definite_is_refused_at_the_first_projection(Y):
-    # a finite Y passes construction; the chain's factor needs the Cholesky
-    # factor of Y^-1, so the first projection raises where it would project garbage
-    pre = identity_preconditioner(Y)
-    A = Returns()
-    for call in (lambda: project(pre, A, np.ones(8)), lambda: solve_lstsq(pre, A, np.ones(8))):
-        with pytest.raises(FactorizationError, match="^Y must be positive definite: matrix of size 4"):
-            call()
-    assert pre._chain is None
+def test_a_y_that_is_not_positive_definite_is_refused_at_construction(Y):
+    # a finite Y is inverted at construction, and the chain's factor needs
+    # the Cholesky factor of Y^-1, so construction raises where a projection
+    # would project garbage
+    with pytest.raises(FactorizationError, match="^Y must be positive definite: matrix of size 4"):
+        identity_preconditioner(Y)
 
 
-def test_a_y_that_is_not_symmetric_is_refused_at_the_first_projection():
+def test_a_y_that_is_not_symmetric_is_refused_at_construction():
     # U is formed from Y^-1's lower triangle, so a Y with another upper
     # triangle would project as a different matrix; a build's Y with its
     # strict lower triangle tripled is refused instead
     A = make_sparse_test(40, 400, 1e4, 7)
     pre = build_preconditioner(A, 44, UniformLaggedFibonacci(8))
     Y = pre.Y + 2 * np.tril(pre.Y, -1)
-    skewed = Preconditioner(R=pre.R, perm=pre.perm, Y=Y, l=44, m=40, n=400, build_apply_counts=(84, 40))
-    for call in (lambda: project(skewed, A, np.ones(400)), lambda: solve_lstsq(skewed, A, np.ones(400))):
-        with pytest.raises(DomainError, match="^Y must be symmetric, got Y != Y.T$"):
-            call()
+    with pytest.raises(DomainError, match="^Y must be symmetric, got Y != Y.T$"):
+        Preconditioner(R=pre.R, perm=pre.perm, Y=Y, l=44, m=40, n=400, build_apply_counts=(84, 40))
 
 
 def test_a_build_holds_u_in_place_of_y():
@@ -455,8 +467,7 @@ def test_the_chain_factor_is_a_triangular_root_of_a_a_star(family, kappa):
     m, n = 70, 700
     A = family(m, n, kappa, 33)
     pre = build_preconditioner(A, m + 4, UniformLaggedFibonacci(34))
-    chain = pre._chain_factor()
-    assert chain is pre._chain_factor() is pre._chain
+    chain = pre._chain
     U = chain.R
     assert not np.tril(U, -1).any()  # exact zeros below the diagonal
     assert np.array_equal(chain.perm, pre.perm)
@@ -468,8 +479,7 @@ def test_the_chain_factor_is_a_triangular_root_of_a_a_star(family, kappa):
     eps = np.finfo(float).eps
     assert (np.abs(su - s) <= 100 * kappa * eps * s).all()  # 0.75 kappa eps measured
     made = Preconditioner(R=pre.R, perm=pre.perm, Y=pre.Y, l=m + 4, m=m, n=n, build_apply_counts=(0, 0))
-    assert made._chain is None
-    assert np.linalg.norm(made._chain_factor().R - U) <= 1e-13 * np.linalg.norm(U)  # 1.7e-15 measured
+    assert np.linalg.norm(made._chain.R - U) <= 1e-13 * np.linalg.norm(U)  # 1.7e-15 measured
 
 
 def test_preconditioner_converts_nested_lists():
@@ -490,6 +500,8 @@ def test_preconditioner_refuses_a_zero_diagonal_factor_at_construction():
     R = pre.R.copy()
     R[5, 5] = 0.0
     fields = dict(R=R, perm=pre.perm, Y=pre.Y, l=12, m=8, n=32, build_apply_counts=(20, 8))
+    # the chain's U = L* R has a zero on its diagonal where R has one, and
+    # the chain's factor finds it there
     with pytest.raises(SingularFactorError, match="index 5"):
         Preconditioner(**fields)
     # the shape and permutation checks run before the factor is inverted

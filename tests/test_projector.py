@@ -6,6 +6,7 @@ from nullproj import (
     ConfigurationError,
     DimensionError,
     DomainError,
+    GaussianStream,
     MatrixOperator,
     Preconditioner,
     SingularFactorError,
@@ -26,7 +27,9 @@ from nullproj import dense_core, precond
 from nullproj.projector import _solve_chain
 
 from helpers import (
+    CoordinateRows,
     backward_error_lstsq,
+    coordinate_row_projection,
     count_lapack_solves,
     oracle_lstsq,
     oracle_null_projection,
@@ -79,6 +82,17 @@ def test_sparse_closed_form_row_projection_matches_the_svd_oracle():
         assert np.linalg.norm(sparse_row_projection(A, b) - oracle_row_projection(Vh, b)) <= 1e-13
 
 
+def test_coordinate_rows_have_their_known_svd():
+    # at the oracle cap: the singular values are sigma (2.2e-15 relative
+    # measured), and the row projection is b masked to the columns
+    # (6.2e-16 measured)
+    A = CoordinateRows(100, 10_000, 1e2, seed=90)
+    _, _, s, Vh = svd_parts(A)
+    assert np.all(np.abs(s - A.sigma) <= 1e-13 * A.sigma)
+    for b in unit_vectors(10_000, 3, seed=91):
+        assert np.linalg.norm(coordinate_row_projection(A, b) - oracle_row_projection(Vh, b)) <= 1e-13
+
+
 @pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12])
 def test_row_projection_past_the_oracle_cap_matches_the_sparse_closed_form(kappa):
     # (100, 1e5) is ten times the cap, so the SVD oracle cannot run; it would
@@ -90,6 +104,20 @@ def test_row_projection_past_the_oracle_cap_matches_the_sparse_closed_form(kappa
     A, pre = build_pair(m, n, kappa, seed=92)
     for b in unit_vectors(n, 3, seed=93):
         err = np.linalg.norm(project(pre, A, b).row_projection - sparse_row_projection(A, b))
+        assert err <= 1e-13 * kappa
+
+
+@pytest.mark.parametrize("stream", [UniformLaggedFibonacci, GaussianStream], ids=["lfg", "gaussian"])
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12])
+def test_row_projection_past_the_oracle_cap_matches_coordinate_rows(kappa, stream):
+    # A's rows span m coordinate vectors, the most coherent row space, and
+    # its projection is b masked to them, exactly, at any size and kappa.
+    # Criterion 06's bound; 1.3e-18 kappa to 4.0e-18 kappa measured
+    m, n = 100, 100_000
+    A = CoordinateRows(m, n, kappa, seed=94)
+    pre = build_preconditioner(A, m + 4, stream(95))
+    for b in unit_vectors(n, 3, seed=96):
+        err = np.linalg.norm(project(pre, A, b).row_projection - coordinate_row_projection(A, b))
         assert err <= 1e-13 * kappa
 
 
@@ -446,11 +474,10 @@ def test_concurrent_first_projections_match_serial_ones_bitwise(monkeypatch):
     assert fresh._chain._fused is not None
 
 
-def test_concurrent_first_projections_of_a_preconditioner_made_from_y_factor_it_once(monkeypatch):
-    # A preconditioner made from a Y forms the chain's U at its first
-    # projection, under its own lock; threads that all reach that projection
-    # at once form U once and get what a serial twin made from the same
-    # fields gets
+def test_a_preconditioner_made_from_y_forms_u_once_at_construction(monkeypatch):
+    # A preconditioner made from a Y forms the chain's U when it is made;
+    # threads that all reach its first projection at once form nothing
+    # more and get what a serial twin made from the same fields gets
     factored = []
     chain_upper = precond._chain_upper
 
@@ -460,13 +487,15 @@ def test_concurrent_first_projections_of_a_preconditioner_made_from_y_factor_it_
 
     A, pre = build_pair(100, 1000, 1e8, seed=64)
     fields = dict(R=pre.R, perm=pre.perm, Y=pre.Y, l=104, m=100, n=1000, build_apply_counts=(0, 0))
-    twin, fresh = Preconditioner(**fields), Preconditioner(**fields)
+    twin = Preconditioner(**fields)
+    monkeypatch.setattr(precond, "_chain_upper", counting)
+    fresh = Preconditioner(**fields)
+    assert factored == [100]
     rng = np.random.default_rng(65)
     bs = [rng.standard_normal(1000) for _ in range(8)]
     serial = [project(twin, A, b) for b in bs]
-    monkeypatch.setattr(precond, "_chain_upper", counting)
     assert_bitwise_equal(project_all_at_once(fresh, A, bs), serial)
-    assert factored == [100] and fresh._chain is fresh._chain_factor()
+    assert factored == [100]
 
 
 def test_projections_after_a_build_make_no_lapack_solve(monkeypatch):
