@@ -2,7 +2,8 @@
 
 One trial builds a synthetic operator, times both setup phases and both
 per-vector projection phases, then takes the max of the four error metrics
-over `trials` random unit vectors.  Results serialize to CSV or to two
+over `trials` random unit vectors.  Each timing is a median over warm
+classical/randomized pairs (see `_paired`).  Results serialize to CSV or to two
 markdown tables, timings then errors, in the usual column order (m, n, l,
 kappa, then data).  The CSV holds the full row, written by the stdlib `csv`
 writer, so the `csv` module and `float()` read it back exactly.
@@ -29,7 +30,7 @@ from .rng import GaussianStream, UniformLaggedFibonacci
 _FAMILIES = {"sparse": make_sparse_test, "dense": make_dense_test}
 _STREAMS = {"lfg": UniformLaggedFibonacci, "gauss": GaussianStream}
 
-_FAST_PHASE = 0.05  # phases under 50 ms get timed as a median of 3 runs
+_PAIRS = 5  # warm classical/randomized pairs per timed phase
 
 
 @dataclass(kw_only=True)
@@ -82,31 +83,25 @@ class TrialRow(TrialConfig):
     project_adjoint_applies: int
 
 
-def _timed(fn):
-    """Wall-clock a callable; short phases are repeated and the median taken.
+def _paired(classical, randomized):
+    """Median seconds of (classical, randomized) over `_PAIRS` warm pairs.
 
-    Returns (seconds, first result); repeats rerun the callable, which is
-    fine for the phases timed here (rebuilds advance the random stream but
-    the recorded result is always the first one).
+    The pairs alternate which side goes first, classical in the first, so a
+    drift in the host's speed falls on both; the results are discarded.
     """
-    t0 = time.perf_counter()
-    value = fn()
-    dt = time.perf_counter() - t0
-    if dt >= _FAST_PHASE:
-        return dt, value
-    samples = [dt]
-    for _ in range(2):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    samples.sort()
-    return samples[1], value
+    samples = ([], [])
+    for k in range(_PAIRS):
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            t0 = time.perf_counter()
+            (classical, randomized)[side]()
+            samples[side].append(time.perf_counter() - t0)
+    return float(np.median(samples[0])), float(np.median(samples[1]))
 
 
 def run_trial(config):
     """Execute one benchmark configuration and return its TrialRow.
 
-    Timings use a monotonic clock; error fields are maxima over
+    Timings are medians of warm pairs (`_paired`); error fields are maxima over
     `config.trials` random unit vectors; apply counts are asserted against
     the cost model (l+m, m) for the build and (1, 1) per projection.
     """
@@ -121,11 +116,9 @@ def run_trial(config):
 
     b_time = unit_vector()  # the vector both timing phases project
 
-    s_pre, classical = _timed(lambda: ClassicalProjector(A))
-    s_pro, _ = _timed(lambda: classical.project(b_time))
-
+    classical = ClassicalProjector(A)  # the error fields read these first setups
     g = _STREAMS[cfg.rng_kind](cfg.seed + 1)
-    t_pre, pre = _timed(lambda: build_preconditioner(A, cfg.l, g))
+    pre = build_preconditioner(A, cfg.l, g)
     if pre.build_apply_counts != (cfg.l + cfg.m, cfg.m):
         raise NullProjError(
             f"build cost contract violated: expected ({cfg.l + cfg.m}, {cfg.m}) applies, "
@@ -138,7 +131,11 @@ def run_trial(config):
     project_counts = (after[0] - before[0], after[1] - before[1])
     if project_counts != (1, 1):
         raise NullProjError(f"projection cost contract violated: measured {project_counts}")
-    t_pro, _ = _timed(lambda: project(pre, A, b_time))
+    classical.project(b_time)  # the counted call above warmed the randomized side
+
+    # the timed builds keep drawing from g, so no timed call makes a stream
+    s_pre, t_pre = _paired(lambda: ClassicalProjector(A), lambda: build_preconditioner(A, cfg.l, g))
+    s_pro, t_pro = _paired(lambda: classical.project(b_time), lambda: project(pre, A, b_time))
 
     def classical_null(v):
         return classical.project(v).null_projection
@@ -224,9 +221,8 @@ def main(argv=None):
         prog="nullproj-bench",
         description=(
             "Benchmark classical vs randomized null-space projection on synthetic matrices. "
-            "Timings time one cold call per phase, or take the median of 3 calls when the "
-            f"first takes under {_FAST_PHASE * 1000:.0f} ms, and run every classical phase "
-            "before the randomized ones, not interleaved."
+            f"Each timing is the median of {_PAIRS} warm classical/randomized pairs, alternating "
+            "which side goes first, after one untimed call of each."
         ),
     )
     # the trial flags set only what is given, so the defaults are TrialConfig's

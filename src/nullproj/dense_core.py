@@ -505,9 +505,9 @@ def invert_small(X):
     read.  The preconditioned Gram matrix this is built for is well
     conditioned by construction, so an X that is not numerically SPD means
     a broken build and raises FactorizationError, whichever pivot block
-    fails.  Y's upper triangle mirrors its lower one, so Y == Y.T holds
-    exactly.  A NaN or infinite entry raises DomainError.  X is left as it
-    was: the inverse runs on a copy.
+    fails, as does an inverse that overflows.  Y's upper triangle mirrors
+    its lower one, so Y == Y.T holds exactly.  A NaN or infinite entry
+    raises DomainError.  X is left as it was: the inverse runs on a copy.
     """
     return _invert_spd(np.array(as_real(X, "X")))
 
@@ -549,6 +549,7 @@ def _cholesky(X):
     return inverses
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked at the end: a NaN only follows an inf
 def _invert_spd(X):
     """`invert_small` for a float array X that it overwrites: X ends up holding Y.
 
@@ -579,6 +580,8 @@ def _invert_spd(X):
         X[b:, a:b] = X[b:, b:].T @ X[b:, a:b]
         X[a:b, a:b] = np.tril(diag) + np.tril(diag, -1).T
         X[a:b, b:] = X[b:, a:b].T
+    if not all_finite(X):
+        raise FactorizationError(f"matrix of size {m} has an inverse that overflows")
     return X
 
 

@@ -4,10 +4,10 @@ Every oracle here goes through dense numpy factorizations of explicitly
 materialized matrices, never through the library's own solve chain, so a
 bug in the fast path cannot hide behind the same bug in its check.  The
 fakes (`Returns`, `identity_preconditioner`) hand a check the exact array
-it is to refuse or pass.  `CoordinateRows` is an operator whose row
-projection is known in closed form, at any size.  The measuring helpers (`traced_peak`,
-`count_lapack_solves`) are the suite's one way to read a call's memory
-peak and its LAPACK solves.
+it is to refuse or pass.  `CoordinateRows` and `TrigRows` are operators
+whose row projections are known in closed form, at any size.  The
+measuring helpers (`traced_peak`, `count_lapack_solves`) are the suite's
+one way to read a call's memory peak and its LAPACK solves.
 """
 
 import tracemalloc
@@ -103,6 +103,52 @@ def coordinate_row_projection(A, b):
     out = np.zeros_like(b)
     out[A.cols] = b[A.cols]
     return out
+
+
+class TrigRows(LinearOperator):
+    """A counted m-by-n operator with a known SVD and the smoothest row space there is.
+
+    A = Q diag(sigma) Phi, with Q and sigma as in `CoordinateRows`, and
+    Phi's rows the m lowest-frequency orthonormal real Fourier rows of
+    length n: the constant, then cos and sin of each frequency 1, 2, ...,
+    in that order.  `phi` and `phi_adjoint` apply Phi and Phi* with
+    `np.fft.rfft` and `irfft` (`norm="ortho"`), so A is never formed and
+    holds past `ORACLE_CAP`.  It needs m < n - 1, which keeps the Nyquist
+    row out.
+    """
+
+    def __init__(self, m, n, kappa, seed):
+        super().__init__(m, n)
+        self.Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
+        self.sigma = np.geomspace(1.0, 1.0 / kappa, m)
+
+    def phi(self, x):
+        m = self.shape[0]
+        c = np.fft.rfft(x, norm="ortho")[: m // 2 + 1]
+        out = np.empty(m)
+        out[0] = c[0].real
+        out[1::2] = np.sqrt(2.0) * c[1 : m // 2 + 1].real
+        out[2::2] = -np.sqrt(2.0) * c[1 : (m + 1) // 2].imag
+        return out
+
+    def phi_adjoint(self, y):
+        m, n = self.shape
+        c = np.zeros(n // 2 + 1, dtype=complex)
+        c[0] = y[0]
+        c[1 : m // 2 + 1].real = y[1::2] / np.sqrt(2.0)
+        c[1 : (m + 1) // 2].imag = -y[2::2] / np.sqrt(2.0)
+        return np.fft.irfft(c, n, norm="ortho")
+
+    def _apply_impl(self, x):
+        return self.Q @ (self.sigma * self.phi(x))
+
+    def _apply_adjoint_impl(self, y):
+        return self.phi_adjoint(self.sigma * (self.Q.T @ y))
+
+
+def trig_row_projection(A, b):
+    """Projection of b onto the row space of a `TrigRows`: Phi* Phi b, by two FFTs."""
+    return A.phi_adjoint(A.phi(b))
 
 
 def oracle_null_projection(Vh, b):

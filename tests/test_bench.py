@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nullproj import ConfigurationError, LinearOperator, NullProjError, TrialConfig, TrialRow, run_trial
+from nullproj import bench
 from nullproj.bench import emit_csv, emit_markdown, main
 
 
@@ -124,6 +125,40 @@ def test_run_trial_deterministic_error_fields():
         "epsilon_rand_over_kappa",
     ):
         assert getattr(row_a, field) == getattr(row_b, field)
+
+
+def test_pairs_alternate_the_first_side_and_each_side_takes_its_median(monkeypatch):
+    # a stub clock that moves only inside the calls, by the seconds each takes
+    clock = [0.0]
+    order = []
+
+    def call(side, seconds):
+        seconds = iter(seconds)
+
+        def timed():
+            order.append(side)
+            clock[0] += next(seconds)
+
+        return timed
+
+    monkeypatch.setattr(bench.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(bench, "_PAIRS", 5)
+    classical = call("C", [9.0, 1.0, 4.0, 2.0, 3.0])
+    randomized = call("R", [10.0, 70.0, 30.0, 50.0, 20.0])
+    assert bench._paired(classical, randomized) == (3.0, 30.0)  # the means are 3.8 and 36
+    assert "".join(order) == "CRRCCRRCCR"
+
+
+def test_the_pair_count_moves_only_the_timings(monkeypatch):
+    # the error fields and apply counts read the first, untimed, setups, so
+    # the timed builds, which draw on from the same stream, cannot move them
+    rows = []
+    for pairs in (1, 3):
+        monkeypatch.setattr(bench, "_PAIRS", pairs)
+        rows.append(run_trial(small_config(refine_iters=1)))
+    timings = {"s_pre", "s_pro", "t_pre", "t_pro"}
+    for name in (f.name for f in fields(TrialRow) if f.name not in timings):
+        assert getattr(rows[0], name) == getattr(rows[1], name), name
 
 
 def test_run_trial_spec_example_m40():

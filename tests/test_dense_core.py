@@ -25,7 +25,7 @@ from nullproj.dense_core import (
     invert_diagonal_blocks,
 )
 
-from helpers import count_lapack_solves, substitute_by_rows, traced_peak
+from helpers import count_lapack_solves, identity_preconditioner, substitute_by_rows, traced_peak
 
 
 def reconstruction_error(M, qr):
@@ -690,6 +690,18 @@ def test_invert_small_singular_raises():
 def test_invert_small_indefinite_raises():
     with pytest.raises(FactorizationError):
         invert_small(np.diag([2.0, -3.0]))  # invertible, but not SPD
+
+
+def test_an_inverse_that_overflows_is_a_factorization_error():
+    # Y is finite and SPD, but Y^-1[0, 0] = 2e323 overflows; warnings are
+    # errors in this suite, so an overflow that only warns fails here too
+    Y = np.eye(4)
+    Y[0, 0] = 5e-324
+    message = "matrix of size 4 has an inverse that overflows$"
+    with pytest.raises(FactorizationError, match=f"^{message}"):
+        invert_small(Y)
+    with pytest.raises(FactorizationError, match=f"^Y must be positive definite: {message}"):
+        identity_preconditioner(Y)
 
 
 def test_svd_dense_diag():

@@ -28,6 +28,7 @@ from nullproj.projector import _solve_chain
 
 from helpers import (
     CoordinateRows,
+    TrigRows,
     backward_error_lstsq,
     coordinate_row_projection,
     count_lapack_solves,
@@ -36,6 +37,7 @@ from helpers import (
     oracle_row_projection,
     sparse_row_projection,
     substitute_by_rows,
+    trig_row_projection,
     svd_parts,
     unit_vectors,
 )
@@ -118,6 +120,30 @@ def test_row_projection_past_the_oracle_cap_matches_coordinate_rows(kappa, strea
     pre = build_preconditioner(A, m + 4, stream(95))
     for b in unit_vectors(n, 3, seed=96):
         err = np.linalg.norm(project(pre, A, b).row_projection - coordinate_row_projection(A, b))
+        assert err <= 1e-13 * kappa
+
+
+def test_trig_rows_have_their_known_svd():
+    # at the oracle cap: the singular values are sigma (2.8e-15 relative
+    # measured), and the row projection is Phi* Phi b (2.4e-15 measured)
+    A = TrigRows(100, 10_000, 1e2, seed=90)
+    _, _, s, Vh = svd_parts(A)
+    assert np.all(np.abs(s - A.sigma) <= 1e-13 * A.sigma)
+    for b in unit_vectors(10_000, 3, seed=91):
+        assert np.linalg.norm(trig_row_projection(A, b) - oracle_row_projection(Vh, b)) <= 1e-13
+
+
+@pytest.mark.parametrize("stream", [UniformLaggedFibonacci, GaussianStream], ids=["lfg", "gaussian"])
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12])
+def test_row_projection_past_the_oracle_cap_matches_trig_rows(kappa, stream):
+    # A's rows span the m lowest-frequency Fourier rows, the smoothest row
+    # space, and its projection is Phi* Phi b, two FFTs, at any size and
+    # kappa.  Criterion 06's bound; 7.4e-19 kappa to 3.6e-18 kappa measured
+    m, n = 100, 100_000
+    A = TrigRows(m, n, kappa, seed=94)
+    pre = build_preconditioner(A, m + 4, stream(95))
+    for b in unit_vectors(n, 3, seed=96):
+        err = np.linalg.norm(project(pre, A, b).row_projection - trig_row_projection(A, b))
         assert err <= 1e-13 * kappa
 
 
