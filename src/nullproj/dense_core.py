@@ -34,8 +34,8 @@ inverts only the `_BASE_ROWS` blocks.  A factor builds the steps at its
 first solve and keeps them, at most m^2 / 2 + 32 m doubles.
 
 Ownership: the substitution kernel `_substitute` overwrites the array it
-is given, and so do the private `_cholesky`, `_invert_spd`, `_chain_upper`
-and `_qr_pivoted_rows`, so a caller that owns a fresh array, such as the
+is given, and so do the private `_cholesky`, `_chain_upper` and
+`_qr_pivoted_rows`, so a caller that owns a fresh array, such as the
 Gram matrix or the sketch, hands it over without a copy.  `build_gram`
 makes one m-by-m array, the identity, sweeps, permutes and applies
 inside it, and returns it as the Gram matrix, which `_chain_upper` then
@@ -450,14 +450,6 @@ class PermutedFactor:
         _check_rhs(d, self.R.shape[0])  # before the gather, which would drop rows past m
         return self._sweep(d[self.perm], adjoint=True)
 
-    def substitute_adjoint(self, x):
-        """Overwrite the float array x with R^-* x, no permutation; returns x.
-
-        One block sweep of `_substitute` with the block inverses held, so it
-        neither inverts a block again nor builds the fused steps.
-        """
-        return _substitute(self.R, self.block_inverses, x, adjoint=True)
-
 
 def build_gram(A, R, perm):
     """Preconditioned Gram matrix X = P^-1 A A* (P*)^-1 with P = Pi* R*, in one m-by-m array.
@@ -494,22 +486,6 @@ def build_gram(A, R, perm):
         w[perm] = w  # numpy reads the overlapping right side through a copy
         W[:, j] = A.apply(A.apply_adjoint(w))[perm]
     return _substitute(R, invert_diagonal_blocks(R), W, adjoint=True)
-
-
-def invert_small(X):
-    """Invert a small symmetric positive definite matrix.
-
-    One path, blocked and in place on a copy of X: the Cholesky factor
-    X = L L*, W = L^-1 and Y = W* W, each one `_BASE_ROWS`-wide block
-    column at a time (see `_invert_spd`).  Only X's lower triangle is
-    read.  The preconditioned Gram matrix this is built for is well
-    conditioned by construction, so an X that is not numerically SPD means
-    a broken build and raises FactorizationError, whichever pivot block
-    fails, as does an inverse that overflows.  Y's upper triangle mirrors
-    its lower one, so Y == Y.T holds exactly.  A NaN or infinite entry
-    raises DomainError.  X is left as it was: the inverse runs on a copy.
-    """
-    return _invert_spd(np.array(as_real(X, "X")))
 
 
 def _cholesky(X):
@@ -550,11 +526,12 @@ def _cholesky(X):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # checked at the end: a NaN only follows an inf
-def _invert_spd(X):
-    """`invert_small` for a float array X that it overwrites: X ends up holding Y.
+def invert_small(X):
+    """Invert a small symmetric positive definite matrix.
 
-    The blocked scheme of LAPACK's potrf, trtri and lauum (Du Croz and
-    Higham, IMA J. Numer. Anal. 1992), one block column a:b at a time:
+    One path, blocked and in place on a copy of X: the scheme of LAPACK's
+    potrf, trtri and lauum (Du Croz and Higham, IMA J. Numer. Anal. 1992),
+    one `_BASE_ROWS`-wide block column a:b at a time:
 
     - X = L L*, by `_cholesky`;
     - W = L^-1, last block column first: W[b:, a:b] = -W[b:, b:] L[b:, a:b] W[a:b, a:b];
@@ -563,9 +540,15 @@ def _invert_spd(X):
 
     The diagonal blocks' inverses come from `_cholesky`, once each, and
     the second step frees each one as it uses it.  L, W and Y's lower half
-    each take X's lower triangle, with zeros above it, so every temporary
-    is the size of one block column.
+    each take the copy's lower triangle, with zeros above it, so every
+    temporary is the size of one block column.  Only X's lower triangle is
+    read.  The preconditioned Gram matrix this is built for is well
+    conditioned by construction, so an X that is not numerically SPD means
+    a broken build and raises FactorizationError, whichever pivot block
+    fails, as does an inverse that overflows.  A NaN or infinite entry
+    raises DomainError.  X is left as it was.
     """
+    X = np.array(as_real(X, "X"))
     inverses = _cholesky(X)
     m = X.shape[0]
     starts = range(0, m, _BASE_ROWS)
@@ -596,7 +579,7 @@ def _chain_upper(X, R):
     block rows are formed from the top, each over the rows of X it
     replaces, whose L entries no later block row reads.  U keeps exact
     zeros below its diagonal, and the only temporary is one block row.
-    A non-SPD X raises FactorizationError, as in `_invert_spd`.
+    A non-SPD X raises FactorizationError, as in `invert_small`.
     """
     _cholesky(X)
     m = X.shape[0]

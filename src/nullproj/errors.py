@@ -73,9 +73,11 @@ def as_real_number(value, name, above, error):
     """`value` as a Python float; `error` naming it unless it is a finite real number > above.
 
     A bool, an array (0-d too), a str, None and a complex number are refused; the bounds are
-    compared before `float()`, so NaN fails them and 10**400 raises no OverflowError."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and above < value <= sys.float_info.max):
+    compared before `float()`, so NaN fails them and 10**400 raises no OverflowError.  A numpy
+    scalar is compared as its `.item()`: in an np.float32 the bound would overflow to inf."""
+    number = value.item() if isinstance(value, np.generic) else value
+    real = isinstance(number, numbers.Real) and not isinstance(number, bool)
+    if not (real and above < number <= sys.float_info.max):
         raise error(f"{name} must be a finite real number above {above}, got {value!r}")
     return float(value)
 

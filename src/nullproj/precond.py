@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_core import PermutedFactor, _chain_upper, _invert_spd, _qr_pivoted_rows, build_gram
+from .dense_core import PermutedFactor, _chain_upper, _qr_pivoted_rows, build_gram
+from .dense_core import invert_small, solve_upper_adjoint
 from .errors import ConfigurationError, DimensionError, DomainError, FactorizationError
 from .errors import RankDeficientSketchError, all_finite, as_index, as_real, checked_draw
 
@@ -69,8 +70,8 @@ class Preconditioner:
     and never forms Y, so its `Y` is read back as (R U^-1)(R U^-1)*, the Y
     that the chain applies: an m-by-m product computed at each read,
     exactly symmetric.  A preconditioner made from a `Y` keeps that `Y`
-    and forms U from Y^-1 at construction.  R's factor is formed only by
-    `diagnostics.measured_condition`.
+    and forms U from Y^-1 at construction.  No preconditioner holds a
+    factor of R.
 
     Instances compare and hash by identity, are immutable (the arrays are
     read-only) and are safe to share across threads; the only state that
@@ -98,7 +99,7 @@ class Preconditioner:
         if not np.array_equal(Y, Y.T):
             raise DomainError("Y must be symmetric, got Y != Y.T")
         try:
-            X = _invert_spd(np.array(Y))
+            X = invert_small(Y)
         except FactorizationError as exc:
             raise FactorizationError(f"Y must be positive definite: {exc}") from exc
         self._chain = self._hold(R, perm, l, m, n, build_apply_counts, X)
@@ -132,7 +133,7 @@ class Preconditioner:
         """The `Y` this was made from, or for a build the Y its chain applies, computed at each read."""
         if self._Y is not None:
             return self._Y
-        T = self._chain.substitute_adjoint(np.array(self.R.T)).T  # T = R U^-1, which is L^-*
+        T = solve_upper_adjoint(self._chain.R, self.R.T).T  # T = R U^-1, which is L^-*
         Y = T @ T.T  # numpy's symmetric product, so Y == Y.T exactly
         Y.setflags(write=False)
         return Y

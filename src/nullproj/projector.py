@@ -17,8 +17,8 @@ diagonal blocks (a partitioned inverse, never an inverse of U or of
 anything Gram-like), so no projection calls LAPACK.  Each
 triangular solve is one BLAS product per 64 rows with the factor's
 fused steps, which both solves share: the first projection builds them
-and every later one reuses them (`dense_core` says how).  Only
-`diagnostics.measured_condition` forms R's own factor.
+and every later one reuses them (`dense_core` says how).  No
+preconditioner holds a factor of R.
 The classical normal-equations path is kept as a baseline: it factors
 A A* with LAPACK's unpivoted Householder QR, squares the condition
 number and loses accuracy exactly the way the benchmark tables show.

@@ -292,6 +292,8 @@ REAL_FORMS = {
     "NaN": lambda above, good: float("nan"),
     "+inf": lambda above, good: float("inf"),
     "-inf": lambda above, good: float("-inf"),
+    "float32 inf": lambda above, good: np.float32(np.inf),
+    "float16 inf": lambda above, good: np.float16(np.inf),
     "the bound": lambda above, good: above,
     "0-d array": lambda above, good: np.array(good),
 }
@@ -305,6 +307,14 @@ def test_real_numbers_follow_one_rule(form):
         message = f"^{re.escape(name)} must be a finite real number above {above}, got "
         with pytest.raises(error, match=message):
             call(bad)
+
+
+def test_real_numbers_accept_narrow_numpy_floats():
+    # the bound float_info.max, cast to float32 or float16, would overflow to
+    # inf with a RuntimeWarning, which the suite turns into an error
+    for name, above, error, call, good in REAL_SITES.values():
+        call(np.float32(good))
+        call(np.float16(good))
 
 
 def test_real_number_rule_has_one_owner():

@@ -415,7 +415,7 @@ def test_the_repr_of_a_build_names_its_sizes_and_does_not_compute_y(monkeypatch)
     def no_y(*args):
         raise AssertionError("the repr computed Y")
 
-    monkeypatch.setattr(dense_core.PermutedFactor, "substitute_adjoint", no_y)
+    monkeypatch.setattr(precond, "solve_upper_adjoint", no_y)
     assert repr(pre) == "Preconditioner(l=404, m=400, n=4000, build_apply_counts=(804, 400))"
 
 
@@ -669,6 +669,18 @@ def test_sparse_build_holds_one_length_n_array_at_a_time():
     A = make_sparse_test(m, n, 1e8, seed=32)
     peak = min(traced_peak(build_preconditioner, A, l, UniformLaggedFibonacci(33)) for _ in range(3))
     assert peak < 1.5 * n * 8
+
+
+def test_the_gram_build_does_not_hold_block_inverses_through_the_applies():
+    # build_gram inverts R's diagonal blocks before the applies and again
+    # after them: the result and A* w peak together, and block inverses held
+    # through the applies add 256 m bytes to that peak, which is the build's
+    # setup peak at large n (6 kB over the base here, 32 kB when held)
+    m, n = 100, 100_000
+    A = make_sparse_test(m, n, 1e8, seed=36)
+    pre = build_preconditioner(A, m + 4, UniformLaggedFibonacci(37))
+    peak = traced_peak(build_gram, A, pre.R, pre.perm)
+    assert peak < 8 * (m * m + n) + 16 * 1024
 
 
 def test_dense_build_holds_one_length_n_array_at_a_time():
